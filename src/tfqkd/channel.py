@@ -210,18 +210,32 @@ def p_second_correct(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY)
 # Dual-basis matrices
 # ---------------------------------------------------------------------------
 
-def _block_diag(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+def _block_diag(top: np.ndarray, bottom: np.ndarray | None = None) -> np.ndarray:
     m = top.shape[0]
     out = np.zeros((2 * m, 2 * m))
     out[:m, :m] = top
-    out[m:, m:] = bottom
+    out[m:, m:] = top if bottom is None else bottom
     return out
+
+
+# Per-basis blocks of attack_matrix and mixed_bob_matrix, from an already
+# computed pc = p_correct(params); both bases share the same block.
+
+def _attack_block(params: ProtocolParams, pc: np.ndarray) -> np.ndarray:
+    return 0.5 * (pc @ pc + p_wrong(params))
+
+
+def _mixed_block(params: ProtocolParams, pc: np.ndarray) -> np.ndarray:
+    eps = params.epsilon
+    if eps == 0.0:
+        return pc
+    attack = _attack_block(params, pc)
+    return attack if eps == 1.0 else (1.0 - eps) * pc + eps * attack
 
 
 def bob_matrix(params: ProtocolParams) -> np.ndarray:
     """Sifted channel to the legitimate receiver: both bases behave alike."""
-    pc = p_correct(params)
-    return _block_diag(pc, pc)
+    return _block_diag(p_correct(params))
 
 
 def eve_matrix(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> np.ndarray:
@@ -236,7 +250,7 @@ def eve_matrix(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> np
     return _block_diag(p_correct(params), p_second_correct(params, accuracy))
 
 
-def attack_matrix(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> np.ndarray:
+def attack_matrix(params: ProtocolParams) -> np.ndarray:
     """Receiver's channel on intercepted photons.
 
     The interceptor picks her measurement basis uniformly; on a match the
@@ -244,16 +258,9 @@ def attack_matrix(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) ->
     matched-basis matrix), otherwise the resent pulse appears in the
     receiver's basis as the centered conjugate pulse.
     """
-    pc = p_correct(params)
-    blk = 0.5 * (pc @ pc + p_wrong(params))
-    return _block_diag(blk, blk)
+    return _block_diag(_attack_block(params, p_correct(params)))
 
 
-def mixed_bob_matrix(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> np.ndarray:
+def mixed_bob_matrix(params: ProtocolParams) -> np.ndarray:
     """Receiver's channel averaged over attacked and untouched photons."""
-    eps = params.epsilon
-    if eps == 0.0:
-        return bob_matrix(params)
-    if eps == 1.0:
-        return attack_matrix(params, accuracy)
-    return (1.0 - eps) * bob_matrix(params) + eps * attack_matrix(params, accuracy)
+    return _block_diag(_mixed_block(params, p_correct(params)))

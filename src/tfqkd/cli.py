@@ -18,12 +18,12 @@ import tempfile
 
 import numpy as np
 
-from .channel import ProtocolParams, make_layout, mixed_bob_matrix
+from .channel import ProtocolParams, _spectra, make_layout, mixed_bob_matrix
 from .errors import DomainError, NumericFailure
 from .infotheory import key_rate
 from .optimizer import OptimizerConfig, c_surface, optimize_point, sweep
 from .oracle import McConfig, compare_empirical, dft_spectrum_oracle, run_mc
-from .pulse_math import DEFAULT_ACCURACY, cached_spectrum
+from .pulse_math import DEFAULT_ACCURACY
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -82,14 +82,6 @@ def _emit(path: str | None, data: str):
         sys.stdout.write(data)
 
 
-def _threads() -> int:
-    raw = os.environ.get("TFQKD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -125,7 +117,6 @@ def _optimizer_config(args, config) -> OptimizerConfig:
         accuracy=_resolve(args, config, "accuracy", float, DEFAULT_ACCURACY),
         u_variant=_resolve(args, config, "u_variant", str, "per-term"),
         scheme=_resolve(args, config, "scheme", str, "staged"),
-        threads=_threads(),
     )
 
 
@@ -228,19 +219,14 @@ def cmd_sweep(args) -> int:
 
 
 def _spectrum_oracle_deviation(params: ProtocolParams, accuracy: float) -> float:
-    """Worst inner-bin disagreement between the panel spectra and the DFT
-    oracle at this operating point."""
+    """Worst inner-bin disagreement between the panel spectra that
+    ``p_second_correct`` queries and the DFT oracle at this operating point."""
     layout = make_layout(params.m)
     scale = 2.0 / params.alpha
-    reach = max(
-        abs(b - c)
-        for b in layout.upper[:-1]
-        for c in layout.centers
-    )
+    reach = np.max(np.abs(layout.upper[:-1, None] - layout.centers[None, :]))
     span = min(scale * reach * 1.02 + 1.0, 60.0)
     worst = 0.0
-    for f in range(1, params.m + 1):
-        spec = cached_spectrum(f, params.m, params.beta, accuracy, 2.0 ** math.ceil(math.log2(max(span, 32.0))))
+    for f, spec in enumerate(_spectra(params, accuracy), start=1):
         oracle = dft_spectrum_oracle(f, params.m, params.beta, grid_step=0.02, grid_span=span)
         for e in range(1, params.m - 1):  # inner bins only
             for a in range(params.m):
@@ -266,7 +252,7 @@ def cmd_validate(args) -> int:
     accuracy = _resolve(args, config, "accuracy", float, DEFAULT_ACCURACY)
 
     params = ProtocolParams(m, alpha, beta, eps)
-    analytic = mixed_bob_matrix(params, accuracy)
+    analytic = mixed_bob_matrix(params)
     empirical = run_mc(McConfig(photons=photons, seed=seed, params=params))
     verdict = compare_empirical(empirical, analytic)
     spectrum_dev = _spectrum_oracle_deviation(params, accuracy)

@@ -86,37 +86,50 @@ def mutual_info_dual(matrix: np.ndarray, prior: np.ndarray | None = None) -> flo
     return mutual_info_single(matrix, prior) - 1.0
 
 
-def i_ab(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> float:
+# Sifting makes every dual-basis matrix block-diagonal, so with a uniform
+# prior its mutual_info_dual is the mean of its two m x m blocks' values, and
+# the receiver's QSER comes from the one block both bases share.
+
+def _block_info(block: np.ndarray) -> float:
+    m = block.shape[0]
+    return mutual_info_single(block, np.full(m, 1.0 / m))
+
+
+def _qser(block: np.ndarray) -> float:
+    return float(1.0 - np.trace(block) / block.shape[0])
+
+
+def _i_ae(params: ProtocolParams, pc: np.ndarray, accuracy: float) -> float:
+    if params.epsilon == 0.0:
+        return 0.0
+    second = channel.p_second_correct(params, accuracy)
+    return params.epsilon * 0.5 * (_block_info(pc) + _block_info(second))
+
+
+def i_ab(params: ProtocolParams) -> float:
     """Sender-receiver information over the attack-averaged channel."""
-    return mutual_info_dual(channel.mixed_bob_matrix(params, accuracy))
+    return _block_info(channel._mixed_block(params, channel.p_correct(params)))
 
 
 def i_ae(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> float:
     """Sender-eavesdropper information; scales linearly with the intercepted
     fraction and is exactly zero when nothing is intercepted."""
-    if params.epsilon == 0.0:
-        return 0.0
-    return params.epsilon * mutual_info_dual(channel.eve_matrix(params, accuracy))
+    return _i_ae(params, channel.p_correct(params), accuracy)
 
 
-def qser(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> float:
+def qser(params: ProtocolParams) -> float:
     """Symbol error rate of the sifted key: one minus the mean diagonal of
     the attack-averaged receiver matrix."""
-    mixed = channel.mixed_bob_matrix(params, accuracy)
-    return float(1.0 - np.trace(mixed) / (2.0 * params.m))
+    return _qser(channel._mixed_block(params, channel.p_correct(params)))
 
 
 def capacity(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> CapacityReport:
     """Secret bits per photon, clamped at zero, with the full balance."""
-    mixed = channel.mixed_bob_matrix(params, accuracy)
-    ab = mutual_info_dual(mixed)
-    ae = i_ae(params, accuracy)
-    return CapacityReport(
-        i_ab=ab,
-        i_ae=ae,
-        capacity=max(ab - ae, 0.0),
-        qser=float(1.0 - np.trace(mixed) / (2.0 * params.m)),
-    )
+    pc = channel.p_correct(params)
+    mixed = channel._mixed_block(params, pc)
+    ab = _block_info(mixed)
+    ae = _i_ae(params, pc, accuracy)
+    return CapacityReport(i_ab=ab, i_ae=ae, capacity=max(ab - ae, 0.0), qser=_qser(mixed))
 
 
 def key_rate(sifted_rate: float, capacity_bits: float) -> float:

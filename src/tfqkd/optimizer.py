@@ -12,7 +12,6 @@ capacity-maximizing conjugate width instead is available for comparison.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +49,6 @@ class OptimizerConfig:
     accuracy: float = DEFAULT_ACCURACY
     u_variant: str = "per-term"
     scheme: str = "staged"
-    threads: int = 1
 
     def __post_init__(self):
         if self.scheme not in ("staged", "nested"):
@@ -79,7 +77,12 @@ class SurfaceGrid:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Optimal widths for one (m, epsilon) pair plus the search evidence."""
+    """Optimal widths for one (m, epsilon) pair plus the search evidence.
+
+    ``c_opt`` is the capacity at ``(alpha_opt, beta_opt)``.  It equals
+    ``stage1_capacity`` in the nested scheme and may sit below it in the
+    staged one, whose beta is chosen for overlap, not capacity.
+    """
 
     m: int
     epsilon: float
@@ -266,6 +269,21 @@ def _golden_min(fn, lo: float, hi: float, tol: float):
     return best, evals[best], evals
 
 
+def _refine_min(fn, axis: np.ndarray, values: np.ndarray, tol: float):
+    """Grid minimum of ``values`` (``fn`` on ``axis``) refined by golden
+    section between its grid neighbours; returns ``(argument, value)``,
+    preferring the smaller argument on exact ties."""
+    k = int(np.argmin(values))  # first minimum = smallest argument on ties
+    lo = axis[max(k - 1, 0)]
+    hi = axis[min(k + 1, axis.size - 1)]
+    if lo == hi:
+        return float(axis[k]), values[k]
+    x, v, _ = _golden_min(fn, lo, hi, tol)
+    if values[k] < v or (values[k] == v and axis[k] < x):
+        return float(axis[k]), values[k]
+    return float(x), v
+
+
 def _axis(box: tuple[float, float], step: float) -> np.ndarray:
     lo, hi = box
     n = int(math.floor((hi - lo) / step + 0.5))
@@ -297,17 +315,8 @@ def minimize_beta(
     values = np.array([u_functional(m, alpha, b, variant) for b in axis])
     if not np.all(np.isfinite(values)):
         raise NumericFailure("overlap functional produced non-finite values")
-    k = int(np.argmin(values))  # first minimum = smallest beta on ties
-    win_lo = axis[max(k - 1, 0)]
-    win_hi = axis[min(k + 1, axis.size - 1)]
-    if win_lo == win_hi:
-        return float(axis[k]), float(values[k])
-    beta_opt, u_min, _ = _golden_min(
-        lambda b: u_functional(m, alpha, b, variant), win_lo, win_hi, tol
-    )
-    if values[k] < u_min or (values[k] == u_min and axis[k] < beta_opt):
-        return float(axis[k]), float(values[k])
-    return float(beta_opt), float(u_min)
+    beta_opt, u_min = _refine_min(lambda b: u_functional(m, alpha, b, variant), axis, values, tol)
+    return beta_opt, float(u_min)
 
 
 def optimize_point(
@@ -321,6 +330,8 @@ def optimize_point(
     the beta grid), coarse grid plus golden-section refinement, ties toward
     smaller alpha.  Stage 2 picks beta: from the overlap functional in the
     ``staged`` scheme, from the capacity itself in the ``nested`` scheme.
+    So the staged ``c_opt`` may sit below ``stage1_capacity`` (e.g. 0.3794
+    vs 0.3896 at m = 4, epsilon = 0.5); the nested one equals it.
     A capacity that is zero over the whole grid short-circuits to the
     smallest alpha of the plateau.
     """
@@ -337,16 +348,15 @@ def optimize_point(
             trace.append((alpha, beta, rep.capacity))
         return cache[key]
 
+    def best_beta(alpha: float) -> tuple[float, float]:
+        # capacity-maximizing beta at this alpha, and its capacity
+        neg = np.array([-cap_at(alpha, b) for b in beta_axis])
+        beta, neg_best = _refine_min(lambda b: -cap_at(alpha, b), beta_axis, neg, config.tol)
+        return beta, -neg_best
+
     def row_max(alpha: float) -> float:
         if config.scheme == "nested":
-            vals = [cap_at(alpha, b) for b in beta_axis]
-            k = int(np.argmax(vals))
-            w_lo = beta_axis[max(k - 1, 0)]
-            w_hi = beta_axis[min(k + 1, beta_axis.size - 1)]
-            if w_lo == w_hi:
-                return vals[k]
-            _, neg_best, _ = _golden_min(lambda b: -cap_at(alpha, b), w_lo, w_hi, config.tol)
-            return max(-neg_best, vals[k])
+            return best_beta(alpha)[1]
         return max(cap_at(alpha, b) for b in beta_axis)
 
     grid_best = np.array([row_max(a) for a in alpha_axis])
@@ -357,34 +367,15 @@ def optimize_point(
         alpha_opt = float(alpha_axis[0])
         stage1_c = 0.0
     else:
-        i_hat = int(np.argmax(grid_best))  # first max = smallest alpha on ties
-        win_lo = alpha_axis[max(i_hat - 1, 0)]
-        win_hi = alpha_axis[min(i_hat + 1, alpha_axis.size - 1)]
-        alpha_ref, neg_ref, _ = _golden_min(lambda a: -row_max(a), win_lo, win_hi, config.tol)
-        stage1_c = -neg_ref
-        alpha_opt = float(alpha_ref)
-        if grid_max > stage1_c or (grid_max == stage1_c and alpha_axis[i_hat] < alpha_opt):
-            alpha_opt = float(alpha_axis[i_hat])
-            stage1_c = grid_max
+        alpha_opt, neg_c = _refine_min(lambda a: -row_max(a), alpha_axis, -grid_best, config.tol)
+        stage1_c = -neg_c
 
     if config.scheme == "staged":
         beta_opt, u_min = minimize_beta(
             m, alpha_opt, config.u_variant, config.beta_box, config.tol, config.coarse_step
         )
     else:
-        vals = [cap_at(alpha_opt, b) for b in beta_axis]
-        k = int(np.argmax(vals))
-        w_lo = beta_axis[max(k - 1, 0)]
-        w_hi = beta_axis[min(k + 1, beta_axis.size - 1)]
-        if w_lo == w_hi:
-            beta_opt = float(beta_axis[k])
-        else:
-            beta_ref, neg_best, _ = _golden_min(
-                lambda b: -cap_at(alpha_opt, b), w_lo, w_hi, config.tol
-            )
-            beta_opt = float(beta_ref)
-            if vals[k] > -neg_best or (vals[k] == -neg_best and beta_axis[k] < beta_opt):
-                beta_opt = float(beta_axis[k])
+        beta_opt = best_beta(alpha_opt)[0]
         u_min = u_functional(m, alpha_opt, beta_opt, config.u_variant)
 
     report = capacity(ProtocolParams(m, alpha_opt, beta_opt, epsilon), config.accuracy)
@@ -406,9 +397,7 @@ def optimize_point(
 def sweep(ms, epsilons, config: OptimizerConfig = OptimizerConfig()) -> list[SweepEntry]:
     """One optimization per (m, epsilon) pair, m outer, epsilon inner.
 
-    Failures are recorded per point and do not stop the sweep.  Points are
-    independent, so they may be evaluated by a thread pool; the output order
-    is fixed by the input order, never by completion order.
+    Failures are recorded per point and do not stop the sweep.
     """
     ms = list(ms)
     epsilons = list(epsilons)
@@ -423,7 +412,4 @@ def sweep(ms, epsilons, config: OptimizerConfig = OptimizerConfig()) -> list[Swe
         except (DomainError, NumericFailure) as exc:
             return SweepEntry(m, eps, "failed", error=str(exc))
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(run, points))
     return [run(p) for p in points]

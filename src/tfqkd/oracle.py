@@ -335,9 +335,10 @@ def dft_spectrum_oracle(
     """Tabulate the spectrum of the filter-``f`` truncated pulse by direct
     summation of the transform on a dense grid.
 
-    Raises a refusal when the estimated spectral mass beyond ``grid_span``
-    exceeds ``tail_tol`` (so outer-bin remainders would be untrustworthy at
-    that tolerance).
+    ``grid_step`` is the step of the w sub-grids; the x-grid step is at most
+    ``min(grid_step, 0.3 / grid_span)``.  Raises a refusal when the estimated
+    spectral mass beyond ``grid_span`` exceeds ``tail_tol`` (so outer-bin
+    remainders would be untrustworthy at that tolerance).
     """
     if grid_step <= 0.0:
         raise DomainError(f"grid_step must be positive, got {grid_step}")
@@ -352,7 +353,9 @@ def dft_spectrum_oracle(
         # filter window entirely outside the pulse support: empty spectrum
         x_lo, x_hi = 0.0, 2.0 * grid_step
 
-    n = max(int(np.ceil((x_hi - x_lo) / grid_step)), 8)
+    # the x-grid must resolve exp(-i w x) out to |w| = grid_span
+    x_step = min(grid_step, 0.3 / grid_span)
+    n = max(int(np.ceil((x_hi - x_lo) / x_step)), 8)
     if rule == "simpson" and n % 2:
         n += 1
     x_grid = np.linspace(x_lo, x_hi, n + 1)

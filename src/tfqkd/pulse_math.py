@@ -271,7 +271,7 @@ def _integrate_adaptive(g, seed_edges: np.ndarray, tol_total: float, max_rounds:
 class TruncatedSpectrum:
     """Cumulative spectral-energy distribution of a time-truncated pulse.
 
-    Immutable after construction; safe to share across threads.  ``total_mass``
+    Immutable after construction, so cached instances are shared.  ``total_mass``
     is the exact pass probability of the truncating filter (the spectrum
     integrates to it by Parseval); ``total_mass_numeric`` is the same value
     recovered from the panel table plus the asymptotic tails, kept as a

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from tfqkd.channel import ProtocolParams, attack_matrix, bob_matrix, p_correct
+from tfqkd.channel import (
+    ProtocolParams,
+    attack_matrix,
+    bob_matrix,
+    eve_matrix,
+    mixed_bob_matrix,
+    p_correct,
+)
 from tfqkd.errors import DomainError
 from tfqkd.infotheory import (
     capacity,
@@ -155,7 +162,7 @@ class TestChannelInformation:
         # perfect time information makes the dual value the mean of log2(m)
         # and the frequency-block information
         params = ProtocolParams(4, 1e-4, 0.7, 1.0)
-        from tfqkd.channel import eve_matrix, p_second_correct
+        from tfqkd.channel import p_second_correct
 
         freq_mi = mutual_info_single(p_second_correct(params), np.full(4, 0.25))
         dual = mutual_info_dual(eve_matrix(params))
@@ -165,12 +172,20 @@ class TestChannelInformation:
 
 class TestCapacity:
     def test_report_consistency(self):
-        params = ProtocolParams(4, 0.5, 0.7, 0.5)
-        rep = capacity(params)
-        assert rep.capacity == pytest.approx(max(rep.i_ab - rep.i_ae, 0.0), abs=1e-15)
-        assert rep.i_ab == pytest.approx(i_ab(params), abs=1e-14)
-        assert rep.i_ae == pytest.approx(i_ae(params), abs=1e-14)
-        assert rep.qser == pytest.approx(qser(params), abs=1e-14)
+        for m in (2, 5, 16, 32):
+            for eps in (0.0, 0.5, 1.0):
+                params = ProtocolParams(m, 0.5, 0.7, eps)
+                rep = capacity(params)
+                assert rep.capacity == pytest.approx(max(rep.i_ab - rep.i_ae, 0.0), abs=1e-15)
+                assert rep.i_ab == pytest.approx(i_ab(params), abs=1e-14)
+                assert rep.i_ae == pytest.approx(i_ae(params), abs=1e-14)
+                assert rep.qser == pytest.approx(qser(params), abs=1e-14)
+                # the block path against the 2m x 2m path it replaced
+                mixed = mixed_bob_matrix(params)
+                ae_dual = eps * mutual_info_dual(eve_matrix(params))
+                assert rep.i_ab == pytest.approx(mutual_info_dual(mixed), abs=1e-12)
+                assert rep.i_ae == pytest.approx(ae_dual, abs=1e-12)
+                assert rep.qser == pytest.approx(1.0 - np.trace(mixed) / (2 * m), abs=1e-12)
 
     def test_no_attack_narrow_pulse_reaches_log2m(self):
         rep = capacity(ProtocolParams(4, 0.05, 0.7, 0.0))

@@ -196,3 +196,11 @@ class TestDftSpectrumOracle:
                     assert oracle.bin_mass(w_lo, w_hi) == pytest.approx(
                         spec.bin_mass(w_lo, w_hi), abs=1e-6
                     )
+
+    def test_wide_span_resolves_high_frequencies(self):
+        # at span 60 the x-grid must follow the span, not the 0.02 w-step,
+        # or bins near |w| = 55 drift by ~5e-6
+        oracle = dft_spectrum_oracle(8, 16, 0.7, grid_step=0.02, grid_span=60.0)
+        assert oracle.bin_mass(54.0, 58.0) == pytest.approx(
+            build_spectrum(8, 16, 0.7).bin_mass(54.0, 58.0), abs=1e-6
+        )
