@@ -119,6 +119,14 @@ def is_column_stochastic(matrix: np.ndarray, tol: float = 1e-9) -> bool:
 # Single-basis matrices
 # ---------------------------------------------------------------------------
 
+def _bin_masses(lo: np.ndarray, hi: np.ndarray, width: float) -> np.ndarray:
+    """Masses of a width-``width`` density centred at 0 on ``[lo, hi]``;
+    erf is evaluated once per bound and infinite bounds become +-1."""
+    e_lo = np.where(np.isneginf(lo), -1.0, erf(lo / width))
+    e_hi = np.where(np.isposinf(hi), 1.0, erf(hi / width))
+    return 0.5 * (e_hi - e_lo)
+
+
 def p_correct(params: ProtocolParams) -> np.ndarray:
     """Receiver matched to the sender's basis: bin masses of the symbol pulse.
 
@@ -127,14 +135,8 @@ def p_correct(params: ProtocolParams) -> np.ndarray:
     bins tile the whole axis.
     """
     layout = make_layout(params.m)
-    width = params.symbol_sigma
-    # erf is evaluated on the (bound - center) grid once per bound set;
-    # infinite outer bounds become +-1.
-    lo = np.where(np.isneginf(layout.lower[:, None]), -1.0,
-                  erf((layout.lower[:, None] - layout.centers[None, :]) / width))
-    hi = np.where(np.isposinf(layout.upper[:, None]), 1.0,
-                  erf((layout.upper[:, None] - layout.centers[None, :]) / width))
-    return 0.5 * (hi - lo)
+    return _bin_masses(layout.lower[:, None] - layout.centers[None, :],
+                       layout.upper[:, None] - layout.centers[None, :], params.symbol_sigma)
 
 
 def p_wrong(params: ProtocolParams) -> np.ndarray:
@@ -144,27 +146,13 @@ def p_wrong(params: ProtocolParams) -> np.ndarray:
     is the same vector of bin masses of a width-``beta*m/2`` pulse at 0.
     """
     layout = make_layout(params.m)
-    width = params.conjugate_sigma
-    col = np.array([
-        pulse_math.density_bin_mass(width, 0.0, layout.lower[e], layout.upper[e])
-        for e in range(params.m)
-    ])
+    col = _bin_masses(layout.lower, layout.upper, params.conjugate_sigma)
     return np.tile(col[:, None], (1, params.m))
 
 
-def _span_bucket(span: float) -> float:
-    # Cache-friendly: round the requested table extent up to a power of two
-    # so nearby alpha values share spectra.
-    return float(2.0 ** math.ceil(math.log2(max(span, 32.0))))
-
-
 def _spectra(params: ProtocolParams, accuracy: float):
-    layout = make_layout(params.m)
-    finite_bounds = layout.upper[:-1]  # interior bounds; == layout.lower[1:]
-    reach = np.max(np.abs(finite_bounds[:, None] - layout.centers[None, :]))
-    span = _span_bucket(2.0 * reach / params.alpha * 1.05)
     return [
-        pulse_math.cached_spectrum(f, params.m, params.beta, accuracy, span)
+        pulse_math.cached_spectrum(f, params.m, params.beta, accuracy)
         for f in range(1, params.m + 1)
     ]
 

@@ -350,16 +350,17 @@ def dft_spectrum_oracle(
     x_lo = -_X_SUPPORT if np.isneginf(b_lo) else max(b_lo / scale, -_X_SUPPORT)
     x_hi = _X_SUPPORT if np.isposinf(b_up) else min(b_up / scale, _X_SUPPORT)
     if x_lo >= x_hi:
-        # filter window entirely outside the pulse support: empty spectrum
-        x_lo, x_hi = 0.0, 2.0 * grid_step
-
-    # the x-grid must resolve exp(-i w x) out to |w| = grid_span
-    x_step = min(grid_step, 0.3 / grid_span)
-    n = max(int(np.ceil((x_hi - x_lo) / x_step)), 8)
-    if rule == "simpson" and n % 2:
-        n += 1
-    x_grid = np.linspace(x_lo, x_hi, n + 1)
-    x_weights = _composite_weights(n + 1, (x_hi - x_lo) / n, rule)
+        # filter window entirely outside the pulse support: no grid points,
+        # so the spectrum, its total and its tail are exactly 0
+        x_grid = x_weights = np.empty(0)
+    else:
+        # the x-grid must resolve exp(-i w x) out to |w| = grid_span
+        x_step = min(grid_step, 0.3 / grid_span)
+        n = max(int(np.ceil((x_hi - x_lo) / x_step)), 8)
+        if rule == "simpson" and n % 2:
+            n += 1
+        x_grid = np.linspace(x_lo, x_hi, n + 1)
+        x_weights = _composite_weights(n + 1, (x_hi - x_lo) / n, rule)
 
     phi_sq = np.exp(-x_grid**2) / (2.0 * np.pi)
     total_mass = float(2.0 * np.pi / _SQRTPI * (phi_sq @ x_weights))
@@ -369,7 +370,7 @@ def dft_spectrum_oracle(
 
     phi_lo = np.exp(-0.5 * x_lo**2) / np.sqrt(2.0 * np.pi)
     phi_hi = np.exp(-0.5 * x_hi**2) / np.sqrt(2.0 * np.pi)
-    w_tail = float((phi_lo**2 + phi_hi**2) / (_SQRTPI * grid_span))
+    w_tail = float((phi_lo**2 + phi_hi**2) / (_SQRTPI * grid_span)) if x_grid.size else 0.0
 
     if tail_tol is not None and w_tail > tail_tol:
         raise NumericFailure(

@@ -7,8 +7,8 @@ whichever domain is being described).  The central objects are
 * the Fourier transform of a window-truncated standard-normal amplitude,
   evaluated in a form that stays stable at large frequency, and
 * :class:`TruncatedSpectrum`, a cumulative distribution of the truncated
-  pulse's spectral energy, built once by adaptive panel quadrature and then
-  queryable at arbitrary points.
+  pulse's spectral energy, built once by adaptive G7-K15 panel quadrature
+  and then queryable at arbitrary points without special functions.
 
 Spectral tails decay only like ``1/w**2``, so any mass involving an
 unbounded interval is always obtained as (known total) minus a
@@ -17,11 +17,11 @@ finite-interval integral, never by integrating out to infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf, sici, wofz
+from scipy.special import erf, factorial, sici, wofz
 
 from .errors import DomainError, NumericFailure
 
@@ -31,13 +31,10 @@ SQRTPI = np.sqrt(np.pi)
 #: default absolute tolerance for one spectral bin mass
 DEFAULT_ACCURACY = 1e-8
 
-# The asymptotic tail series below is trusted only beyond this point; panel
-# tables therefore always extend at least this far.
+# The asymptotic tail series below is trusted only beyond this point, so the
+# panel tables cover exactly [-_TAIL_W_MIN, _TAIL_W_MIN].
 _TAIL_W_MIN = 30.0
-_TAIL_ORDER = 6
-
-_GL7 = np.polynomial.legendre.leggauss(7)
-_GL15 = np.polynomial.legendre.leggauss(15)
+_TAIL_ORDER = 10
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +133,6 @@ def _spectral_density(x_lo: float, x_hi: float, w):
 
 def _phi_derivatives(x: float, order: int):
     """Values ``phi^(k)(x)`` for k = 0..order-1 (probabilists' Hermite)."""
-    if not np.isfinite(x):
-        return [0.0] * order
     phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
     he = [1.0, x]
     for k in range(2, order):
@@ -145,113 +140,123 @@ def _phi_derivatives(x: float, order: int):
     return [((-1.0) ** k) * he[k] * phi for k in range(order)]
 
 
-def _osc_tail_integrals(n_max: int, lag: float, w_from: float):
-    """``I_n = integral_{w_from}^inf exp(i*lag*w) * w**-n dw`` for n <= n_max.
+def _tail_coefficients(x_lo: float, x_hi: float):
+    """Series coefficients of ``(1/sqrt(pi)) * integral_w^inf |F|**2``.
 
-    ``I_1`` comes from the sine/cosine integrals; higher orders follow the
-    exact downward recurrence from integration by parts.
+    Integration by parts expands F into Gaussian derivatives at the finite
+    window edges, so ``|F|**2`` is a sum of ``exp(i*lag*w) * w**-n`` terms,
+    n = 2..2*order.  An edge with itself has lag 0: powers of ``1/w`` after
+    integration.  The two edges have lag ``x_hi - x_lo``: their terms
+    integrate to ``I_n``, whose exact recurrence
+    ``I_n = (exp(i*lag*w) * w**(1-n) + i*lag*I_{n-1}) / (n-1)`` is unrolled
+    here into ``first * I_1 + exp(i*lag*w) * (powers of 1/w)``.
+
+    Returns ``(coef, first, lag)``; ``coef[k]`` multiplies ``w**-(k+1)`` in
+    one column (lag 0) or three (lag 0, real and imaginary cross part).
     """
-    out = {}
-    if lag == 0.0:
-        for n in range(2, n_max + 1):
-            out[n] = w_from ** (1 - n) / (n - 1) + 0.0j
-        return out
-    si, ci = sici(abs(lag) * w_from)
-    i1 = -ci + 1j * (0.5 * np.pi - si)
-    if lag < 0.0:
-        i1 = np.conj(i1)
-    out[1] = i1
-    for n in range(2, n_max + 1):
-        out[n] = (np.exp(1j * lag * w_from) * w_from ** (1 - n) + 1j * lag * out[n - 1]) / (n - 1)
-    return out
+    # per finite edge: c_k = s * phi^(k)(x) * (-i)**(k+1), k = 0..order-1
+    minus_i = (-1j) ** np.arange(1, _TAIL_ORDER + 1)
+    terms = [sign * np.asarray(_phi_derivatives(x, _TAIL_ORDER)) * minus_i
+             for sign, x in ((+1.0, x_lo), (-1.0, x_hi)) if np.isfinite(x)]
+    n = np.arange(2, 2 * _TAIL_ORDER + 1)
+    lag0 = sum(np.convolve(c, np.conj(c)).real for c in terms) if terms else np.zeros(n.size)
+    coef = lag0 / (n - 1) / SQRTPI
+    lag = float(x_hi - x_lo)
+    if len(terms) < 2:
+        return coef[:, None], 0.0, lag
+    il = 1j * lag
+    cross = 2.0 * np.convolve(terms[0], np.conj(terms[1]))
+    scaled = cross / SQRTPI / factorial(n - 1)  # c_n / (n-1)!
+    first = np.sum(scaled * il ** (n - 1))
+    unrolled = np.array([factorial(j - 2) * np.sum(scaled[k:] * il ** (n[k:] - j))
+                         for k, j in enumerate(n)])
+    return np.column_stack([coef, unrolled.real, unrolled.imag]), first, lag
 
 
-def _spectral_tail_mass(x_lo: float, x_hi: float, w_from: float) -> float:
-    """``(1/sqrt(pi)) * integral_{w_from}^inf |F(w)|**2 dw`` by series.
+def _tail_mass(series, w):
+    """Spectral mass beyond each ``|w| >= 30`` of the 1-d array ``w``, on the
+    side of ``w``: above it when positive, below it when negative.
+    ``series`` comes from :func:`_tail_coefficients`.
 
-    Expands F through repeated integration by parts (boundary terms carry
-    Gaussian derivatives at the window edges) and integrates each product
-    term exactly.  Truncation error is O(w_from ** -(order+1)); with
-    order 6 and ``w_from >= 30`` that is far below 1e-9.
+    The mass below ``w < 0`` is the upper tail of the mirror window
+    ``(-x_hi, -x_lo)``, whose coefficients are ``(-1)**k`` times the
+    conjugates of these; that is the same series read at the signed ``w``,
+    times -1.  Truncation error is O(|w| ** -(order+1)); with order 10 and
+    ``|w| >= 30`` it stays below 1e-14 against adaptive quadrature.
     """
-    endpoints = []
-    if np.isfinite(x_lo):
-        endpoints.append((+1.0, x_lo, _phi_derivatives(x_lo, _TAIL_ORDER)))
-    if np.isfinite(x_hi):
-        endpoints.append((-1.0, x_hi, _phi_derivatives(x_hi, _TAIL_ORDER)))
-    if not endpoints:
-        return 0.0  # untruncated pulse: super-exponential tail, nothing left past w_from
-    total = 0.0 + 0.0j
-    cache = {}
-    for s1, x1, d1 in endpoints:
-        for s2, x2, d2 in endpoints:
-            lag = x2 - x1
-            if lag not in cache:
-                cache[lag] = _osc_tail_integrals(2 * _TAIL_ORDER, lag, w_from)
-            integrals = cache[lag]
-            for k1 in range(_TAIL_ORDER):
-                c1 = s1 * d1[k1] * (-1j) ** (k1 + 1)
-                for k2 in range(_TAIL_ORDER):
-                    c2 = s2 * d2[k2] * (-1j) ** (k2 + 1)
-                    total += c1 * np.conj(c2) * integrals[k1 + k2 + 2]
-    return float(total.real) / SQRTPI
+    coef, first, lag = series
+    w = np.asarray(w, dtype=float)
+    sign = np.sign(w)
+    # vander multiplies out the powers; ``**`` is slow for negative bases
+    sums = np.vander(1.0 / w, coef.shape[0] + 1, increasing=True)[:, 1:] @ coef
+    if coef.shape[1] == 1:
+        return sign * sums[:, 0]
+    si, ci = sici(lag * np.abs(w))
+    i_1 = -ci + 1j * sign * (0.5 * np.pi - si)  # I_1 at w > 0, its conjugate at w < 0
+    cross = first * i_1 + np.exp(1j * lag * w) * (sums[:, 1] + 1j * sums[:, 2])
+    return sign * (sums[:, 0] + cross.real)
 
 
 # ---------------------------------------------------------------------------
 # Adaptive panel quadrature
 # ---------------------------------------------------------------------------
 
-def _panel_values(g, a: np.ndarray, b: np.ndarray):
-    """Gauss-Legendre 15 estimates and GL15-GL7 error gauges per panel."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    n15, w15 = _GL15
-    n7, w7 = _GL7
-    pts15 = mid[:, None] + half[:, None] * n15[None, :]
-    v15 = g(pts15.ravel()).reshape(pts15.shape)
-    est15 = (v15 * w15).sum(axis=1) * half
-    pts7 = mid[:, None] + half[:, None] * n7[None, :]
-    v7 = g(pts7.ravel()).reshape(pts7.shape)
-    est7 = (v7 * w7).sum(axis=1) * half
-    return est15, np.abs(est15 - est7)
+# Gauss-Kronrod G7-K15 pair of QUADPACK's qk15 (Piessens et al., 1983),
+# constants as in scipy.integrate._quad_vec; the Gauss nodes are the
+# odd-indexed Kronrod nodes.
+_K15_NODES = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.000000000000000000000000000000000,
+])
+_K15_NODES = np.concatenate([_K15_NODES, -_K15_NODES[-2::-1]])
+_K15_WEIGHTS = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_K15_WEIGHTS = np.concatenate([_K15_WEIGHTS, _K15_WEIGHTS[-2::-1]])
+_G7_WEIGHTS = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+])
+_G7_WEIGHTS = np.concatenate([_G7_WEIGHTS, _G7_WEIGHTS[-2::-1]])
+
+
+# (16, 15): the 15 node values of a panel -> coefficients of t**0..t**15 of
+# integral_{-1}^{t} of their interpolating polynomial, t in [-1, 1]; built
+# through the Legendre basis, which is well conditioned on these nodes.
+_K15_ANTIDERIVATIVE = np.column_stack([
+    np.polynomial.legendre.leg2poly(np.polynomial.legendre.legint(column, lbnd=-1.0))
+    for column in np.linalg.inv(np.polynomial.legendre.legvander(_K15_NODES, 14)).T
+])
 
 
 def _integrate_adaptive(g, seed_edges: np.ndarray, tol_total: float, max_rounds: int = 48):
     """Refine seed panels by bisection until the summed error gauge meets
-    ``tol_total``; returns (sorted edges, per-panel integrals, error bound)."""
+    ``tol_total``; returns (sorted edges, per-panel integrals, per-panel K15
+    node values, error bound)."""
     a = np.asarray(seed_edges[:-1], dtype=float)
     b = np.asarray(seed_edges[1:], dtype=float)
     span = float(seed_edges[-1] - seed_edges[0])
-    keep_a, keep_b, keep_v, keep_e = [], [], [], []
-    for _ in range(max_rounds):
-        if a.size == 0:
+    kept = []  # per round: edges, integrals, gauges, node values of accepted panels
+    for round_ in range(max_rounds + 1):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes = g((mid[:, None] + half[:, None] * _K15_NODES).ravel()).reshape(a.size, -1)
+        val = (nodes @ _K15_WEIGHTS) * half
+        err = np.abs(val - (nodes[:, 1::2] @ _G7_WEIGHTS) * half)  # K15 - G7 gauge
+        ok = (err <= np.maximum(tol_total * (b - a) / span, 1e-17)) | ((b - a) <= 1e-12)
+        if round_ == max_rounds:  # ran out of rounds: keep what we have, report honestly
+            ok[:] = True
+        kept.append((a[ok], b[ok], val[ok], err[ok], nodes[ok]))
+        if ok.all():
             break
-        val, err = _panel_values(g, a, b)
-        local = tol_total * (b - a) / span
-        ok = (err <= np.maximum(local, 1e-17)) | ((b - a) <= 1e-12)
-        keep_a.append(a[ok])
-        keep_b.append(b[ok])
-        keep_v.append(val[ok])
-        keep_e.append(err[ok])
-        bad = ~ok
-        if not bad.any():
-            a = np.empty(0)
-            break
-        mids = 0.5 * (a[bad] + b[bad])
-        a = np.concatenate([a[bad], mids])
-        b = np.concatenate([mids, b[bad]])
-    if a.size:  # ran out of rounds: keep what we have, report honestly
-        val, err = _panel_values(g, a, b)
-        keep_a.append(a)
-        keep_b.append(b)
-        keep_v.append(val)
-        keep_e.append(err)
-    a = np.concatenate(keep_a)
-    b = np.concatenate(keep_b)
-    v = np.concatenate(keep_v)
-    e = np.concatenate(keep_e)
-    order = np.argsort(a, kind="stable")
-    a, b, v, e = a[order], b[order], v[order], e[order]
+        mids = 0.5 * (a[~ok] + b[~ok])
+        a, b = np.concatenate([a[~ok], mids]), np.concatenate([mids, b[~ok]])
+    order = np.argsort(np.concatenate([k[0] for k in kept]), kind="stable")
+    a, b, v, e, n = (np.concatenate(parts)[order] for parts in zip(*kept))
     err_total = float(e.sum())
     if err_total > tol_total * 4.0:
         raise NumericFailure(
@@ -260,7 +265,7 @@ def _integrate_adaptive(g, seed_edges: np.ndarray, tol_total: float, max_rounds:
             target=tol_total,
         )
     edges = np.concatenate([a, b[-1:]])
-    return edges, v, err_total
+    return edges, v, n, err_total
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +280,13 @@ class TruncatedSpectrum:
     is the exact pass probability of the truncating filter (the spectrum
     integrates to it by Parseval); ``total_mass_numeric`` is the same value
     recovered from the panel table plus the asymptotic tails, kept as a
-    self-check of the quadrature.
+    self-check of the quadrature; ``error_bound`` is the summed K15-G7
+    gauge of its ``n_panels`` panels.  Per panel of ``[-30, 30]`` the table
+    holds G as a polynomial: the mass below the panel plus the
+    antiderivative of the K15 interpolant.  Beyond the table the tail
+    series answers.  A mirrored spectrum (filter ``m + 1 - f`` in
+    :func:`cached_spectrum`) has window ``(-x_hi, -x_lo)`` and density
+    ``g(-w)``, and reads filter ``f``'s tables at ``-w``.
     """
 
     filter_index: int
@@ -284,11 +295,14 @@ class TruncatedSpectrum:
     x_lo: float
     x_hi: float
     accuracy: float
-    span: float
     total_mass: float
     total_mass_numeric: float
+    error_bound: float
+    n_panels: int
     _edges: np.ndarray = field(repr=False)
-    _cum: np.ndarray = field(repr=False)
+    _coef: np.ndarray = field(repr=False)
+    _tail: tuple = field(repr=False)
+    _mirrored: bool = field(default=False, repr=False)
 
     def density(self, w):
         """Spectral energy density g(w) of the truncated pulse."""
@@ -297,40 +311,29 @@ class TruncatedSpectrum:
     def cumulative(self, w):
         """G(w): spectral mass below ``w``, absolute error <= ``accuracy``."""
         arr = np.atleast_1d(np.asarray(w, dtype=float))
-        out = np.empty(arr.shape, dtype=float)
-        lo_edge, hi_edge = self._edges[0], self._edges[-1]
-
-        below = arr < lo_edge
-        above = arr > hi_edge
-        inside = ~(below | above)
-
-        for i in np.nonzero(below)[0]:
-            if np.isneginf(arr[i]):
-                out[i] = 0.0
-            else:
-                # mass below -|w| equals the mirrored window's upper tail
-                out[i] = _spectral_tail_mass(-self.x_hi, -self.x_lo, -arr[i])
-        for i in np.nonzero(above)[0]:
-            if np.isposinf(arr[i]):
-                out[i] = self.total_mass
-            else:
-                out[i] = self.total_mass - _spectral_tail_mass(self.x_lo, self.x_hi, arr[i])
-
-        if inside.any():
-            ws = arr[inside]
-            idx = np.searchsorted(self._edges, ws, side="right") - 1
-            idx = np.clip(idx, 0, len(self._edges) - 2)
-            starts = self._edges[idx]
-            mid = 0.5 * (starts + ws)
-            half = 0.5 * (ws - starts)
-            n15, w15 = _GL15
-            pts = mid[:, None] + half[:, None] * n15[None, :]
-            vals = self.density(pts.ravel()).reshape(pts.shape)
-            partial = (vals * w15).sum(axis=1) * half
-            out[inside] = self._cum[idx] + partial
-
-        out = np.clip(out, 0.0, self.total_mass)
+        if self._mirrored:  # G(w) = total - G_table(-w)
+            out = self.total_mass - self._table_cumulative(-arr)
+        else:
+            out = self._table_cumulative(arr)
         return out if np.ndim(w) else float(out[0])
+
+    def _table_cumulative(self, arr: np.ndarray) -> np.ndarray:
+        """G(w) of the window the tables were built for."""
+        edges = self._edges
+        out = np.where(arr > 0.0, self.total_mass, 0.0)  # the values at +-inf
+        inside = (arr >= edges[0]) & (arr <= edges[-1])
+        ws = arr[inside]
+        idx = np.minimum(np.searchsorted(edges, ws, side="right") - 1, edges.size - 2)
+        a, b = edges[idx], edges[idx + 1]
+        t = (2.0 * ws - a - b) / (b - a)
+        powers = np.vander(t, self._coef.shape[1], increasing=True)
+        out[inside] = np.einsum("ij,ij->i", self._coef[idx], powers)
+        tail = ~inside & np.isfinite(arr)
+        if tail.any():
+            wt = arr[tail]
+            mass = _tail_mass(self._tail, wt)
+            out[tail] = np.where(wt < 0.0, mass, self.total_mass - mass)
+        return np.clip(out, 0.0, self.total_mass)
 
     def bin_mass(self, w_lo: float, w_hi: float) -> float:
         """Spectral mass on ``[w_lo, w_hi]``; unbounded sides use the
@@ -339,12 +342,8 @@ class TruncatedSpectrum:
             raise DomainError(f"empty interval: w_lo={w_lo} > w_hi={w_hi}")
         if w_lo == w_hi:
             return 0.0
-        if np.isposinf(w_hi):
-            lower = 0.0 if np.isneginf(w_lo) else self.cumulative(w_lo)
-            return max(self.total_mass - lower, 0.0)
-        upper = self.cumulative(w_hi)
-        lower = 0.0 if np.isneginf(w_lo) else self.cumulative(w_lo)
-        return max(upper - lower, 0.0)
+        # cumulative is exactly 0 at -inf and total_mass at +inf
+        return max(self.cumulative(w_hi) - self.cumulative(w_lo), 0.0)
 
 
 def _filter_window(f: int, m: int, beta: float):
@@ -357,20 +356,17 @@ def _filter_window(f: int, m: int, beta: float):
     return x_lo, x_hi
 
 
-def _seed_edges(x_lo: float, x_hi: float, w_max: float) -> np.ndarray:
+def _seed_edges(x_lo: float, x_hi: float) -> np.ndarray:
     # Panels must resolve both the Gaussian core of g and the interference
     # ripple whose period is 2*pi / (window length).
     if np.isfinite(x_lo) and np.isfinite(x_hi):
         period = 2.0 * np.pi / max(x_hi - x_lo, 1e-9)
-        h = min(0.5, period / 4.0)
+        h = min(1.0, period / 4.0)
     else:
-        h = 0.5
-    core = min(10.0, w_max)
-    right = list(np.arange(0.0, core, h)) + [core]
-    w = core
-    while w < w_max:
-        w = min(w * 1.4, w_max)
-        right.append(w)
+        h = 1.0
+    right = [*np.arange(0.0, 10.0, h), 10.0]
+    while right[-1] < _TAIL_W_MIN:
+        right.append(min(right[-1] * 1.4, _TAIL_W_MIN))
     right = np.asarray(right)
     return np.unique(np.concatenate([-right[::-1], right]))
 
@@ -380,7 +376,6 @@ def build_spectrum(
     m: int,
     beta: float,
     accuracy: float = DEFAULT_ACCURACY,
-    span: float | None = None,
     window: tuple[float, float] | None = None,
 ) -> TruncatedSpectrum:
     """Construct the cumulative spectrum of the pulse truncated by filter ``f``.
@@ -396,9 +391,6 @@ def build_spectrum(
         unit pitch; the pulse has 1/e half-width ``beta*m/2``).
     accuracy : float
         Absolute tolerance for any single bin mass queried later.
-    span : float, optional
-        Half-extent of the precomputed panel table.  Queries beyond it fall
-        back to the asymptotic tail series and remain within ``accuracy``.
     window : (float, float), optional
         Override of the truncation window in normalized amplitude
         coordinates; a test hook (``(-inf, inf)`` gives the untruncated
@@ -414,26 +406,28 @@ def build_spectrum(
         raise DomainError(f"accuracy must be positive, got {accuracy}")
 
     x_lo, x_hi = window if window is not None else _filter_window(f, m, beta)
-    if x_lo > x_hi:
-        raise DomainError(f"empty window: {x_lo} > {x_hi}")
-    w_max = max(_TAIL_W_MIN, float(span) if span is not None else 0.0)
+    if x_lo >= x_hi:
+        raise DomainError(f"empty window: {x_lo} >= {x_hi}")
 
     def g(w):
         return _spectral_density(x_lo, x_hi, w)
 
-    edges, panels, _ = _integrate_adaptive(g, _seed_edges(x_lo, x_hi, w_max), tol_total=0.5 * accuracy)
-
-    left_tail = _spectral_tail_mass(-x_hi, -x_lo, -float(edges[0]))
+    edges, panels, nodes, error_bound = _integrate_adaptive(
+        g, _seed_edges(x_lo, x_hi), tol_total=0.5 * accuracy
+    )
+    series = _tail_coefficients(x_lo, x_hi)
+    left_tail, right_tail = _tail_mass(series, np.array([edges[0], edges[-1]]))
     cum = left_tail + np.concatenate([[0.0], np.cumsum(panels)])
-    right_tail = _spectral_tail_mass(x_lo, x_hi, float(edges[-1]))
+    # per panel: G(w) = polynomial in t, the constant term carrying the mass
+    # below the panel
+    coef = (0.5 * np.diff(edges))[:, None] * (nodes @ _K15_ANTIDERIVATIVE.T)
+    coef[:, 0] += cum[:-1]
 
-    e_lo = -1.0 if np.isneginf(x_lo) else erf(x_lo)
-    e_hi = 1.0 if np.isposinf(x_hi) else erf(x_hi)
-    total_exact = 0.5 * (e_hi - e_lo)
+    total_exact = density_bin_mass(1.0, 0.0, x_lo, x_hi)
     total_numeric = float(cum[-1] + right_tail)
 
-    edges.setflags(write=False)
-    cum.setflags(write=False)
+    for table in (edges, coef):
+        table.setflags(write=False)
     return TruncatedSpectrum(
         filter_index=f,
         m=m,
@@ -441,11 +435,13 @@ def build_spectrum(
         x_lo=x_lo,
         x_hi=x_hi,
         accuracy=accuracy,
-        span=float(edges[-1]),
         total_mass=float(total_exact),
         total_mass_numeric=total_numeric,
+        error_bound=error_bound,
+        n_panels=edges.size - 1,
         _edges=edges,
-        _cum=cum,
+        _coef=coef,
+        _tail=series,
     )
 
 
@@ -455,6 +451,13 @@ def spectrum_bin_mass(spec: TruncatedSpectrum, w_lo: float, w_hi: float) -> floa
 
 
 @lru_cache(maxsize=8192)
-def cached_spectrum(f: int, m: int, beta: float, accuracy: float, span: float) -> TruncatedSpectrum:
-    """Memoized :func:`build_spectrum`; spectra are immutable so sharing is safe."""
-    return build_spectrum(f, m, beta, accuracy=accuracy, span=span)
+def cached_spectrum(f: int, m: int, beta: float, accuracy: float) -> TruncatedSpectrum:
+    """Memoized :func:`build_spectrum`; spectra are immutable so sharing is safe.
+
+    Only filters ``f <= ceil(m/2)`` are built: filter ``m + 1 - f`` has the
+    mirrored window and is answered from filter ``f``'s tables.
+    """
+    if 2 * f > m + 1:
+        source = cached_spectrum(m + 1 - f, m, beta, accuracy)
+        return replace(source, filter_index=f, x_lo=-source.x_hi, x_hi=-source.x_lo, _mirrored=True)
+    return build_spectrum(f, m, beta, accuracy=accuracy)

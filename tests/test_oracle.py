@@ -142,6 +142,16 @@ class TestDftSpectrumOracle:
         assert np.allclose(oracle.g_values, np.exp(-w * w) / np.sqrt(np.pi), atol=1e-6)
         assert oracle.total_mass == pytest.approx(1.0, abs=1e-8)
 
+    def test_window_outside_support_is_empty(self):
+        # m = 4, beta = 1e-4: filter 4 starts at x = 1e4, far outside the
+        # pulse support, so its spectrum is exactly zero everywhere
+        oracle = dft_spectrum_oracle(4, 4, 1e-4, grid_step=0.01, grid_span=4.0)
+        assert oracle.total_mass == 0.0
+        assert oracle.w_tail_estimate == 0.0
+        for w_lo, w_hi in [(-np.inf, -1.0), (-1.0, 2.5), (3.0, np.inf), (-np.inf, np.inf)]:
+            assert oracle.bin_mass(w_lo, w_hi) == 0.0
+        assert build_spectrum(4, 4, 1e-4).total_mass == 0.0
+
     @pytest.mark.parametrize("f", [1, 2, 3, 4])
     def test_total_mass_matches_filter_pass_probability(self, f):
         oracle = dft_spectrum_oracle(f, 4, 0.7, grid_step=0.01, grid_span=8.0)

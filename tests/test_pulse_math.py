@@ -4,15 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from tfqkd.channel import ProtocolParams, p_second_correct
 from tfqkd.errors import DomainError
 from tfqkd.pulse_math import (
     PulseDensity,
     build_spectrum,
+    cached_spectrum,
     density_bin_mass,
     spectrum_bin_mass,
     truncated_pulse_fourier,
+    _filter_window,
     _spectral_density,
-    _spectral_tail_mass,
+    _tail_coefficients,
+    _tail_mass,
 )
 
 ERF1 = 0.8427007929497148
@@ -158,10 +162,17 @@ class TestBuildSpectrum:
             assert spec.bin_mass(w_lo, w_hi) == pytest.approx(val, abs=1e-8)
 
     def test_beyond_span_queries_stay_accurate(self):
-        small = build_spectrum(2, 4, 0.7, span=30.0)
-        large = build_spectrum(2, 4, 0.7, span=80.0)
+        # the table ends at |w| = 30; past it the tail series must agree with
+        # the table value at the edge plus quadrature out to w
+        spec = build_spectrum(2, 4, 0.7)
         for w in (35.0, 49.5, 66.0, -41.0):
-            assert small.cumulative(w) == pytest.approx(large.cumulative(w), abs=1e-9)
+            edge = np.copysign(30.0, w)
+            lo, hi = sorted((edge, w))
+            pieces = np.linspace(lo, hi, 20)
+            mass = sum(quad(spec.density, a, b, epsabs=1e-15, limit=200)[0]
+                       for a, b in zip(pieces[:-1], pieces[1:]))
+            expected = spec.cumulative(edge) + np.sign(w) * mass
+            assert spec.cumulative(w) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
     @pytest.mark.parametrize("beta", [0.3, 0.7, 1.2])
@@ -191,6 +202,71 @@ class TestBuildSpectrum:
             build_spectrum(1, 4, -0.1)
         with pytest.raises(DomainError):
             build_spectrum(1, 4, 0.7, accuracy=0.0)
+        with pytest.raises(DomainError):
+            build_spectrum(1, 4, 0.7, window=(0.5, 0.5))
+
+
+class TestPolynomialQueries:
+    """The table answers queries by panel lookup plus a polynomial."""
+
+    @staticmethod
+    def _quad_cumulative(spec, w):
+        # independent reference: adaptive quadrature of g from the table's
+        # left edge, plus the tail series below it (itself checked against
+        # quadrature in TestTailSeries)
+        below, left = _tail_mass(_tail_coefficients(spec.x_lo, spec.x_hi), np.array([w, -30.0]))
+        if w <= -30.0:
+            return below
+        pieces = np.linspace(-30.0, w, int(np.ceil((w + 30.0) / 0.5)) + 1)
+        return left + sum(
+            quad(spec.density, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+            for a, b in zip(pieces[:-1], pieces[1:])
+        )
+
+    @pytest.mark.parametrize("m", [4, 16, 32])
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.2])
+    def test_cumulative_against_quadrature(self, m, beta):
+        rng = np.random.default_rng(m * 100 + int(beta * 10))
+        ws = np.concatenate([rng.uniform(-30.0, 30.0, 3), [-31.5, -29.5, 29.5, 31.5, 40.0]])
+        for f in (1, m // 2, m):
+            spec = build_spectrum(f, m, beta)
+            got = spec.cumulative(ws)
+            for w, g in zip(ws, got):
+                assert g == pytest.approx(self._quad_cumulative(spec, w), abs=1e-9)
+
+    @pytest.mark.parametrize("m,beta", [(4, 0.7), (5, 1.2), (16, 0.3), (32, 0.5)])
+    def test_mirrored_filter_matches_independent_build(self, m, beta):
+        w = np.concatenate([np.linspace(-45.0, 45.0, 181), [-30.0, 30.0]])
+        for f in range((m + 1) // 2 + 1, m + 1):
+            mirrored = cached_spectrum(f, m, beta, 1e-8)
+            assert mirrored.filter_index == f
+            assert (mirrored.x_lo, mirrored.x_hi) == _filter_window(f, m, beta)
+            direct = build_spectrum(f, m, beta, window=_filter_window(f, m, beta))
+            assert np.allclose(mirrored.cumulative(w), direct.cumulative(w), rtol=0.0, atol=1e-12)
+            assert mirrored.total_mass == pytest.approx(direct.total_mass, abs=1e-15)
+
+    def test_error_fields(self):
+        # the build refines until the summed K15-G7 gauge meets accuracy / 2
+        spec = build_spectrum(2, 4, 0.7)
+        assert spec.n_panels >= 1
+        assert 0.0 <= spec.error_bound <= 0.5 * spec.accuracy
+        assert abs(spec.total_mass_numeric - spec.total_mass) <= spec.accuracy
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        m=st.integers(2, 24),
+        alpha=st.floats(0.1, 2.0),
+        beta=st.floats(0.1, 2.0),
+        data=st.data(),
+    )
+    def test_cumulative_monotone_and_columns_conserve_mass(self, m, alpha, beta, data):
+        f = data.draw(st.integers(1, m))
+        spec = cached_spectrum(f, m, beta, 1e-8)
+        w = np.sort(data.draw(st.lists(st.floats(-80.0, 80.0), min_size=2, max_size=40)))
+        assert np.all(np.diff(spec.cumulative(w)) >= -1e-12)
+        total = sum(cached_spectrum(g, m, beta, 1e-8).total_mass for g in range(1, m + 1))
+        sums = p_second_correct(ProtocolParams(m, alpha, beta)).sum(axis=0)
+        assert np.allclose(sums, total, rtol=0.0, atol=1e-8)
 
 
 class TestSpectrumBinMass:
@@ -237,8 +313,8 @@ class TestTailSeries:
                 for lo, hi in zip(edges[:-1], edges[1:]):
                     mid += quad(lambda w: _spectral_density(x_lo, x_hi, w), lo, hi,
                                 limit=200, epsabs=1e-14)[0]
-                near = _spectral_tail_mass(x_lo, x_hi, w_from)
-                far = _spectral_tail_mass(x_lo, x_hi, 2 * w_from)
+                series = _tail_coefficients(x_lo, x_hi)
+                near, far = _tail_mass(series, np.array([w_from, 2 * w_from]))
                 assert near == pytest.approx(mid + far, abs=5e-9)
 
 
