@@ -59,7 +59,6 @@ from .pulse_math import (
     TruncatedSpectrum,
     build_spectrum,
     density_bin_mass,
-    spectrum_bin_mass,
     truncated_pulse_fourier,
 )
 
@@ -107,7 +106,6 @@ __all__ = [
     "p_wrong",
     "qser",
     "run_mc",
-    "spectrum_bin_mass",
     "sweep",
     "truncated_pulse_fourier",
     "u_functional",

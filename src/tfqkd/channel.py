@@ -217,8 +217,7 @@ def _mixed_block(params: ProtocolParams, pc: np.ndarray) -> np.ndarray:
     eps = params.epsilon
     if eps == 0.0:
         return pc
-    attack = _attack_block(params, pc)
-    return attack if eps == 1.0 else (1.0 - eps) * pc + eps * attack
+    return (1.0 - eps) * pc + eps * _attack_block(params, pc)
 
 
 def bob_matrix(params: ProtocolParams) -> np.ndarray:

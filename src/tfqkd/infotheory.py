@@ -99,11 +99,25 @@ def _qser(block: np.ndarray) -> float:
     return float(1.0 - np.trace(block) / block.shape[0])
 
 
-def _i_ae(params: ProtocolParams, pc: np.ndarray, accuracy: float) -> float:
-    if params.epsilon == 0.0:
-        return 0.0
-    second = channel.p_second_correct(params, accuracy)
-    return params.epsilon * 0.5 * (_block_info(pc) + _block_info(second))
+def _capacity_grid(m, epsilon, alphas, betas, accuracy: float):
+    """``(capacity, i_ab, i_ae, qser)`` arrays over ``alphas x betas``; the
+    alpha-only terms are computed once per row, and at ``epsilon == 0``
+    beta plays no part."""
+    shape = (len(alphas), len(betas))
+    ab, ae, qs = np.empty(shape), np.zeros(shape), np.empty(shape)
+    for i, alpha in enumerate(alphas):
+        pc = channel.p_correct(ProtocolParams(m, alpha, betas[0], epsilon))
+        info_pc = _block_info(pc)
+        if epsilon == 0.0:
+            ab[i], qs[i] = info_pc, _qser(pc)
+            continue
+        for j, beta in enumerate(betas):
+            params = ProtocolParams(m, alpha, beta, epsilon)
+            mixed = channel._mixed_block(params, pc)
+            ab[i, j], qs[i, j] = _block_info(mixed), _qser(mixed)
+            second = channel.p_second_correct(params, accuracy)
+            ae[i, j] = epsilon * 0.5 * (info_pc + _block_info(second))
+    return np.maximum(ab - ae, 0.0), ab, ae, qs
 
 
 def i_ab(params: ProtocolParams) -> float:
@@ -114,7 +128,7 @@ def i_ab(params: ProtocolParams) -> float:
 def i_ae(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> float:
     """Sender-eavesdropper information; scales linearly with the intercepted
     fraction and is exactly zero when nothing is intercepted."""
-    return _i_ae(params, channel.p_correct(params), accuracy)
+    return capacity(params, accuracy).i_ae
 
 
 def qser(params: ProtocolParams) -> float:
@@ -125,11 +139,9 @@ def qser(params: ProtocolParams) -> float:
 
 def capacity(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> CapacityReport:
     """Secret bits per photon, clamped at zero, with the full balance."""
-    pc = channel.p_correct(params)
-    mixed = channel._mixed_block(params, pc)
-    ab = _block_info(mixed)
-    ae = _i_ae(params, pc, accuracy)
-    return CapacityReport(i_ab=ab, i_ae=ae, capacity=max(ab - ae, 0.0), qser=_qser(mixed))
+    grid = _capacity_grid(params.m, params.epsilon, [params.alpha], [params.beta], accuracy)
+    cap, ab, ae, qs = (float(a[0, 0]) for a in grid)
+    return CapacityReport(i_ab=ab, i_ae=ae, capacity=cap, qser=qs)
 
 
 def key_rate(sifted_rate: float, capacity_bits: float) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -20,7 +21,7 @@ from scipy.special import erf
 
 from .channel import ProtocolParams, make_layout
 from .errors import DomainError, NumericFailure
-from .infotheory import CapacityReport, capacity
+from .infotheory import CapacityReport, _capacity_grid, capacity
 from .pulse_math import DEFAULT_ACCURACY, density_bin_mass
 
 __all__ = [
@@ -72,7 +73,6 @@ class SurfaceGrid:
     i_ab: np.ndarray
     i_ae: np.ndarray
     qser: np.ndarray
-    failures: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -121,24 +121,8 @@ def c_surface(m, epsilon, alpha_axis, beta_axis, accuracy: float = DEFAULT_ACCUR
     beta_axis = np.asarray(beta_axis, dtype=float)
     _check_axis("alpha axis", alpha_axis)
     _check_axis("beta axis", beta_axis)
-    shape = (alpha_axis.size, beta_axis.size)
-    cap = np.full(shape, np.nan)
-    ab = np.full(shape, np.nan)
-    ae = np.full(shape, np.nan)
-    qs = np.full(shape, np.nan)
-    failures = []
-    for i, alpha in enumerate(alpha_axis):
-        for j, beta in enumerate(beta_axis):
-            try:
-                rep = capacity(ProtocolParams(m, alpha, beta, epsilon), accuracy)
-            except NumericFailure as exc:  # recorded, never silently zeroed
-                failures.append((i, j, str(exc)))
-                continue
-            cap[i, j] = rep.capacity
-            ab[i, j] = rep.i_ab
-            ae[i, j] = rep.i_ae
-            qs[i, j] = rep.qser
-    return SurfaceGrid(alpha_axis, beta_axis, cap, ab, ae, qs, tuple(failures))
+    grid = _capacity_grid(m, epsilon, alpha_axis, beta_axis, accuracy)
+    return SurfaceGrid(alpha_axis, beta_axis, *grid)
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +225,15 @@ def u_functional(
 # Golden-section refinement (deterministic, ties toward smaller argument)
 # ---------------------------------------------------------------------------
 
-def _golden_min(fn, lo: float, hi: float, tol: float):
+def _golden_min(fn, lo: float, hi: float, tol: float, known: dict | None = None):
     """Minimize on [lo, hi]; returns the best evaluated point, preferring the
-    smaller argument on exact ties."""
+    smaller argument on exact ties.  ``known`` maps points to values of
+    ``fn`` that are already computed."""
     evals: dict[float, float] = {}
 
     def f(x: float) -> float:
         if x not in evals:
-            v = fn(x)
+            v = known[x] if known and x in known else fn(x)
             if not np.isfinite(v):
                 raise NumericFailure(f"non-finite objective value at {x}")
             evals[x] = v
@@ -274,11 +259,11 @@ def _refine_min(fn, axis: np.ndarray, values: np.ndarray, tol: float):
     section between its grid neighbours; returns ``(argument, value)``,
     preferring the smaller argument on exact ties."""
     k = int(np.argmin(values))  # first minimum = smallest argument on ties
-    lo = axis[max(k - 1, 0)]
-    hi = axis[min(k + 1, axis.size - 1)]
+    i_lo, i_hi = max(k - 1, 0), min(k + 1, axis.size - 1)
+    lo, hi = axis[i_lo], axis[i_hi]
     if lo == hi:
         return float(axis[k]), values[k]
-    x, v, _ = _golden_min(fn, lo, hi, tol)
+    x, v, _ = _golden_min(fn, lo, hi, tol, {lo: values[i_lo], hi: values[i_hi]})
     if values[k] < v or (values[k] == v and axis[k] < x):
         return float(axis[k]), values[k]
     return float(x), v
@@ -338,26 +323,29 @@ def optimize_point(
     alpha_axis = _axis(config.alpha_box, config.coarse_step)
     beta_axis = _axis(config.beta_box, config.coarse_step)
     trace: list[tuple[float, float, float]] = []
-    cache: dict[tuple[float, float], float] = {}
 
-    def cap_at(alpha: float, beta: float) -> float:
-        key = (alpha, beta)
-        if key not in cache:
-            rep = capacity(ProtocolParams(m, alpha, beta, epsilon), config.accuracy)
-            cache[key] = rep.capacity
-            trace.append((alpha, beta, rep.capacity))
-        return cache[key]
+    @cache
+    def row(alpha: float) -> np.ndarray:
+        # capacity over the beta grid at this alpha
+        caps = c_surface(m, epsilon, [alpha], beta_axis, config.accuracy).capacity[0]
+        trace.extend((alpha, b, c) for b, c in zip(beta_axis, caps))
+        return caps
 
+    def point(alpha: float, beta: float) -> float:
+        c = capacity(ProtocolParams(m, alpha, beta, epsilon), config.accuracy).capacity
+        trace.append((alpha, beta, c))
+        return c
+
+    @cache
     def best_beta(alpha: float) -> tuple[float, float]:
         # capacity-maximizing beta at this alpha, and its capacity
-        neg = np.array([-cap_at(alpha, b) for b in beta_axis])
-        beta, neg_best = _refine_min(lambda b: -cap_at(alpha, b), beta_axis, neg, config.tol)
+        beta, neg_best = _refine_min(lambda b: -point(alpha, b), beta_axis, -row(alpha), config.tol)
         return beta, -neg_best
 
     def row_max(alpha: float) -> float:
         if config.scheme == "nested":
             return best_beta(alpha)[1]
-        return max(cap_at(alpha, b) for b in beta_axis)
+        return float(row(alpha).max())
 
     grid_best = np.array([row_max(a) for a in alpha_axis])
     grid_max = float(grid_best.max())

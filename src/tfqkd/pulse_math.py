@@ -445,11 +445,6 @@ def build_spectrum(
     )
 
 
-def spectrum_bin_mass(spec: TruncatedSpectrum, w_lo: float, w_hi: float) -> float:
-    """Spectral mass of ``spec`` on ``[w_lo, w_hi]`` (bounds may be infinite)."""
-    return spec.bin_mass(w_lo, w_hi)
-
-
 @lru_cache(maxsize=8192)
 def cached_spectrum(f: int, m: int, beta: float, accuracy: float) -> TruncatedSpectrum:
     """Memoized :func:`build_spectrum`; spectra are immutable so sharing is safe.

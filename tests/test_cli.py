@@ -64,6 +64,21 @@ class TestSurface:
         assert code == 2
         assert not out.exists()
 
+    def test_numeric_failure_exits_3_with_diagnostic(self, tmp_path, capsys, monkeypatch):
+        import tfqkd.pulse_math as pulse_math_module
+        from tfqkd.errors import NumericFailure
+
+        def stalled(*args, **kwargs):
+            raise NumericFailure("stalled", achieved=1e-6, target=1e-8)
+
+        monkeypatch.setattr(pulse_math_module, "cached_spectrum", stalled)
+        out = tmp_path / "surface.csv"
+        code = run_cli("surface", "--m", "4", "--eps", "0.5", "--out", str(out))
+        assert code == 3
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert (diagnostic["achieved"], diagnostic["target"]) == (1e-6, 1e-8)
+        assert not out.exists()
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "surface.json"
         code = run_cli(

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import tfqkd.channel as channel_module
 import tfqkd.optimizer as optimizer_module
+from tfqkd.channel import ProtocolParams
 from tfqkd.errors import DomainError, NumericFailure
+from tfqkd.infotheory import capacity, i_ae
 from tfqkd.optimizer import (
     OptimizerConfig,
     c_surface,
@@ -109,7 +114,6 @@ class TestCSurface:
         assert np.all(grid.capacity >= 0.0)
         assert np.all(grid.capacity <= 2.0)
         assert np.all(np.isfinite(grid.capacity))
-        assert grid.failures == ()
 
     def test_no_attack_rows_decrease_with_alpha(self):
         grid = c_surface(4, 0.0, np.arange(0.1, 1.51, 0.1), np.array([0.7]))
@@ -125,6 +129,23 @@ class TestCSurface:
             c_surface(4, 0.5, np.array([0.8, 0.4]), np.array([0.6]))
         with pytest.raises(DomainError):
             c_surface(4, 0.5, np.array([-0.1, 0.4]), np.array([0.6]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        m=st.integers(2, 12),
+        eps=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        alphas=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=4, unique=True).map(sorted),
+        betas=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=4, unique=True).map(sorted),
+    )
+    def test_batched_equals_pointwise(self, m, eps, alphas, betas):
+        grid = c_surface(m, eps, alphas, betas)
+        for i, a in enumerate(alphas):
+            for j, b in enumerate(betas):
+                params = ProtocolParams(m, a, b, eps)
+                rep = capacity(params)
+                for name in ("capacity", "i_ab", "i_ae", "qser"):
+                    assert getattr(grid, name)[i, j] == pytest.approx(getattr(rep, name), abs=1e-12)
+                assert i_ae(params) == pytest.approx(rep.i_ae, abs=1e-12)
 
     def test_alpha_dependence_dwarfs_beta_dependence(self):
         grid = c_surface(4, 0.5, np.arange(0.1, 1.5001, 0.1), np.arange(0.5, 1.0001, 0.1))
@@ -188,6 +209,29 @@ class TestOptimizePoint:
         assert res.c_opt >= max(grid_vals) - 1e-12
         assert res.c_opt == pytest.approx(res.stage1_capacity, abs=1e-12)
         assert res.scheme == "nested"
+
+    @pytest.mark.parametrize("m,eps,config", [
+        (8, 0.0, OptimizerConfig()),
+        (4, 0.5, OptimizerConfig(coarse_step=0.1)),
+    ])
+    def test_alpha_only_terms_once_per_row(self, monkeypatch, m, eps, config):
+        calls = {"p_correct": 0, "p_second_correct": 0}
+
+        def counting(name):
+            real = getattr(channel_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(channel_module, name, counting(name))
+        res = optimize_point(m, eps, config)
+        assert calls["p_correct"] <= len({a for (a, _, _) in res.trace}) + 1
+        if eps == 0.0:
+            assert calls["p_second_correct"] == 0
 
     def test_rejects_bad_config(self):
         with pytest.raises(DomainError):

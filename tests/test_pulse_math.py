@@ -11,7 +11,6 @@ from tfqkd.pulse_math import (
     build_spectrum,
     cached_spectrum,
     density_bin_mass,
-    spectrum_bin_mass,
     truncated_pulse_fourier,
     _filter_window,
     _spectral_density,
@@ -272,24 +271,24 @@ class TestPolynomialQueries:
 class TestSpectrumBinMass:
     def test_full_line_gives_total(self):
         spec = build_spectrum(3, 4, 0.7)
-        assert spectrum_bin_mass(spec, -np.inf, np.inf) == pytest.approx(spec.total_mass)
+        assert spec.bin_mass(-np.inf, np.inf) == pytest.approx(spec.total_mass)
 
     def test_empty_interval(self):
         spec = build_spectrum(3, 4, 0.7)
-        assert spectrum_bin_mass(spec, 1.25, 1.25) == 0.0
+        assert spec.bin_mass(1.25, 1.25) == 0.0
 
     def test_remainder_trick_consistency(self):
         # the two unbounded halves must complement each other through the total
         spec = build_spectrum(2, 4, 0.7)
         for w in (-3.0, 0.0, 2.5, 40.0):
-            low = spectrum_bin_mass(spec, -np.inf, w)
-            high = spectrum_bin_mass(spec, w, np.inf)
+            low = spec.bin_mass(-np.inf, w)
+            high = spec.bin_mass(w, np.inf)
             assert low + high == pytest.approx(spec.total_mass, abs=1e-9)
 
     def test_rejects_inverted_interval(self):
         spec = build_spectrum(2, 4, 0.7)
         with pytest.raises(DomainError):
-            spectrum_bin_mass(spec, 2.0, 1.0)
+            spec.bin_mass(2.0, 1.0)
 
 
 class TestWorkBudget:
