@@ -119,12 +119,18 @@ def is_column_stochastic(matrix: np.ndarray, tol: float = 1e-9) -> bool:
 # Single-basis matrices
 # ---------------------------------------------------------------------------
 
-def _bin_masses(lo: np.ndarray, hi: np.ndarray, width: float) -> np.ndarray:
-    """Masses of a width-``width`` density centred at 0 on ``[lo, hi]``;
-    erf is evaluated once per bound and infinite bounds become +-1."""
-    e_lo = np.where(np.isneginf(lo), -1.0, erf(lo / width))
-    e_hi = np.where(np.isposinf(hi), 1.0, erf(hi / width))
-    return 0.5 * (e_hi - e_lo)
+def _lattice_block(cumulative, m: int, at_neg_inf: float, at_pos_inf: float) -> np.ndarray:
+    """m x m block ``P[r, a] = F(r - a + 1/2) - F(r - a - 1/2)`` of a cumulative F.
+
+    Every bin bound minus every symbol center is one of the 2m half-integers
+    ``k + 1/2``, k = -m..m-1, so F is read there once; the outer bins reach
+    past the lattice, so row 0 subtracts F(-inf) and row m-1 takes F(+inf).
+    """
+    values = cumulative(np.arange(-m, m) + 0.5)
+    idx = np.arange(m)[:, None] - np.arange(m)[None, :] + m
+    upper, lower = values[idx], values[idx - 1]
+    upper[-1], lower[0] = at_pos_inf, at_neg_inf
+    return upper - lower
 
 
 def p_correct(params: ProtocolParams) -> np.ndarray:
@@ -134,9 +140,7 @@ def p_correct(params: ProtocolParams) -> np.ndarray:
     ``c(a)`` inside bin ``r``; columns are exactly stochastic because the
     bins tile the whole axis.
     """
-    layout = make_layout(params.m)
-    return _bin_masses(layout.lower[:, None] - layout.centers[None, :],
-                       layout.upper[:, None] - layout.centers[None, :], params.symbol_sigma)
+    return 0.5 * _lattice_block(lambda k: erf(k / params.symbol_sigma), params.m, -1.0, 1.0)
 
 
 def p_wrong(params: ProtocolParams) -> np.ndarray:
@@ -145,53 +149,25 @@ def p_wrong(params: ProtocolParams) -> np.ndarray:
     The conjugate pulse is centered on the whole bin comb, so every column
     is the same vector of bin masses of a width-``beta*m/2`` pulse at 0.
     """
-    layout = make_layout(params.m)
-    col = _bin_masses(layout.lower, layout.upper, params.conjugate_sigma)
+    inner = erf(make_layout(params.m).upper[:-1] / params.conjugate_sigma)
+    col = 0.5 * np.diff(np.concatenate([[-1.0], inner, [1.0]]))
     return np.tile(col[:, None], (1, params.m))
-
-
-def _spectra(params: ProtocolParams, accuracy: float):
-    return [
-        pulse_math.cached_spectrum(f, params.m, params.beta, accuracy)
-        for f in range(1, params.m + 1)
-    ]
 
 
 def p_second_correct(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> np.ndarray:
     """Conjugate-basis receiver behind the wrong-basis filter bank.
 
     The sent pulse is first truncated by each of the ``m`` wrong-basis
-    filters; each truncated pulse re-spreads in the receiver's basis with
-    the spectrum built in :mod:`tfqkd.pulse_math`, and the receiver's bin
-    masses are summed over all filter outputs.  Bin bounds map to spectrum
-    coordinates as ``w = 2*(b - c(a))/alpha``.
+    filters; each truncated pulse re-spreads in the receiver's basis, and
+    the receiver's bin masses are summed over all filter outputs.  So one
+    cumulative H of the spectra summed over the filter bank, built in
+    :mod:`tfqkd.pulse_math`, answers every entry.  Bin bounds map to
+    spectrum coordinates as ``w = 2*(b - c(a))/alpha``.
     """
-    m = params.m
-    layout = make_layout(m)
-    spectra = _spectra(params, accuracy)
-
+    spectrum = pulse_math.cached_spectrum(params.m, params.beta, accuracy)
     scale = 2.0 / params.alpha
-    lo_off = layout.lower[:, None] - layout.centers[None, :]
-    hi_off = layout.upper[:, None] - layout.centers[None, :]
-    finite_lo = np.isfinite(lo_off)
-    finite_hi = np.isfinite(hi_off)
-    # Distinct query points: bound minus center lands on a small lattice, so
-    # each spectrum is evaluated once on the sorted offset set and entries
-    # are assembled by exact lookup.
-    offsets = np.unique(np.concatenate([lo_off[finite_lo], hi_off[finite_hi]]))
-    queries = scale * offsets
-    idx_lo = np.searchsorted(offsets, lo_off[finite_lo])
-    idx_hi = np.searchsorted(offsets, hi_off[finite_hi])
-
-    P = np.zeros((m, m))
-    for spec in spectra:
-        cums = np.asarray(spec.cumulative(queries))
-        cum_lo = np.zeros((m, m))  # cumulative at -inf
-        cum_lo[finite_lo] = cums[idx_lo]
-        cum_hi = np.full((m, m), spec.total_mass)  # cumulative at +inf
-        cum_hi[finite_hi] = cums[idx_hi]
-        P += cum_hi - cum_lo
-    return np.clip(P, 0.0, 1.0)
+    P = _lattice_block(lambda k: spectrum.cumulative(scale * k), params.m, 0.0, 1.0)
+    return pulse_math._clip_within(P, 1.0, accuracy)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ finite-interval integral, never by integrating out to infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -35,6 +35,7 @@ DEFAULT_ACCURACY = 1e-8
 # panel tables cover exactly [-_TAIL_W_MIN, _TAIL_W_MIN].
 _TAIL_W_MIN = 30.0
 _TAIL_ORDER = 10
+_FACTORIAL = factorial(np.arange(2 * _TAIL_ORDER))  # k! for k < 2 * order
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +128,11 @@ def _spectral_density(x_lo: float, x_hi: float, w):
     return (f.real * f.real + f.imag * f.imag) / SQRTPI
 
 
+def _summed_density(windows, w):
+    """Sum of :func:`_spectral_density` over ``windows``."""
+    return sum(_spectral_density(x_lo, x_hi, w) for x_lo, x_hi in windows)
+
+
 # ---------------------------------------------------------------------------
 # Asymptotic tail mass of the spectral density
 # ---------------------------------------------------------------------------
@@ -140,8 +146,9 @@ def _phi_derivatives(x: float, order: int):
     return [((-1.0) ** k) * he[k] * phi for k in range(order)]
 
 
-def _tail_coefficients(x_lo: float, x_hi: float):
-    """Series coefficients of ``(1/sqrt(pi)) * integral_w^inf |F|**2``.
+def _tail_coefficients(windows):
+    """Series coefficients of ``(1/sqrt(pi)) * integral_w^inf |F|**2``,
+    summed over the spectra of ``windows``.
 
     Integration by parts expands F into Gaussian derivatives at the finite
     window edges, so ``|F|**2`` is a sum of ``exp(i*lag*w) * w**-n`` terms,
@@ -149,26 +156,34 @@ def _tail_coefficients(x_lo: float, x_hi: float):
     integration.  The two edges have lag ``x_hi - x_lo``: their terms
     integrate to ``I_n``, whose exact recurrence
     ``I_n = (exp(i*lag*w) * w**(1-n) + i*lag*I_{n-1}) / (n-1)`` is unrolled
-    here into ``first * I_1 + exp(i*lag*w) * (powers of 1/w)``.
+    here into ``first * I_1 + exp(i*lag*w) * (powers of 1/w)``.  The series
+    is linear in these terms, so a sum of spectra adds them up; its cross
+    terms must share one lag (all interior filters have the same length).
 
     Returns ``(coef, first, lag)``; ``coef[k]`` multiplies ``w**-(k+1)`` in
     one column (lag 0) or three (lag 0, real and imaginary cross part).
     """
     # per finite edge: c_k = s * phi^(k)(x) * (-i)**(k+1), k = 0..order-1
     minus_i = (-1j) ** np.arange(1, _TAIL_ORDER + 1)
-    terms = [sign * np.asarray(_phi_derivatives(x, _TAIL_ORDER)) * minus_i
-             for sign, x in ((+1.0, x_lo), (-1.0, x_hi)) if np.isfinite(x)]
+    per_window = [[sign * np.asarray(_phi_derivatives(x, _TAIL_ORDER)) * minus_i
+                   for sign, x in ((+1.0, x_lo), (-1.0, x_hi)) if np.isfinite(x)]
+                  for x_lo, x_hi in windows]
     n = np.arange(2, 2 * _TAIL_ORDER + 1)
+    terms = [c for edges in per_window for c in edges]
     lag0 = sum(np.convolve(c, np.conj(c)).real for c in terms) if terms else np.zeros(n.size)
     coef = lag0 / (n - 1) / SQRTPI
-    lag = float(x_hi - x_lo)
-    if len(terms) < 2:
-        return coef[:, None], 0.0, lag
+    pairs = [edges for edges in per_window if len(edges) == 2]
+    if not pairs:
+        return coef[:, None], 0.0, np.inf
+    lags = [x_hi - x_lo for x_lo, x_hi in windows if np.isfinite(x_hi - x_lo)]
+    if not np.allclose(lags, lags[0], rtol=1e-12, atol=0.0):
+        raise DomainError(f"windows of lengths {min(lags)} and {max(lags)} share no tail series")
+    lag = float(lags[0])
     il = 1j * lag
-    cross = 2.0 * np.convolve(terms[0], np.conj(terms[1]))
-    scaled = cross / SQRTPI / factorial(n - 1)  # c_n / (n-1)!
+    cross = sum(2.0 * np.convolve(lo, np.conj(hi)) for lo, hi in pairs)
+    scaled = cross / SQRTPI / _FACTORIAL[n - 1]  # c_n / (n-1)!
     first = np.sum(scaled * il ** (n - 1))
-    unrolled = np.array([factorial(j - 2) * np.sum(scaled[k:] * il ** (n[k:] - j))
+    unrolled = np.array([_FACTORIAL[j - 2] * np.sum(scaled[k:] * il ** (n[k:] - j))
                          for k, j in enumerate(n)])
     return np.column_stack([coef, unrolled.real, unrolled.imag]), first, lag
 
@@ -274,26 +289,24 @@ def _integrate_adaptive(g, seed_edges: np.ndarray, tol_total: float, max_rounds:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedSpectrum:
-    """Cumulative spectral-energy distribution of a time-truncated pulse.
+    """Cumulative spectral-energy distribution of time-truncated pulses.
 
-    Immutable after construction, so cached instances are shared.  ``total_mass``
-    is the exact pass probability of the truncating filter (the spectrum
-    integrates to it by Parseval); ``total_mass_numeric`` is the same value
-    recovered from the panel table plus the asymptotic tails, kept as a
-    self-check of the quadrature; ``error_bound`` is the summed K15-G7
-    gauge of its ``n_panels`` panels.  Per panel of ``[-30, 30]`` the table
-    holds G as a polynomial: the mass below the panel plus the
-    antiderivative of the K15 interpolant.  Beyond the table the tail
-    series answers.  A mirrored spectrum (filter ``m + 1 - f`` in
-    :func:`cached_spectrum`) has window ``(-x_hi, -x_lo)`` and density
-    ``g(-w)``, and reads filter ``f``'s tables at ``-w``.
+    The density is the sum of the spectra of the pulse truncated by each of
+    the ``windows``: one window for a single filter, all ``m`` for the
+    filter bank whose outputs the eavesdropper's receiver sums.  Immutable
+    after construction, so cached instances are shared.  ``total_mass`` is
+    the exact pass probability of the windows (the spectrum integrates to
+    it by Parseval); ``total_mass_numeric`` is the same value recovered from
+    the panel table plus the asymptotic tails, kept as a self-check of the
+    quadrature; ``error_bound`` is the summed K15-G7 gauge of its
+    ``n_panels`` panels.  Per panel of ``[-30, 30]`` the table holds G as a
+    polynomial: the mass below the panel plus the antiderivative of the K15
+    interpolant.  Beyond the table the tail series answers.
     """
 
-    filter_index: int
+    windows: tuple
     m: int
     beta: float
-    x_lo: float
-    x_hi: float
     accuracy: float
     total_mass: float
     total_mass_numeric: float
@@ -302,23 +315,15 @@ class TruncatedSpectrum:
     _edges: np.ndarray = field(repr=False)
     _coef: np.ndarray = field(repr=False)
     _tail: tuple = field(repr=False)
-    _mirrored: bool = field(default=False, repr=False)
 
     def density(self, w):
-        """Spectral energy density g(w) of the truncated pulse."""
-        return _spectral_density(self.x_lo, self.x_hi, w)
+        """Spectral energy density g(w), summed over the windows."""
+        return _summed_density(self.windows, w)
 
     def cumulative(self, w):
-        """G(w): spectral mass below ``w``, absolute error <= ``accuracy``."""
+        """G(w): spectral mass below ``w``, absolute error <= ``accuracy``;
+        raises :class:`NumericFailure` if it leaves ``[0, total_mass]`` by more."""
         arr = np.atleast_1d(np.asarray(w, dtype=float))
-        if self._mirrored:  # G(w) = total - G_table(-w)
-            out = self.total_mass - self._table_cumulative(-arr)
-        else:
-            out = self._table_cumulative(arr)
-        return out if np.ndim(w) else float(out[0])
-
-    def _table_cumulative(self, arr: np.ndarray) -> np.ndarray:
-        """G(w) of the window the tables were built for."""
         edges = self._edges
         out = np.where(arr > 0.0, self.total_mass, 0.0)  # the values at +-inf
         inside = (arr >= edges[0]) & (arr <= edges[-1])
@@ -333,7 +338,8 @@ class TruncatedSpectrum:
             wt = arr[tail]
             mass = _tail_mass(self._tail, wt)
             out[tail] = np.where(wt < 0.0, mass, self.total_mass - mass)
-        return np.clip(out, 0.0, self.total_mass)
+        out = _clip_within(out, self.total_mass, self.accuracy)
+        return out if np.ndim(w) else float(out[0])
 
     def bin_mass(self, w_lo: float, w_hi: float) -> float:
         """Spectral mass on ``[w_lo, w_hi]``; unbounded sides use the
@@ -346,6 +352,16 @@ class TruncatedSpectrum:
         return max(self.cumulative(w_hi) - self.cumulative(w_lo), 0.0)
 
 
+def _clip_within(values: np.ndarray, upper: float, accuracy: float) -> np.ndarray:
+    """Clip ``values`` to ``[0, upper]`` when they leave it by at most
+    ``accuracy``; raise :class:`NumericFailure` beyond that."""
+    excursion = max(-values.min(initial=0.0), values.max(initial=upper) - upper)
+    if excursion > accuracy:
+        raise NumericFailure(f"values leave [0, {upper:.17g}] by {excursion:.3e} (tolerance "
+                             f"{accuracy:.3e})", achieved=excursion, target=accuracy)
+    return np.clip(values, 0.0, upper)
+
+
 def _filter_window(f: int, m: int, beta: float):
     """Normalized amplitude-domain window (2*b/(beta*m)) of filter ``f``."""
     b_lo = -np.inf if f == 1 else f - 0.5 * m - 1.0
@@ -356,11 +372,11 @@ def _filter_window(f: int, m: int, beta: float):
     return x_lo, x_hi
 
 
-def _seed_edges(x_lo: float, x_hi: float) -> np.ndarray:
+def _seed_edges(length: float) -> np.ndarray:
     # Panels must resolve both the Gaussian core of g and the interference
     # ripple whose period is 2*pi / (window length).
-    if np.isfinite(x_lo) and np.isfinite(x_hi):
-        period = 2.0 * np.pi / max(x_hi - x_lo, 1e-9)
+    if np.isfinite(length):
+        period = 2.0 * np.pi / max(length, 1e-9)
         h = min(1.0, period / 4.0)
     else:
         h = 1.0
@@ -372,18 +388,20 @@ def _seed_edges(x_lo: float, x_hi: float) -> np.ndarray:
 
 
 def build_spectrum(
-    f: int,
+    f: int | None,
     m: int,
     beta: float,
     accuracy: float = DEFAULT_ACCURACY,
     window: tuple[float, float] | None = None,
 ) -> TruncatedSpectrum:
-    """Construct the cumulative spectrum of the pulse truncated by filter ``f``.
+    """Construct the cumulative spectrum of the pulse truncated by filter ``f``,
+    or summed over all ``m`` filters when ``f`` is None.
 
     Parameters
     ----------
-    f : int
-        Filter index, 1..m.
+    f : int or None
+        Filter index, 1..m; None sums the spectra of the whole filter bank,
+        a distribution of total mass 1.
     m : int
         Number of symbols per basis (also the number of filters).
     beta : float
@@ -398,24 +416,24 @@ def build_spectrum(
     """
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
-    if not 1 <= f <= m:
+    if f is not None and not 1 <= f <= m:
         raise DomainError(f"filter index {f} outside 1..{m}")
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     if not accuracy > 0.0:
         raise DomainError(f"accuracy must be positive, got {accuracy}")
 
-    x_lo, x_hi = window if window is not None else _filter_window(f, m, beta)
-    if x_lo >= x_hi:
-        raise DomainError(f"empty window: {x_lo} >= {x_hi}")
+    filters = range(1, m + 1) if f is None else (f,)
+    windows = (tuple(window),) if window is not None else tuple(
+        _filter_window(g, m, beta) for g in filters)
+    if any(x_lo >= x_hi for x_lo, x_hi in windows):
+        raise DomainError(f"empty window in {windows}")
 
-    def g(w):
-        return _spectral_density(x_lo, x_hi, w)
-
+    shortest = min(x_hi - x_lo for x_lo, x_hi in windows)
     edges, panels, nodes, error_bound = _integrate_adaptive(
-        g, _seed_edges(x_lo, x_hi), tol_total=0.5 * accuracy
+        lambda w: _summed_density(windows, w), _seed_edges(shortest), tol_total=0.5 * accuracy
     )
-    series = _tail_coefficients(x_lo, x_hi)
+    series = _tail_coefficients(windows)
     left_tail, right_tail = _tail_mass(series, np.array([edges[0], edges[-1]]))
     cum = left_tail + np.concatenate([[0.0], np.cumsum(panels)])
     # per panel: G(w) = polynomial in t, the constant term carrying the mass
@@ -423,17 +441,15 @@ def build_spectrum(
     coef = (0.5 * np.diff(edges))[:, None] * (nodes @ _K15_ANTIDERIVATIVE.T)
     coef[:, 0] += cum[:-1]
 
-    total_exact = density_bin_mass(1.0, 0.0, x_lo, x_hi)
+    total_exact = sum(density_bin_mass(1.0, 0.0, x_lo, x_hi) for x_lo, x_hi in windows)
     total_numeric = float(cum[-1] + right_tail)
 
     for table in (edges, coef):
         table.setflags(write=False)
     return TruncatedSpectrum(
-        filter_index=f,
+        windows=windows,
         m=m,
         beta=beta,
-        x_lo=x_lo,
-        x_hi=x_hi,
         accuracy=accuracy,
         total_mass=float(total_exact),
         total_mass_numeric=total_numeric,
@@ -445,14 +461,9 @@ def build_spectrum(
     )
 
 
-@lru_cache(maxsize=8192)
-def cached_spectrum(f: int, m: int, beta: float, accuracy: float) -> TruncatedSpectrum:
-    """Memoized :func:`build_spectrum`; spectra are immutable so sharing is safe.
-
-    Only filters ``f <= ceil(m/2)`` are built: filter ``m + 1 - f`` has the
-    mirrored window and is answered from filter ``f``'s tables.
-    """
-    if 2 * f > m + 1:
-        source = cached_spectrum(m + 1 - f, m, beta, accuracy)
-        return replace(source, filter_index=f, x_lo=-source.x_hi, x_hi=-source.x_lo, _mirrored=True)
-    return build_spectrum(f, m, beta, accuracy=accuracy)
+@lru_cache(maxsize=1024)
+def cached_spectrum(m: int, beta: float, accuracy: float) -> TruncatedSpectrum:
+    """Memoized :func:`build_spectrum` summed over all ``m`` filters, the one
+    table the eavesdropper's second stage queries; spectra are immutable so
+    sharing is safe."""
+    return build_spectrum(None, m, beta, accuracy=accuracy)

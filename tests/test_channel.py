@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
+from tfqkd import pulse_math
 from tfqkd.channel import (
     ProtocolParams,
     attack_matrix,
@@ -13,7 +15,8 @@ from tfqkd.channel import (
     p_second_correct,
     p_wrong,
 )
-from tfqkd.errors import DomainError
+from tfqkd.errors import DomainError, NumericFailure
+from tfqkd.pulse_math import build_spectrum
 
 # closed-form references computed once from the error function
 P2_DIAG = 0.9213503964748574   # 0.5*(1 + erf(1))
@@ -109,6 +112,19 @@ class TestPCorrect:
         ]
         assert np.all(np.diff(diags) <= 1e-15)
 
+    def test_lattice_equals_per_entry_erf(self):
+        # bound minus center is an exact half-integer, so the 2m erf values
+        # on the lattice reproduce the per-entry erf expression bit for bit
+        for m in range(2, 65):
+            layout = make_layout(m)
+            lo = layout.lower[:, None] - layout.centers[None, :]
+            hi = layout.upper[:, None] - layout.centers[None, :]
+            for alpha in (0.01, 0.05, 0.3, 0.8, 1.5, 3.0):
+                e_lo = np.where(np.isneginf(lo), -1.0, erf(lo / (0.5 * alpha)))
+                e_hi = np.where(np.isposinf(hi), 1.0, erf(hi / (0.5 * alpha)))
+                expected = 0.5 * (e_hi - e_lo)
+                assert np.array_equal(p_correct(ProtocolParams(m, alpha, 0.7)), expected)
+
 
 class TestPWrong:
     def test_m2_is_half(self):
@@ -150,6 +166,39 @@ class TestPSecondCorrect:
     def test_deterministic(self):
         params = ProtocolParams(4, 0.6, 0.8)
         assert np.array_equal(p_second_correct(params), p_second_correct(params))
+
+    @pytest.mark.parametrize("m,alpha,beta", [(2, 0.5, 0.7), (3, 1.5, 0.1), (5, 0.05, 1.2),
+                                              (8, 0.9, 0.4)])
+    def test_matches_per_filter_bin_masses(self, m, alpha, beta):
+        # reference: receiver bin masses of every single-filter spectrum, summed
+        layout = make_layout(m)
+        scale = 2.0 / alpha
+        spectra = [build_spectrum(f, m, beta) for f in range(1, m + 1)]
+        expected = np.array([[sum(s.bin_mass(scale * (layout.lower[r] - layout.centers[a]),
+                                             scale * (layout.upper[r] - layout.centers[a]))
+                                  for s in spectra)
+                              for a in range(m)] for r in range(m)])
+        P = p_second_correct(ProtocolParams(m, alpha, beta))
+        assert np.allclose(P, expected, rtol=0.0, atol=1e-9)
+
+    def test_excursion_beyond_accuracy_raises(self, monkeypatch):
+        # a cumulative that falls by 1e-6 between w = 6 and w = 10 gives a
+        # negative entry beyond the 1e-8 accuracy; one that falls by 1e-10 is
+        # clipped to zero
+        class Falling:
+            def __init__(self, drop):
+                self.drop = drop
+
+            def cumulative(self, w):
+                return 0.5 + 0.1 * np.clip(w, -5.0, 5.0) - self.drop * (w > 8.0)
+
+        params = ProtocolParams(4, 0.5, 0.7)
+        monkeypatch.setattr(pulse_math, "cached_spectrum", lambda *args: Falling(1e-6))
+        with pytest.raises(NumericFailure) as info:
+            p_second_correct(params)
+        assert info.value.achieved == pytest.approx(1e-6, rel=1e-9)
+        monkeypatch.setattr(pulse_math, "cached_spectrum", lambda *args: Falling(1e-10))
+        assert p_second_correct(params).min() == 0.0
 
 
 class TestDualBasisMatrices:

@@ -199,6 +199,17 @@ class TestValidate:
         assert code in (0, 1)  # wide tolerances, but the report must exist
         assert any("low" in note for note in payload["notes"])
 
+    def test_skipped_bins_are_reported(self, capsys):
+        # at alpha = 0.05 the inner bins reach |w| = 120, past the oracles'
+        # span of 60: 6 of the 8 inner bins cannot be compared
+        code = run_cli(
+            "validate", "--m", "4", "--alpha", "0.05", "--beta", "0.7", "--eps", "0.5",
+            "--photons", "20000", "--seed", "42",
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert "spectrum oracle: 6 inner bins beyond its span skipped, 2 compared" in payload["notes"]
+
     def test_reproducible_bytes(self, tmp_path):
         args = (
             "validate", "--m", "2", "--alpha", "0.8", "--beta", "0.7", "--eps", "0.25",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tfqkd.channel import ProtocolParams, p_second_correct
-from tfqkd.errors import DomainError
+from tfqkd.errors import DomainError, NumericFailure
 from tfqkd.pulse_math import (
     PulseDensity,
     build_spectrum,
@@ -209,11 +211,11 @@ class TestPolynomialQueries:
     """The table answers queries by panel lookup plus a polynomial."""
 
     @staticmethod
-    def _quad_cumulative(spec, w):
+    def _quad_cumulative(spec, window, w):
         # independent reference: adaptive quadrature of g from the table's
         # left edge, plus the tail series below it (itself checked against
         # quadrature in TestTailSeries)
-        below, left = _tail_mass(_tail_coefficients(spec.x_lo, spec.x_hi), np.array([w, -30.0]))
+        below, left = _tail_mass(_tail_coefficients([window]), np.array([w, -30.0]))
         if w <= -30.0:
             return below
         pieces = np.linspace(-30.0, w, int(np.ceil((w + 30.0) / 0.5)) + 1)
@@ -231,18 +233,54 @@ class TestPolynomialQueries:
             spec = build_spectrum(f, m, beta)
             got = spec.cumulative(ws)
             for w, g in zip(ws, got):
-                assert g == pytest.approx(self._quad_cumulative(spec, w), abs=1e-9)
+                assert g == pytest.approx(
+                    self._quad_cumulative(spec, _filter_window(f, m, beta), w), abs=1e-9)
 
     @pytest.mark.parametrize("m,beta", [(4, 0.7), (5, 1.2), (16, 0.3), (32, 0.5)])
     def test_mirrored_filter_matches_independent_build(self, m, beta):
+        # filters f and m+1-f have mirrored windows, so their independently
+        # built tables satisfy G_{m+1-f}(w) = total - G_f(-w); this is the
+        # evenness H(w) + H(-w) = 1 of the filter-summed table
         w = np.concatenate([np.linspace(-45.0, 45.0, 181), [-30.0, 30.0]])
-        for f in range((m + 1) // 2 + 1, m + 1):
-            mirrored = cached_spectrum(f, m, beta, 1e-8)
-            assert mirrored.filter_index == f
-            assert (mirrored.x_lo, mirrored.x_hi) == _filter_window(f, m, beta)
-            direct = build_spectrum(f, m, beta, window=_filter_window(f, m, beta))
-            assert np.allclose(mirrored.cumulative(w), direct.cumulative(w), rtol=0.0, atol=1e-12)
-            assert mirrored.total_mass == pytest.approx(direct.total_mass, abs=1e-15)
+        for f in range(1, (m + 1) // 2 + 1):
+            spec = build_spectrum(f, m, beta)
+            mirror = build_spectrum(m + 1 - f, m, beta)
+            lo, hi = _filter_window(f, m, beta)
+            assert _filter_window(m + 1 - f, m, beta) == (-hi, -lo)
+            assert mirror.total_mass == pytest.approx(spec.total_mass, abs=1e-15)
+            assert np.allclose(mirror.cumulative(w), spec.total_mass - spec.cumulative(-w),
+                               rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 16, 32])
+    @pytest.mark.parametrize("beta", [0.1, 0.7, 1.2])
+    def test_summed_matches_sum_of_filters(self, m, beta):
+        w = np.concatenate([np.linspace(-29.0, 29.0, 59), [-30.5, -30.0, 30.0, 30.5, -75.0, 120.0]])
+        summed = cached_spectrum(m, beta, 1e-8)
+        assert summed.windows == tuple(_filter_window(f, m, beta) for f in range(1, m + 1))
+        per_filter = [build_spectrum(f, m, beta) for f in range(1, m + 1)]
+        assert summed.total_mass == pytest.approx(1.0, abs=1e-15)
+        assert summed.total_mass == pytest.approx(sum(s.total_mass for s in per_filter), abs=1e-15)
+        expected = sum(s.cumulative(w) for s in per_filter)
+        assert np.allclose(summed.cumulative(w), expected, rtol=0.0, atol=1e-9)
+        assert np.allclose(summed.density(w), sum(s.density(w) for s in per_filter),
+                           rtol=0.0, atol=1e-15)
+
+    def test_excursion_beyond_accuracy_raises(self):
+        # the untruncated spectrum has G = 0 far below the core and G = 1 far
+        # above it, so a shifted table leaves [0, 1] by the shift
+        spec = build_spectrum(1, 2, 0.7, window=(-np.inf, np.inf))
+        w = np.array([-20.0, 20.0])
+        assert np.allclose(spec.cumulative(w), [0.0, 1.0], rtol=0.0, atol=1e-15)
+        for shift in (1e-6, -1e-6):
+            coef = spec._coef.copy()
+            coef[:, 0] += shift
+            with pytest.raises(NumericFailure) as info:
+                replace(spec, _coef=coef).cumulative(w)
+            assert info.value.achieved == pytest.approx(1e-6, rel=1e-6)
+            assert info.value.target == spec.accuracy
+        coef = spec._coef.copy()
+        coef[:, 0] += 1e-10  # within accuracy: clipped, not raised
+        assert np.allclose(replace(spec, _coef=coef).cumulative(w), [1e-10, 1.0], rtol=0.0, atol=1e-15)
 
     def test_error_fields(self):
         # the build refines until the summed K15-G7 gauge meets accuracy / 2
@@ -259,13 +297,14 @@ class TestPolynomialQueries:
         data=st.data(),
     )
     def test_cumulative_monotone_and_columns_conserve_mass(self, m, alpha, beta, data):
-        f = data.draw(st.integers(1, m))
-        spec = cached_spectrum(f, m, beta, 1e-8)
+        # the filter-summed table: monotone, even (H(w) + H(-w) = 1) and its
+        # lattice block column stochastic
+        spec = cached_spectrum(m, beta, 1e-8)
         w = np.sort(data.draw(st.lists(st.floats(-80.0, 80.0), min_size=2, max_size=40)))
         assert np.all(np.diff(spec.cumulative(w)) >= -1e-12)
-        total = sum(cached_spectrum(g, m, beta, 1e-8).total_mass for g in range(1, m + 1))
+        assert np.all(np.abs(spec.cumulative(w) + spec.cumulative(-w) - 1.0) <= spec.accuracy)
         sums = p_second_correct(ProtocolParams(m, alpha, beta)).sum(axis=0)
-        assert np.allclose(sums, total, rtol=0.0, atol=1e-8)
+        assert np.allclose(sums, 1.0, rtol=0.0, atol=1e-8)
 
 
 class TestSpectrumBinMass:
@@ -293,7 +332,6 @@ class TestSpectrumBinMass:
 
 class TestWorkBudget:
     def test_exhausted_budget_reports_achieved_error(self):
-        from tfqkd.errors import NumericFailure
         from tfqkd.pulse_math import _integrate_adaptive
 
         ripple = lambda w: 1.0 + np.sin(400.0 * np.asarray(w)) ** 2
@@ -312,9 +350,17 @@ class TestTailSeries:
                 for lo, hi in zip(edges[:-1], edges[1:]):
                     mid += quad(lambda w: _spectral_density(x_lo, x_hi, w), lo, hi,
                                 limit=200, epsabs=1e-14)[0]
-                series = _tail_coefficients(x_lo, x_hi)
+                series = _tail_coefficients([(x_lo, x_hi)])
                 near, far = _tail_mass(series, np.array([w_from, 2 * w_from]))
                 assert near == pytest.approx(mid + far, abs=5e-9)
+
+    def test_cross_terms_need_one_lag(self):
+        # summed cross terms share one I_1, so windows of different lengths
+        # cannot be summed; half-line windows have no cross terms
+        with pytest.raises(DomainError):
+            _tail_coefficients([(-1.0, 0.0), (0.0, 2.0)])
+        coef, _, lag = _tail_coefficients([(-np.inf, 0.0), (0.0, np.inf)])
+        assert coef.shape[1] == 1 and lag == np.inf
 
 
 def _window(f, m, beta):
