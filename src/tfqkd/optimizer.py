@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erf
 
 from .channel import ProtocolParams, make_layout
 from .errors import DomainError, NumericFailure
 from .infotheory import CapacityReport, _capacity_grid, capacity
-from .pulse_math import DEFAULT_ACCURACY, density_bin_mass
+from .pulse_math import DEFAULT_ACCURACY
 
 __all__ = [
     "OptimizerConfig",
@@ -178,44 +177,48 @@ def u_functional(
     refinement.
     """
     params = ProtocolParams(m, alpha, beta)  # validates the inputs
-    layout = make_layout(m)
+    centers = make_layout(m).centers
     w_sym = params.symbol_sigma
     w_con = params.conjugate_sigma
     if variant == "per-term":
-        return float(sum(_gauss_l1(c, w_sym, 0.0, w_con) for c in layout.centers))
+        return float(sum(_gauss_l1(c, w_sym, 0.0, w_con) for c in centers))
     if variant != "whole-sum":
         raise DomainError(f"unknown u variant {variant!r}")
 
-    centers = layout.centers
     sqrt_pi = math.sqrt(math.pi)
 
     def diff(t):
-        comb = np.exp(-(((t - centers) / w_sym) ** 2)).sum() / (w_sym * sqrt_pi)
-        return comb - m * math.exp(-((t / w_con) ** 2)) / (w_con * sqrt_pi)
+        # comb minus m times the conjugate density at each point of t; exp is
+        # slow where it underflows to 0 (below -745.2), so it is skipped there
+        # and at every point beyond sqrt(750) widths of all centers
+        near = np.abs(t) < centers[-1] + 27.4 * w_sym
+        z = -((np.subtract.outer(t[near], centers) / w_sym) ** 2)
+        comb = np.zeros_like(t)
+        comb[near] = np.exp(z, out=np.zeros_like(z), where=z > -746.0).sum(axis=1)
+        return comb / (w_sym * sqrt_pi) - m * np.exp(-((t / w_con) ** 2)) / (w_con * sqrt_pi)
 
     # locate every sign change of the difference; the scan step resolves the
     # narrower of the two density widths
     reach = 0.5 * m + 5.4 * max(w_sym, w_con)
     n_pts = int(min(max(4001, 40.0 * reach / min(w_sym, w_con)), 400_001))
     grid = np.linspace(-reach, reach, n_pts)
-    comb = np.exp(-(((grid[:, None] - centers[None, :]) / w_sym) ** 2)).sum(axis=1) / (
-        w_sym * sqrt_pi
-    )
-    values = comb - m * np.exp(-((grid / w_con) ** 2)) / (w_con * sqrt_pi)
-    flips = np.nonzero(np.diff(np.signbit(values)))[0]
-    roots = [
-        brentq(diff, grid[i], grid[i + 1], xtol=min(accuracy, 1e-10))
-        for i in flips
-    ]
+    negative = np.signbit(diff(grid))
+    flips = np.nonzero(np.diff(negative))[0]
+
+    # bisect every bracket at once until it is narrower than min(accuracy, 1e-10)
+    lo, hi = grid[flips], grid[flips + 1]
+    for _ in range(math.ceil(math.log2((grid[1] - grid[0]) / min(accuracy, 1e-10)))):
+        mid = 0.5 * (lo + hi)
+        left = np.signbit(diff(mid)) == negative[flips]
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    roots = 0.5 * (lo + hi)
 
     # between crossings the sign is constant, so each piece is an exact
-    # difference of cumulative masses
-    cuts = [-np.inf] + roots + [np.inf]
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        signed = sum(density_bin_mass(w_sym, c, lo, hi) for c in centers)
-        signed -= m * density_bin_mass(w_con, 0.0, lo, hi)
-        total += abs(signed)
+    # difference of cumulative masses: one erf per (cut, center) and per cut
+    # of the conjugate density, the infinite cuts at erf = -1 and +1
+    scaled = np.column_stack([(roots[:, None] - centers) / w_sym, roots / w_con])
+    mass = 0.5 * np.diff(np.vstack([np.full(m + 1, -1.0), erf(scaled), np.ones(m + 1)]), axis=0)
+    total = np.abs(mass[:, :m].sum(axis=1) - m * mass[:, m]).sum()
     if not np.isfinite(total):
         raise NumericFailure("overlap functional produced a non-finite value")
     return float(total)

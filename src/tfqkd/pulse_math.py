@@ -121,16 +121,14 @@ def truncated_pulse_fourier(x_lo: float, x_hi: float, w):
     return out if out.ndim else complex(out)
 
 
-def _spectral_density(x_lo: float, x_hi: float, w):
-    """``g(w) = |F(w)|**2 / sqrt(pi)`` for the window ``[x_lo, x_hi]``."""
-    f = truncated_pulse_fourier(x_lo, x_hi, w)
-    f = np.asarray(f)
-    return (f.real * f.real + f.imag * f.imag) / SQRTPI
-
-
 def _summed_density(windows, w):
-    """Sum of :func:`_spectral_density` over ``windows``."""
-    return sum(_spectral_density(x_lo, x_hi, w) for x_lo, x_hi in windows)
+    """Sum over ``windows`` of the spectral density ``|F(w)|**2 / sqrt(pi)``
+    of :func:`truncated_pulse_fourier`, with one :func:`_erf_exp_half` per
+    distinct edge: neighbouring filters share one."""
+    w_arr = np.asarray(w, dtype=float)
+    half = {x: _erf_exp_half(x, w_arr) for x in set().union(*windows)}
+    spectra = (0.5 * (half[x_hi] - half[x_lo]) for x_lo, x_hi in windows)
+    return sum((f.real * f.real + f.imag * f.imag) / SQRTPI for f in spectra)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import tfqkd.channel as channel_module
 import tfqkd.optimizer as optimizer_module
-from tfqkd.channel import ProtocolParams
+from tfqkd.channel import ProtocolParams, make_layout
 from tfqkd.errors import DomainError, NumericFailure
 from tfqkd.infotheory import capacity, i_ae
 from tfqkd.optimizer import (
@@ -20,6 +21,7 @@ from tfqkd.optimizer import (
     u_functional,
     _golden_min,
 )
+from tfqkd.pulse_math import density_bin_mass
 
 
 def _u_per_term_quadrature(m, alpha, beta):
@@ -38,6 +40,36 @@ def _u_per_term_quadrature(m, alpha, beta):
         total += sum(
             quad(f, lo, hi, limit=100)[0] for lo, hi in zip(edges[:-1], edges[1:])
         )
+    return total
+
+
+def _u_whole_sum_scalar(m, alpha, beta, accuracy=1e-10):
+    """Reference whole-sum algorithm: grid scan, one brentq per sign change,
+    then a scalar sum of bin masses per piece between crossings."""
+    params = ProtocolParams(m, alpha, beta)
+    w_sym, w_con = params.symbol_sigma, params.conjugate_sigma
+    centers = make_layout(m).centers
+    sqrt_pi = math.sqrt(math.pi)
+
+    def diff(t):
+        comb = np.exp(-(((t - centers) / w_sym) ** 2)).sum() / (w_sym * sqrt_pi)
+        return comb - m * math.exp(-((t / w_con) ** 2)) / (w_con * sqrt_pi)
+
+    reach = 0.5 * m + 5.4 * max(w_sym, w_con)
+    n_pts = int(min(max(4001, 40.0 * reach / min(w_sym, w_con)), 400_001))
+    grid = np.linspace(-reach, reach, n_pts)
+    comb = np.exp(-(((grid[:, None] - centers[None, :]) / w_sym) ** 2)).sum(axis=1) / (
+        w_sym * sqrt_pi
+    )
+    values = comb - m * np.exp(-((grid / w_con) ** 2)) / (w_con * sqrt_pi)
+    flips = np.nonzero(np.diff(np.signbit(values)))[0]
+    roots = [brentq(diff, grid[i], grid[i + 1], xtol=min(accuracy, 1e-10)) for i in flips]
+    cuts = [-np.inf] + roots + [np.inf]
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        signed = sum(density_bin_mass(w_sym, c, lo, hi) for c in centers)
+        signed -= m * density_bin_mass(w_con, 0.0, lo, hi)
+        total += abs(signed)
     return total
 
 
@@ -62,6 +94,14 @@ class TestUFunctional:
                 per = u_functional(4, alpha, beta, "per-term")
                 whole = u_functional(4, alpha, beta, "whole-sum")
                 assert whole <= per + 1e-7
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 16, 32])
+    def test_whole_sum_matches_scalar_reference(self, m):
+        for alpha in (0.05, 0.5, 1.5):
+            for beta in (0.1, 0.7, 1.4):
+                assert u_functional(m, alpha, beta, "whole-sum") == pytest.approx(
+                    _u_whole_sum_scalar(m, alpha, beta), rel=0.0, abs=1e-12
+                )
 
     def test_unique_interior_minimum_m2(self):
         # dense scan: the difference changes sign exactly once
@@ -91,6 +131,14 @@ class TestMinimizeBeta:
     def test_large_m_lands_near_typical_width(self, m):
         beta_opt, _ = minimize_beta(m, 0.5)
         assert 0.5 <= beta_opt <= 0.9
+
+    @pytest.mark.parametrize("m,alpha", [(m, a) for m in (2, 3, 4, 16) for a in (0.05, 0.5, 1.5)]
+                             + [(32, 0.5)])
+    def test_whole_sum_same_beta_as_scalar_reference(self, m, alpha, monkeypatch):
+        beta_opt, _ = minimize_beta(m, alpha, "whole-sum")
+        monkeypatch.setattr(optimizer_module, "u_functional",
+                            lambda m, alpha, beta, variant: _u_whole_sum_scalar(m, alpha, beta))
+        assert minimize_beta(m, alpha, "whole-sum")[0] == beta_opt
 
     def test_deterministic(self):
         a = minimize_beta(8, 0.4)

@@ -133,6 +133,32 @@ class TestCompareEmpirical:
         assert verdict.passed
 
 
+class TestChiSquarePvalues:
+    def test_equal_scipy_stats_bitwise(self):
+        # dense analytic columns with every expected count >= 5 pool no cell,
+        # so each column's statistic has k - 1 degrees of freedom
+        from scipy.stats import chi2
+
+        from tfqkd.oracle import EmpiricalMatrix
+
+        rng = np.random.default_rng(7)
+        checked = 0
+        for k in (2, 3, 5, 8, 16, 32):
+            analytic = rng.uniform(1.0, 2.0, (k, k))
+            analytic /= analytic.sum(axis=0)
+            for tilt in (0.0, 0.01, 0.1, 0.5):
+                drawn = (1.0 - tilt) * analytic + tilt * np.eye(k)
+                counts = np.column_stack([rng.multinomial(20_000, col) for col in drawn.T])
+                emp = EmpiricalMatrix(counts=counts, column_totals=counts.sum(axis=0))
+                pvalues = compare_empirical(emp, analytic).chi2_pvalues
+                for c in range(k):
+                    expected = analytic[:, c] * emp.column_totals[c]
+                    stat = float(((counts[:, c] - expected) ** 2 / expected).sum())
+                    assert pvalues[c] == chi2.sf(stat, k - 1)
+                    checked += 1
+        assert checked == 4 * sum((2, 3, 5, 8, 16, 32))
+
+
 class TestDftSpectrumOracle:
     def test_untruncated_pointwise(self):
         # an interior filter of a vanishingly narrow pulse covers the whole

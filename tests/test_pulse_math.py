@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from tfqkd import pulse_math
 from tfqkd.channel import ProtocolParams, p_second_correct
 from tfqkd.errors import DomainError, NumericFailure
 from tfqkd.pulse_math import (
@@ -15,12 +16,18 @@ from tfqkd.pulse_math import (
     density_bin_mass,
     truncated_pulse_fourier,
     _filter_window,
-    _spectral_density,
+    _summed_density,
     _tail_coefficients,
     _tail_mass,
 )
 
 ERF1 = 0.8427007929497148
+
+
+def _spectral_density(x_lo, x_hi, w):
+    """Reference spectral density of one window, ``|F(w)|**2 / sqrt(pi)``."""
+    f = np.asarray(truncated_pulse_fourier(x_lo, x_hi, w))
+    return (f.real * f.real + f.imag * f.imag) / np.sqrt(np.pi)
 
 
 class TestDensityBinMass:
@@ -264,6 +271,36 @@ class TestPolynomialQueries:
         assert np.allclose(summed.cumulative(w), expected, rtol=0.0, atol=1e-9)
         assert np.allclose(summed.density(w), sum(s.density(w) for s in per_filter),
                            rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 16, 32])
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.7, 1.2])
+    def test_shared_edges_leave_table_bitwise_unchanged(self, m, beta, monkeypatch):
+        # neighbouring filters share an edge, evaluated once; the density and
+        # the table built from it equal the per-window sum bit for bit
+        windows = tuple(_filter_window(f, m, beta) for f in range(1, m + 1))
+        w = np.linspace(-40.0, 40.0, 801)
+        per_window = lambda windows, w: sum(_spectral_density(lo, hi, w) for lo, hi in windows)
+        reference_density = per_window(windows, w)
+        edges = []
+        evaluate = pulse_math._erf_exp_half
+
+        def counting(x, w):
+            edges.append(x)
+            return evaluate(x, w)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pulse_math, "_erf_exp_half", counting)
+            density = _summed_density(windows, w)
+        assert np.array_equal(density, reference_density)
+        assert len(edges) == len(set(edges)) == m + 1  # the m - 1 finite edges and -inf, +inf
+        shared = build_spectrum(None, m, beta)
+        monkeypatch.setattr(pulse_math, "_summed_density", per_window)
+        reference = build_spectrum(None, m, beta)
+        assert np.array_equal(shared._edges, reference._edges)
+        assert np.array_equal(shared._coef, reference._coef)
+        assert all(np.array_equal(a, b) for a, b in zip(shared._tail, reference._tail))
+        assert (shared.total_mass, shared.total_mass_numeric, shared.error_bound) == (
+            reference.total_mass, reference.total_mass_numeric, reference.error_bound)
 
     def test_excursion_beyond_accuracy_raises(self):
         # the untruncated spectrum has G = 0 far below the core and G = 1 far
