@@ -171,15 +171,15 @@ def u_functional(
 
     ``per-term`` (default) sums the L1 distance of each shifted symbol pulse
     to the centered conjugate pulse; ``whole-sum`` takes the absolute value
-    outside the sum and is bounded above by the per-term value.  Both
-    reduce to error-function expressions between sign changes of the
-    density difference; ``accuracy`` bounds the crossing-location
-    refinement.
+    outside the sum and is bounded above by the per-term value.  Both reduce
+    to error-function expressions between sign changes of the density
+    difference; ``accuracy`` (positive) bounds the crossing refinement.
     """
     params = ProtocolParams(m, alpha, beta)  # validates the inputs
+    if not accuracy > 0.0:
+        raise DomainError(f"accuracy must be positive, got {accuracy}")
     centers = make_layout(m).centers
-    w_sym = params.symbol_sigma
-    w_con = params.conjugate_sigma
+    w_sym, w_con = params.symbol_sigma, params.conjugate_sigma
     if variant == "per-term":
         return float(sum(_gauss_l1(c, w_sym, 0.0, w_con) for c in centers))
     if variant != "whole-sum":
@@ -189,9 +189,9 @@ def u_functional(
 
     def diff(t):
         # comb minus m times the conjugate density at each point of t; exp is
-        # slow where it underflows to 0 (below -745.2), so it is skipped there
-        # and at every point beyond sqrt(750) widths of all centers
-        near = np.abs(t) < centers[-1] + 27.4 * w_sym
+        # slow where it underflows to 0 (below about -745.1), so terms below
+        # -746 are skipped, as are points beyond sqrt(746) widths of all centers
+        near = np.abs(t) < centers[-1] + math.sqrt(746.0) * w_sym
         z = -((np.subtract.outer(t[near], centers) / w_sym) ** 2)
         comb = np.zeros_like(t)
         comb[near] = np.exp(z, out=np.zeros_like(z), where=z > -746.0).sum(axis=1)

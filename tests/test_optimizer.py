@@ -117,6 +117,12 @@ class TestUFunctional:
         with pytest.raises(DomainError):
             u_functional(4, 0.5, 0.7, "median")
 
+    @pytest.mark.parametrize("variant", ["per-term", "whole-sum"])
+    @pytest.mark.parametrize("accuracy", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_accuracy(self, variant, accuracy):
+        with pytest.raises(DomainError):
+            u_functional(4, 0.5, 0.7, variant, accuracy)
+
 
 class TestMinimizeBeta:
     def test_matches_dense_grid(self):
