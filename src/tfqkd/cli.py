@@ -5,6 +5,13 @@ rerunning produces byte-identical output.  Output files are written to a
 temporary sibling and renamed into place, so a failing command leaves no
 partial file behind.  Exit codes: 0 success, 1 statistical/validation
 failure, 2 usage error, 3 numeric failure.
+
+A ``--config`` file holds ``key = value`` lines whose keys are long-flag
+names, written with ``-`` or ``_``.  Each line becomes a ``--key=value``
+token placed just after the subcommand name, so every value, ``out``
+included, is parsed exactly like its flag; a bad value or a key that names
+no flag of the subcommand is a usage error (exit 2); and explicit flags,
+coming later, win.
 """
 
 from __future__ import annotations
@@ -83,10 +90,39 @@ def _emit(path: str | None, data: str):
         sys.stdout.write(data)
 
 
-def _load_config(path: str | None) -> dict:
+def _checked(cast, ok, what: str):
+    """An argparse type: ``cast`` the text, then reject a value failing ``ok``."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names it in "invalid <type> value"
+    return parse
+
+
+def _list_of(cast):
+    """An argparse type for comma-separated ``cast`` values."""
+    def parse(text: str) -> list:
+        return [cast(v) for v in text.split(",") if v != ""]
+    parse.__name__ = f"{cast.__name__} list"
+    return parse
+
+
+_positive = _checked(float, lambda x: x > 0.0, "positive")
+_rate = _checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")
+_seed = _checked(int, lambda n: n >= 0, ">= 0")
+
+
+def _with_config(argv: list[str]) -> list[str]:
+    """``argv`` with each ``key = value`` line of its ``--config`` file
+    inserted as ``--key=value`` just after the subcommand name."""
+    pre = argparse.ArgumentParser(prog="tfqkd", add_help=False)
+    pre.add_argument("--config", nargs="?")  # a missing path is left to the full parser
+    path = pre.parse_known_args(argv)[0].config
     if not path:
-        return {}
-    table = {}
+        return argv
+    tokens = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -95,28 +131,14 @@ def _load_config(path: str | None) -> dict:
             if "=" not in line:
                 raise DomainError(f"config line is not key = value: {line!r}")
             key, _, value = line.partition("=")
-            table[key.strip().replace("-", "_")] = value.strip()
-    return table
+            tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return argv[:1] + tokens + argv[1:]
 
 
-def _resolve(args, config: dict, name: str, cast, default):
-    """CLI flag beats config file beats built-in default."""
-    cli_value = getattr(args, name, None)
-    if cli_value is not None:
-        return cli_value
-    if name in config:
-        return cast(config[name])
-    return default
-
-
-def _optimizer_config(args, config) -> OptimizerConfig:
-    """OptimizerConfig from the values a flag or the config file sets; the
-    dataclass supplies every other default."""
-    casts = {"alpha_box": parse_box, "beta_box": parse_box, "step": float, "tol": float,
-             "accuracy": float, "u_variant": str, "scheme": str}
-    values = {name: _resolve(args, config, name, cast, None) for name, cast in casts.items()}
-    values["coarse_step"] = values.pop("step")
-    return OptimizerConfig(**{k: v for k, v in values.items() if v is not None})
+def _optimizer_config(args) -> OptimizerConfig:
+    return OptimizerConfig(alpha_box=args.alpha_box, beta_box=args.beta_box,
+                           coarse_step=args.step, tol=args.tol, accuracy=args.accuracy,
+                           u_variant=args.u_variant, scheme=args.scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +146,8 @@ def _optimizer_config(args, config) -> OptimizerConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_surface(args) -> int:
-    config = _load_config(args.config)
-    m = _resolve(args, config, "m", int, None)
-    eps = _resolve(args, config, "eps", float, None)
-    if m is None or eps is None:
-        raise DomainError("surface requires --m and --eps")
-    alpha_axis = _resolve(args, config, "alpha", parse_range, parse_range("0.05:1.5:0.05"))
-    beta_axis = _resolve(args, config, "beta", parse_range, parse_range("0.05:1.5:0.05"))
-    accuracy = _resolve(args, config, "accuracy", float, DEFAULT_ACCURACY)
-    fmt = _resolve(args, config, "format", str, "csv")
-
-    grid = c_surface(m, eps, alpha_axis, beta_axis, accuracy)
-
-    if fmt == "csv":
+    grid = c_surface(args.m, args.eps, args.alpha, args.beta, args.accuracy)
+    if args.format == "csv":
         lines = ["alpha,beta,capacity,i_ab,i_ae,qser"]
         for i, alpha in enumerate(grid.alpha_axis):
             for j, beta in enumerate(grid.beta_axis):
@@ -145,7 +156,7 @@ def cmd_surface(args) -> int:
                     grid.i_ae[i, j], grid.qser[i, j],
                 )))
         _emit(args.out, "\n".join(lines) + "\n")
-    elif fmt == "json":
+    else:
         rows = [
             {
                 "alpha": _round9(alpha), "beta": _round9(beta),
@@ -157,20 +168,13 @@ def cmd_surface(args) -> int:
             for i, alpha in enumerate(grid.alpha_axis)
             for j, beta in enumerate(grid.beta_axis)
         ]
-        _emit(args.out, json.dumps({"m": m, "eps": _round9(eps), "points": rows}, indent=2) + "\n")
-    else:
-        raise DomainError(f"unknown format {fmt!r}")
+        payload = {"m": args.m, "eps": _round9(args.eps), "points": rows}
+        _emit(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
-    config = _load_config(args.config)
-    m = _resolve(args, config, "m", int, None)
-    eps = _resolve(args, config, "eps", float, None)
-    if m is None or eps is None:
-        raise DomainError("optimize requires --m and --eps")
-    opt_config = _optimizer_config(args, config)
-    result = optimize_point(m, eps, opt_config)
+    result = optimize_point(args.m, args.eps, _optimizer_config(args))
     payload = {
         "m": result.m,
         "eps": _round9(result.epsilon),
@@ -189,16 +193,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    ms_text = _resolve(args, config, "m", str, None)
-    eps_text = _resolve(args, config, "eps", str, None)
-    if ms_text is None or eps_text is None:
-        raise DomainError("sweep requires --m and --eps lists")
-    ms = [int(v) for v in str(ms_text).split(",") if v != ""]
-    epsilons = [float(v) for v in str(eps_text).split(",") if v != ""]
-    opt_config = _optimizer_config(args, config)
-
-    entries = sweep(ms, epsilons, opt_config)
+    entries = sweep(args.m, args.eps, _optimizer_config(args))
     lines = ["m,eps,alpha_opt,beta_opt,capacity,qser,status"]
     for e in entries:
         if e.status == "ok":
@@ -237,39 +232,28 @@ def _spectrum_oracle_deviation(params: ProtocolParams, accuracy: float):
 
 
 def cmd_validate(args) -> int:
-    config = _load_config(args.config)
-    m = _resolve(args, config, "m", int, None)
-    alpha = _resolve(args, config, "alpha", float, None)
-    beta = _resolve(args, config, "beta", float, None)
-    eps = _resolve(args, config, "eps", float, None)
-    if None in (m, alpha, beta, eps):
-        raise DomainError("validate requires --m, --alpha, --beta, --eps")
-    photons = _resolve(args, config, "photons", int, 1_000_000)
-    seed = _resolve(args, config, "seed", int, 42)
-    accuracy = _resolve(args, config, "accuracy", float, DEFAULT_ACCURACY)
-
-    params = ProtocolParams(m, alpha, beta, eps)
+    params = ProtocolParams(args.m, args.alpha, args.beta, args.eps)
     analytic = mixed_bob_matrix(params)
-    empirical = run_mc(McConfig(photons=photons, seed=seed, params=params))
+    empirical = run_mc(McConfig(photons=args.photons, seed=args.seed, params=params))
     verdict = compare_empirical(empirical, analytic)
-    spectrum_dev, skipped, compared = _spectrum_oracle_deviation(params, accuracy)
+    spectrum_dev, skipped, compared = _spectrum_oracle_deviation(params, args.accuracy)
     spectrum_ok = spectrum_dev <= 1e-6
 
     pvalues = [None if not np.isfinite(p) else _round9(p) for p in verdict.chi2_pvalues]
     passed = bool(verdict.passed and spectrum_ok)
     notes = list(verdict.notes)
-    if photons < 10_000:
+    if args.photons < 10_000:
         notes.append("low photon count: statistical power is weak, tolerances are wide")
     if skipped:
         notes.append(f"spectrum oracle: {skipped} inner bins beyond its span skipped, "
                      f"{compared} compared")
     payload = {
-        "m": m,
-        "alpha": _round9(alpha),
-        "beta": _round9(beta),
-        "eps": _round9(eps),
-        "photons": photons,
-        "seed": seed,
+        "m": args.m,
+        "alpha": _round9(args.alpha),
+        "beta": _round9(args.beta),
+        "eps": _round9(args.eps),
+        "photons": args.photons,
+        "seed": args.seed,
         "max_abs_z": _round9(verdict.max_abs_z),
         "chi2_pvalues": pvalues,
         "spectrum_oracle_max_deviation": _round9(spectrum_dev),
@@ -281,18 +265,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_keyrate(args) -> int:
-    config = _load_config(args.config)
-    m = _resolve(args, config, "m", int, None)
-    eps = _resolve(args, config, "eps", float, None)
-    rep_rate = _resolve(args, config, "rep_rate_hz", float, None)
-    if m is None or eps is None or rep_rate is None:
-        raise DomainError("keyrate requires --m, --eps, --rep-rate-hz")
-    if rep_rate < 0.0:
-        raise DomainError(f"repetition rate must be >= 0, got {rep_rate}")
-    opt_config = _optimizer_config(args, config)
-    result = optimize_point(m, eps, opt_config)
-    rate = key_rate(rep_rate, result.c_opt)
-    delta_t = (1.0 / (rep_rate * m)) if rep_rate > 0.0 else None
+    rep_rate = args.rep_rate_hz
+    result = optimize_point(args.m, args.eps, _optimizer_config(args))
+    delta_t = (1.0 / (rep_rate * args.m)) if rep_rate > 0.0 else None
     payload = {
         "m": result.m,
         "eps": _round9(result.epsilon),
@@ -300,7 +275,7 @@ def cmd_keyrate(args) -> int:
         "alpha_opt": _round9(result.alpha_opt),
         "beta_opt": _round9(result.beta_opt),
         "capacity_bits_per_photon": _round9(result.c_opt),
-        "secret_key_rate_bits_per_s": _round9(rate),
+        "secret_key_rate_bits_per_s": _round9(key_rate(rep_rate, result.c_opt)),
         "delta_t_s": None if delta_t is None else _round9(delta_t),
     }
     _emit(args.out, json.dumps(payload, indent=2) + "\n")
@@ -318,57 +293,52 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key = value file supplying defaults for any flag")
+    def common(p, m_type=int, eps_type=float):
+        p.add_argument("--config", help="key = value lines, each parsed as its --key=value flag")
         p.add_argument("--out", help="output file (atomic write); stdout when omitted")
-        p.add_argument("--accuracy", type=float, help="absolute tolerance for spectral bin masses")
+        p.add_argument("--accuracy", type=_positive, default=DEFAULT_ACCURACY,
+                       help="absolute tolerance for spectral bin masses")
+        p.add_argument("--m", type=m_type, required=True)
+        p.add_argument("--eps", type=eps_type, required=True)
 
     p = sub.add_parser("surface", help="capacity over an (alpha, beta) grid")
     common(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--alpha", type=parse_range, help="grid as lo:hi:step (endpoints included)")
-    p.add_argument("--beta", type=parse_range, help="grid as lo:hi:step (endpoints included)")
-    p.add_argument("--format", choices=("csv", "json"))
+    for axis in ("--alpha", "--beta"):
+        p.add_argument(axis, type=parse_range, default="0.05:1.5:0.05",
+                       help="grid as lo:hi:step (endpoints included)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_surface)
 
     def optimizer_flags(p):
-        p.add_argument("--alpha-box", dest="alpha_box", type=parse_box, help="search box lo:hi")
-        p.add_argument("--beta-box", dest="beta_box", type=parse_box, help="search box lo:hi")
-        p.add_argument("--step", type=float, help="coarse grid step")
-        p.add_argument("--tol", type=float, help="golden-section width tolerance")
-        p.add_argument("--u-variant", dest="u_variant", choices=("per-term", "whole-sum"))
-        p.add_argument("--scheme", choices=("staged", "nested"))
+        d = OptimizerConfig
+        p.add_argument("--alpha-box", type=parse_box, default=d.alpha_box, help="search box lo:hi")
+        p.add_argument("--beta-box", type=parse_box, default=d.beta_box, help="search box lo:hi")
+        p.add_argument("--step", type=float, default=d.coarse_step, help="coarse grid step")
+        p.add_argument("--tol", type=float, default=d.tol, help="golden-section width tolerance")
+        p.add_argument("--u-variant", choices=("per-term", "whole-sum"), default=d.u_variant)
+        p.add_argument("--scheme", choices=("staged", "nested"), default=d.scheme)
 
     p = sub.add_parser("optimize", help="optimal widths for one (m, eps) point")
     common(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--eps", type=float)
     optimizer_flags(p)
     p.set_defaults(fn=cmd_optimize)
 
-    p = sub.add_parser("sweep", help="optimize over lists of m and eps")
-    common(p)
-    p.add_argument("--m", help="comma-separated symbol counts, e.g. 2,4,8")
-    p.add_argument("--eps", help="comma-separated intercepted fractions")
+    p = sub.add_parser("sweep", help="optimize over comma-separated lists of m and eps")
+    common(p, _list_of(int), _list_of(float))
     optimizer_flags(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("validate", help="Monte Carlo + spectrum oracle consistency check")
     common(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--photons", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--photons", type=int, default=1_000_000)
+    p.add_argument("--seed", type=_seed, default=42)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("keyrate", help="secret key rate at the optimal widths")
     common(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--rep-rate-hz", dest="rep_rate_hz", type=float)
+    p.add_argument("--rep-rate-hz", type=_rate, required=True)
     optimizer_flags(p)
     p.set_defaults(fn=cmd_keyrate)
 
@@ -376,13 +346,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles usage errors with code 2
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(_with_config(argv))
         return args.fn(args)
+    except SystemExit as exc:  # argparse reports usage errors with code 2
+        return int(exc.code or 0)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -58,8 +58,8 @@ class OptimizerConfig:
         for name, (lo, hi) in (("alpha_box", self.alpha_box), ("beta_box", self.beta_box)):
             if not (0.0 < lo < hi):
                 raise DomainError(f"{name} must satisfy 0 < lo < hi, got ({lo}, {hi})")
-        if not self.coarse_step > 0.0 or not self.tol > 0.0:
-            raise DomainError("coarse_step and tol must be positive")
+        if not (self.coarse_step > 0.0 and self.tol > 0.0 and self.accuracy > 0.0):
+            raise DomainError("coarse_step, tol and accuracy must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,9 +229,9 @@ def u_functional(
 # ---------------------------------------------------------------------------
 
 def _golden_min(fn, lo: float, hi: float, tol: float, known: dict | None = None):
-    """Minimize on [lo, hi]; returns the best evaluated point, preferring the
-    smaller argument on exact ties.  ``known`` maps points to values of
-    ``fn`` that are already computed."""
+    """Minimize on [lo, hi]; returns the best evaluated point and its value,
+    preferring the smaller argument on exact ties.  ``known`` maps points to
+    values of ``fn`` that are already computed."""
     evals: dict[float, float] = {}
 
     def f(x: float) -> float:
@@ -254,7 +254,7 @@ def _golden_min(fn, lo: float, hi: float, tol: float, known: dict | None = None)
             a, c = c, d
             d = a + _INVPHI * (b - a)
     best = min(sorted(evals), key=lambda x: (evals[x], x))
-    return best, evals[best], evals
+    return best, evals[best]
 
 
 def _refine_min(fn, axis: np.ndarray, values: np.ndarray, tol: float):
@@ -266,7 +266,7 @@ def _refine_min(fn, axis: np.ndarray, values: np.ndarray, tol: float):
     lo, hi = axis[i_lo], axis[i_hi]
     if lo == hi:
         return float(axis[k]), values[k]
-    x, v, _ = _golden_min(fn, lo, hi, tol, {lo: values[i_lo], hi: values[i_hi]})
+    x, v = _golden_min(fn, lo, hi, tol, {lo: values[i_lo], hi: values[i_hi]})
     if values[k] < v or (values[k] == v and axis[k] < x):
         return float(axis[k]), values[k]
     return float(x), v

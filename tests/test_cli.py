@@ -11,6 +11,15 @@ def run_cli(*args):
     return main(list(args))
 
 
+def assert_usage_error(capsys) -> str:
+    """Nothing on stdout and exactly one error line on stderr; returns it."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1, captured.err
+    return errors[0]
+
+
 class TestParsing:
     def test_range_includes_endpoints(self):
         vals = parse_range("0.05:1.5:0.05")
@@ -273,8 +282,100 @@ class TestConfigFile:
         cfg.write_text("m 4\n")
         assert run_cli("optimize", "--config", str(cfg)) == 2
 
+    def test_flag_before_config_still_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m = 4\neps = 0.9\nstep = 0.25\n")
+        assert run_cli("optimize", "--eps", "0", "--config", str(cfg)) == 0
+        assert json.loads(capsys.readouterr().out)["eps"] == 0.0
+
+    # each run as flags and as config lines; keys use both "-" and "_"
+    SAME_RUNS = {
+        "surface": {"m": "2", "eps": "0.5", "alpha": "0.5:1.0:0.5", "beta": "0.5:1.0:0.5",
+                    "format": "json", "accuracy": "1e-9"},
+        "optimize": {"m": "2", "eps": "0.25", "step": "0.25", "u_variant": "whole-sum",
+                     "scheme": "nested", "alpha-box": "0.1:1.2"},
+        "sweep": {"m": "2,4", "eps": "0,0.5", "step": "0.25", "tol": "0.01"},
+        "validate": {"m": "2", "alpha": "0.8", "beta": "0.7", "eps": "0.25",
+                     "photons": "20000", "seed": "9"},
+        "keyrate": {"m": "2", "eps": "0", "rep_rate_hz": "1e6", "step": "0.25",
+                    "beta_box": "0.2:1.4"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(SAME_RUNS))
+    def test_config_run_equals_flag_run(self, command, tmp_path, capsys):
+        values = self.SAME_RUNS[command]
+        flags = [token for key, value in values.items()
+                 for token in ("--" + key.replace("_", "-"), value)]
+        code = run_cli(command, *flags)
+        by_flags = capsys.readouterr().out
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# same run\n\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert run_cli(command, "--config", str(cfg)) == code
+        assert capsys.readouterr().out == by_flags != ""
+
+    def test_out_key_writes_file(self, tmp_path, capsys):
+        out = tmp_path / "result.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"m = 2\neps = 0\nstep = 0.25\nout = {out}\n")
+        assert run_cli("optimize", "--config", str(cfg)) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["m"] == 2
+
+    @pytest.mark.parametrize("lines", [
+        "m = 4.5\neps = 0.5\n",          # unparsable value
+        "m = 4\neps = 0.5\nstep = abc\n",
+        "m = 4\neps = 0.5\nsetp = 0.25\n",  # misspelled key
+        "m = 4\neps = 0.5\nrep_rate_hz = 1e6\n",  # no such flag for optimize
+    ], ids=["bad-int", "bad-float", "misspelled-key", "foreign-key"])
+    def test_bad_config_line_is_usage_error(self, lines, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        assert run_cli("optimize", "--config", str(cfg)) == 2
+        assert_usage_error(capsys)
+
+    def test_bad_format_rejected_before_surface(self, tmp_path, capsys, monkeypatch):
+        import tfqkd.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("surface computed")
+
+        monkeypatch.setattr(cli_module, "c_surface", never)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m = 4\neps = 0.5\nformat = xml\n")
+        assert run_cli("surface", "--config", str(cfg)) == 2
+        assert_usage_error(capsys)
+
+    def test_config_flag_without_path(self, capsys):
+        assert run_cli("optimize", "--m", "4", "--eps", "0", "--config") == 2
+        assert "--config" in assert_usage_error(capsys)
+
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ("surface", "--m", "4"),
+        ("optimize", "--eps", "0.5"),
+        ("sweep", "--m", "2,4"),
+        ("validate", "--m", "2", "--alpha", "0.8", "--eps", "0.5"),
+        ("keyrate", "--m", "2", "--eps", "0"),
+    ], ids=lambda argv: argv[0])
+    def test_missing_required_flag(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        assert "required" in assert_usage_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--m", "2.5", "--eps", "0"),
+        ("sweep", "--m", "2", "--eps", "x"),
+        ("validate", "--m", "2", "--alpha", "0.8", "--beta", "0.7", "--eps", "0.5",
+         "--seed", "-1"),
+        ("keyrate", "--m", "2", "--eps", "0", "--rep-rate-hz", "nan"),
+        ("keyrate", "--m", "2", "--eps", "0", "--rep-rate-hz", "-1"),
+        *[(command, "--m", "4", "--eps", "0", "--accuracy", bad)
+          for command in ("surface", "optimize") for bad in ("0", "-1e-8", "nan")],
+    ])
+    def test_bad_flag_value(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        assert_usage_error(capsys)
+
     def test_unknown_command(self):
         assert run_cli("frobnicate") == 2
 

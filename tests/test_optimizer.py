@@ -153,8 +153,8 @@ class TestMinimizeBeta:
 
     def test_argmin_invariant_under_rescaling(self):
         # positive rescaling of the objective must not move the minimizer
-        base, _, _ = _golden_min(lambda b: u_functional(4, 0.5, b), 0.4, 1.2, 1e-4)
-        scaled, _, _ = _golden_min(lambda b: 7.3 * u_functional(4, 0.5, b), 0.4, 1.2, 1e-4)
+        base, _ = _golden_min(lambda b: u_functional(4, 0.5, b), 0.4, 1.2, 1e-4)
+        scaled, _ = _golden_min(lambda b: 7.3 * u_functional(4, 0.5, b), 0.4, 1.2, 1e-4)
         assert scaled == pytest.approx(base, abs=1e-4)
 
     def test_rejects_bad_box(self):
@@ -292,6 +292,11 @@ class TestOptimizePoint:
             OptimizerConfig(scheme="random")
         with pytest.raises(DomainError):
             OptimizerConfig(alpha_box=(1.0, 0.5))
+
+    def test_rejects_non_positive_accuracy(self):
+        for accuracy in (0.0, -1e-8, float("nan")):
+            with pytest.raises(DomainError):
+                OptimizerConfig(accuracy=accuracy)
 
 
 class TestSweep:
