@@ -119,18 +119,25 @@ def is_column_stochastic(matrix: np.ndarray, tol: float = 1e-9) -> bool:
 # Single-basis matrices
 # ---------------------------------------------------------------------------
 
-def _lattice_block(cumulative, m: int, at_neg_inf: float, at_pos_inf: float) -> np.ndarray:
-    """m x m block ``P[r, a] = F(r - a + 1/2) - F(r - a - 1/2)`` of a cumulative F.
+def _lattice_block(values: np.ndarray, at_neg_inf: float, at_pos_inf: float) -> np.ndarray:
+    """m x m blocks ``P[..., r, a] = F(r - a + 1/2) - F(r - a - 1/2)`` of cumulatives F.
 
     Every bin bound minus every symbol center is one of the 2m half-integers
-    ``k + 1/2``, k = -m..m-1, so F is read there once; the outer bins reach
-    past the lattice, so row 0 subtracts F(-inf) and row m-1 takes F(+inf).
+    ``k + 1/2``, k = -m..m-1, so ``values[..., :]`` holds F there; the outer
+    bins reach past the lattice, so row 0 subtracts F(-inf) and row m-1 takes F(+inf).
     """
-    values = cumulative(np.arange(-m, m) + 0.5)
+    m = values.shape[-1] // 2
     idx = np.arange(m)[:, None] - np.arange(m)[None, :] + m
-    upper, lower = values[idx], values[idx - 1]
-    upper[-1], lower[0] = at_pos_inf, at_neg_inf
-    return upper - lower
+    upper, lower = np.take(values, idx, axis=-1), np.take(values, idx - 1, axis=-1)
+    upper[..., -1, :], lower[..., 0, :] = at_pos_inf, at_neg_inf
+    upper -= lower
+    return upper
+
+
+def _correct_stack(m: int, alphas) -> np.ndarray:
+    """:func:`p_correct` at each of ``alphas``, from one ``erf`` call: (k, m, m)."""
+    sigma = 0.5 * np.asarray(alphas, dtype=float)[:, None]
+    return 0.5 * _lattice_block(erf((np.arange(-m, m) + 0.5) / sigma), -1.0, 1.0)
 
 
 def p_correct(params: ProtocolParams) -> np.ndarray:
@@ -140,18 +147,27 @@ def p_correct(params: ProtocolParams) -> np.ndarray:
     ``c(a)`` inside bin ``r``; columns are exactly stochastic because the
     bins tile the whole axis.
     """
-    return 0.5 * _lattice_block(lambda k: erf(k / params.symbol_sigma), params.m, -1.0, 1.0)
+    return _correct_stack(params.m, [params.alpha])[0]
 
 
 def p_wrong(params: ProtocolParams) -> np.ndarray:
     """Receiver conjugate to the resent/sent pulse: centered wide pulse.
 
     The conjugate pulse is centered on the whole bin comb, so every column
-    is the same vector of bin masses of a width-``beta*m/2`` pulse at 0.
+    is the same vector of bin masses of a width-``beta*m/2`` pulse at 0; the
+    matrix is a read-only broadcast of that column.
     """
     inner = erf(make_layout(params.m).upper[:-1] / params.conjugate_sigma)
     col = 0.5 * np.diff(np.concatenate([[-1.0], inner, [1.0]]))
-    return np.tile(col[:, None], (1, params.m))
+    return np.broadcast_to(col[:, None], (params.m, params.m))
+
+
+def _second_correct_stack(m: int, alphas, beta: float, accuracy: float) -> np.ndarray:
+    """:func:`p_second_correct` at each of ``alphas``, from one spectrum query: (k, m, m)."""
+    spectrum = pulse_math.cached_spectrum(m, beta, accuracy)
+    w = (2.0 / np.asarray(alphas, dtype=float))[:, None] * (np.arange(-m, m) + 0.5)
+    P = _lattice_block(spectrum.cumulative(w), 0.0, 1.0)
+    return pulse_math._clip_within(P, 1.0, accuracy)
 
 
 def p_second_correct(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> np.ndarray:
@@ -164,10 +180,7 @@ def p_second_correct(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY)
     :mod:`tfqkd.pulse_math`, answers every entry.  Bin bounds map to
     spectrum coordinates as ``w = 2*(b - c(a))/alpha``.
     """
-    spectrum = pulse_math.cached_spectrum(params.m, params.beta, accuracy)
-    scale = 2.0 / params.alpha
-    P = _lattice_block(lambda k: spectrum.cumulative(scale * k), params.m, 0.0, 1.0)
-    return pulse_math._clip_within(P, 1.0, accuracy)
+    return _second_correct_stack(params.m, [params.alpha], params.beta, accuracy)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +195,12 @@ def _block_diag(top: np.ndarray, bottom: np.ndarray | None = None) -> np.ndarray
     return out
 
 
-# Per-basis blocks of attack_matrix and mixed_bob_matrix, from an already
-# computed pc = p_correct(params); both bases share the same block.
-
-def _attack_block(params: ProtocolParams, pc: np.ndarray) -> np.ndarray:
-    return 0.5 * (pc @ pc + p_wrong(params))
-
-
-def _mixed_block(params: ProtocolParams, pc: np.ndarray) -> np.ndarray:
-    eps = params.epsilon
+def _mixed_block(pc: np.ndarray, pc2: np.ndarray, pw: np.ndarray, eps: float) -> np.ndarray:
+    """Per-basis receiver block(s) when a fraction ``eps`` of photons is
+    intercepted and resent, from ``pc``, ``pc2 = pc @ pc`` and ``pw = p_wrong``."""
     if eps == 0.0:
         return pc
-    return (1.0 - eps) * pc + eps * _attack_block(params, pc)
+    return (1.0 - eps) * pc + eps * (0.5 * (pc2 + pw))
 
 
 def bob_matrix(params: ProtocolParams) -> np.ndarray:
@@ -221,9 +228,10 @@ def attack_matrix(params: ProtocolParams) -> np.ndarray:
     matched-basis matrix), otherwise the resent pulse appears in the
     receiver's basis as the centered conjugate pulse.
     """
-    return _block_diag(_attack_block(params, p_correct(params)))
+    return mixed_bob_matrix(ProtocolParams(params.m, params.alpha, params.beta, 1.0))
 
 
 def mixed_bob_matrix(params: ProtocolParams) -> np.ndarray:
     """Receiver's channel averaged over attacked and untouched photons."""
-    return _block_diag(_mixed_block(params, p_correct(params)))
+    pc = p_correct(params)
+    return _block_diag(_mixed_block(pc, pc @ pc, p_wrong(params), params.epsilon))

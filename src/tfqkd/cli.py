@@ -56,8 +56,8 @@ def parse_range(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise DomainError(f"range must be lo:hi:step, got {text!r}")
     lo, hi, step = (float(p) for p in parts)
-    if step <= 0.0 or hi < lo:
-        raise DomainError(f"invalid range {text!r}")
+    if not (0.0 < step < math.inf and -math.inf < lo <= hi < math.inf):
+        raise DomainError(f"range needs finite lo <= hi and step > 0, got {text!r}")
     n = int(math.floor((hi - lo) / step + 0.5))
     vals = lo + step * np.arange(n + 1)
     return vals[vals <= hi + 0.5 * step]
@@ -68,6 +68,8 @@ def parse_box(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise DomainError(f"box must be lo:hi, got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"box bounds must be finite, got {text!r}")
     return lo, hi
 
 
@@ -75,6 +77,9 @@ def _atomic_write(path: str, data: str):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(prefix=".tfqkd-", dir=directory)
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # a plain open's mode, not mkstemp's 0600
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(data)
         os.replace(tmp, path)
@@ -90,14 +95,16 @@ def _emit(path: str | None, data: str):
         sys.stdout.write(data)
 
 
-def _checked(cast, ok, what: str):
-    """An argparse type: ``cast`` the text, then reject a value failing ``ok``."""
+def _checked(cast, ok=lambda value: True, what: str = ""):
+    """An argparse type: ``cast`` the text, then check it with ``ok``; errors say why."""
     def parse(text: str):
-        value = cast(text)
+        try:
+            value = cast(text)
+        except ValueError as exc:  # DomainError included
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
-    parse.__name__ = cast.__name__  # argparse names it in "invalid <type> value"
     return parse
 
 
@@ -147,28 +154,16 @@ def _optimizer_config(args) -> OptimizerConfig:
 
 def cmd_surface(args) -> int:
     grid = c_surface(args.m, args.eps, args.alpha, args.beta, args.accuracy)
+    names = ("alpha", "beta", "capacity", "i_ab", "i_ae", "qser")
+    columns = [getattr(grid, name) for name in names[2:]]
+    rows = [(alpha, beta, *(c[i, j] for c in columns))
+            for i, alpha in enumerate(grid.alpha_axis) for j, beta in enumerate(grid.beta_axis)]
     if args.format == "csv":
-        lines = ["alpha,beta,capacity,i_ab,i_ae,qser"]
-        for i, alpha in enumerate(grid.alpha_axis):
-            for j, beta in enumerate(grid.beta_axis):
-                lines.append(",".join(_fmt(v) for v in (
-                    alpha, beta, grid.capacity[i, j], grid.i_ab[i, j],
-                    grid.i_ae[i, j], grid.qser[i, j],
-                )))
+        lines = [",".join(names)] + [",".join(map(_fmt, row)) for row in rows]
         _emit(args.out, "\n".join(lines) + "\n")
     else:
-        rows = [
-            {
-                "alpha": _round9(alpha), "beta": _round9(beta),
-                "capacity": _round9(grid.capacity[i, j]),
-                "i_ab": _round9(grid.i_ab[i, j]),
-                "i_ae": _round9(grid.i_ae[i, j]),
-                "qser": _round9(grid.qser[i, j]),
-            }
-            for i, alpha in enumerate(grid.alpha_axis)
-            for j, beta in enumerate(grid.beta_axis)
-        ]
-        payload = {"m": args.m, "eps": _round9(args.eps), "points": rows}
+        points = [dict(zip(names, map(_round9, row))) for row in rows]
+        payload = {"m": args.m, "eps": _round9(args.eps), "points": points}
         _emit(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
@@ -304,15 +299,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("surface", help="capacity over an (alpha, beta) grid")
     common(p)
     for axis in ("--alpha", "--beta"):
-        p.add_argument(axis, type=parse_range, default="0.05:1.5:0.05",
+        p.add_argument(axis, type=_checked(parse_range), default="0.05:1.5:0.05",
                        help="grid as lo:hi:step (endpoints included)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_surface)
 
     def optimizer_flags(p):
         d = OptimizerConfig
-        p.add_argument("--alpha-box", type=parse_box, default=d.alpha_box, help="search box lo:hi")
-        p.add_argument("--beta-box", type=parse_box, default=d.beta_box, help="search box lo:hi")
+        p.add_argument("--alpha-box", type=_checked(parse_box), default=d.alpha_box, help="search box lo:hi")
+        p.add_argument("--beta-box", type=_checked(parse_box), default=d.beta_box, help="search box lo:hi")
         p.add_argument("--step", type=float, default=d.coarse_step, help="coarse grid step")
         p.add_argument("--tol", type=float, default=d.tol, help="golden-section width tolerance")
         p.add_argument("--u-variant", choices=("per-term", "whole-sum"), default=d.u_variant)

@@ -52,6 +52,18 @@ def marginal(matrix: np.ndarray, prior: np.ndarray) -> np.ndarray:
     return matrix @ prior
 
 
+def _mutual_info(matrix: np.ndarray, prior: np.ndarray, received: np.ndarray):
+    """Mutual information (bits) of each channel of a (..., r, s) stack."""
+    joint = matrix * prior
+    mask = joint > _ZERO_CLAMP
+    # marginals are positive wherever some joint entry in the row is; the
+    # other entries keep log2(1) = 0
+    terms = np.divide(matrix, received[..., None], out=np.ones_like(joint), where=mask)
+    np.log2(terms, out=terms)
+    np.multiply(terms, joint, out=terms, where=mask)
+    return terms.sum(axis=(-2, -1))
+
+
 def mutual_info_single(matrix: np.ndarray, prior: np.ndarray) -> float:
     """Mutual information (bits) between sender and receiver of one channel.
 
@@ -59,14 +71,7 @@ def mutual_info_single(matrix: np.ndarray, prior: np.ndarray) -> float:
     distribution.
     """
     matrix = np.asarray(matrix, dtype=float)
-    received = marginal(matrix, prior)
-    joint = matrix * np.asarray(prior, dtype=float)[None, :]
-    mask = joint > _ZERO_CLAMP
-    # marginals are positive wherever some joint entry in the row is
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(mask, matrix / received[:, None], 1.0)
-        terms = np.where(mask, joint * np.log2(ratio), 0.0)
-    return float(terms.sum())
+    return float(_mutual_info(matrix, prior, marginal(matrix, prior)))
 
 
 def mutual_info_dual(matrix: np.ndarray, prior: np.ndarray | None = None) -> float:
@@ -90,39 +95,47 @@ def mutual_info_dual(matrix: np.ndarray, prior: np.ndarray | None = None) -> flo
 # prior its mutual_info_dual is the mean of its two m x m blocks' values, and
 # the receiver's QSER comes from the one block both bases share.
 
-def _block_info(block: np.ndarray) -> float:
-    m = block.shape[0]
-    return mutual_info_single(block, np.full(m, 1.0 / m))
+def _block_stats(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Information and QSER of each block of a (k, m, m) stack."""
+    m = blocks.shape[-1]
+    prior = np.full(m, 1.0 / m)
+    return _mutual_info(blocks, prior, blocks @ prior), 1.0 - np.trace(blocks, axis1=-2, axis2=-1) / m
 
 
-def _qser(block: np.ndarray) -> float:
-    return float(1.0 - np.trace(block) / block.shape[0])
+# A chunk of alphas stacks at most this many matrix entries, so memory stays
+# flat however large m is (one alpha per chunk from m = 128 on).
+_CHUNK_ENTRIES = 1 << 14
 
 
 def _capacity_grid(m, epsilon, alphas, betas, accuracy: float):
-    """``(capacity, i_ab, i_ae, qser)`` arrays over ``alphas x betas``; the
-    alpha-only terms are computed once per row, and at ``epsilon == 0``
-    beta plays no part."""
+    """``(capacity, i_ab, i_ae, qser)`` arrays over ``alphas x betas``, one
+    beta column of a chunk of alphas at a time: one wrong-basis column, one
+    spectrum query and one stacked information pass per column, the
+    alpha-only blocks once per chunk.  At ``epsilon == 0`` beta plays no part."""
+    m = ProtocolParams(m, alphas[0], betas[0], epsilon).m  # validates m and epsilon
     shape = (len(alphas), len(betas))
     ab, ae, qs = np.empty(shape), np.zeros(shape), np.empty(shape)
-    for i, alpha in enumerate(alphas):
-        pc = channel.p_correct(ProtocolParams(m, alpha, betas[0], epsilon))
-        info_pc = _block_info(pc)
+    step = max(1, _CHUNK_ENTRIES // (m * m))
+    for lo in range(0, len(alphas), step):
+        rows, chunk = slice(lo, lo + step), alphas[lo:lo + step]
+        pc = channel._correct_stack(m, chunk)
+        info_pc, qser_pc = _block_stats(pc)
         if epsilon == 0.0:
-            ab[i], qs[i] = info_pc, _qser(pc)
+            ab[rows], qs[rows] = info_pc[:, None], qser_pc[:, None]
             continue
+        pc2 = pc @ pc
         for j, beta in enumerate(betas):
-            params = ProtocolParams(m, alpha, beta, epsilon)
-            mixed = channel._mixed_block(params, pc)
-            ab[i, j], qs[i, j] = _block_info(mixed), _qser(mixed)
-            second = channel.p_second_correct(params, accuracy)
-            ae[i, j] = epsilon * 0.5 * (info_pc + _block_info(second))
+            # no per-column stack outlives its statement, which bounds peak memory
+            pw = channel.p_wrong(ProtocolParams(m, alphas[0], beta))
+            ab[rows, j], qs[rows, j] = _block_stats(channel._mixed_block(pc, pc2, pw, epsilon))
+            info_second = _block_stats(channel._second_correct_stack(m, chunk, beta, accuracy))[0]
+            ae[rows, j] = epsilon * 0.5 * (info_pc + info_second)
     return np.maximum(ab - ae, 0.0), ab, ae, qs
 
 
 def i_ab(params: ProtocolParams) -> float:
     """Sender-receiver information over the attack-averaged channel."""
-    return _block_info(channel._mixed_block(params, channel.p_correct(params)))
+    return capacity(params).i_ab
 
 
 def i_ae(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> float:
@@ -134,7 +147,7 @@ def i_ae(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> float:
 def qser(params: ProtocolParams) -> float:
     """Symbol error rate of the sifted key: one minus the mean diagonal of
     the attack-averaged receiver matrix."""
-    return _qser(channel._mixed_block(params, channel.p_correct(params)))
+    return capacity(params).qser
 
 
 def capacity(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> CapacityReport:

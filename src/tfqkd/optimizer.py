@@ -326,11 +326,14 @@ def optimize_point(
     alpha_axis = _axis(config.alpha_box, config.coarse_step)
     beta_axis = _axis(config.beta_box, config.coarse_step)
     trace: list[tuple[float, float, float]] = []
+    coarse = dict(zip(alpha_axis, c_surface(m, epsilon, alpha_axis, beta_axis, config.accuracy).capacity))
 
     @cache
     def row(alpha: float) -> np.ndarray:
-        # capacity over the beta grid at this alpha
-        caps = c_surface(m, epsilon, [alpha], beta_axis, config.accuracy).capacity[0]
+        # capacity over the beta grid at this alpha, off the coarse grid if it is on it
+        caps = coarse.get(alpha)
+        if caps is None:
+            caps = c_surface(m, epsilon, [alpha], beta_axis, config.accuracy).capacity[0]
         trace.extend((alpha, b, c) for b, c in zip(beta_axis, caps))
         return caps
 

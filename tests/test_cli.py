@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -375,6 +377,31 @@ class TestUsage:
     def test_bad_flag_value(self, argv, capsys):
         assert run_cli(*argv) == 2
         assert_usage_error(capsys)
+
+    @pytest.mark.parametrize("argv,reason", [
+        (("surface", "--alpha", "0.1:inf:0.1"), "finite lo <= hi"),
+        (("surface", "--beta", "0.1:0.5:nan"), "step > 0"),
+        (("surface", "--alpha", "1.0:0.1:0.1"), "lo <= hi"),
+        (("surface", "--beta", "0.1:0.5"), "lo:hi:step"),
+        (("optimize", "--alpha-box", "0.1:inf"), "must be finite"),
+        (("optimize", "--beta-box", "0.2:0.9:0.1"), "lo:hi"),
+    ], ids=["alpha-inf", "beta-nan-step", "alpha-reversed", "beta-two-parts",
+            "alpha-box-inf", "beta-box-three-parts"])
+    def test_bad_range_names_reason(self, argv, reason, capsys):
+        assert run_cli(*argv, "--m", "4", "--eps", "0") == 2
+        assert reason in assert_usage_error(capsys)
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_out_file_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "perm.json"
+        old = os.umask(0o022)
+        try:
+            code = run_cli("optimize", "--m", "2", "--eps", "0", "--step", "0.25",
+                           "--out", str(out))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
     def test_unknown_command(self):
         assert run_cli("frobnicate") == 2

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import tfqkd.infotheory as infotheory_module
+from tfqkd import pulse_math
 from tfqkd.channel import (
     ProtocolParams,
     attack_matrix,
@@ -10,8 +12,9 @@ from tfqkd.channel import (
     eve_matrix,
     mixed_bob_matrix,
     p_correct,
+    p_second_correct,
 )
-from tfqkd.errors import DomainError
+from tfqkd.errors import DomainError, NumericFailure
 from tfqkd.infotheory import (
     capacity,
     i_ab,
@@ -201,6 +204,55 @@ class TestCapacity:
         rep = capacity(ProtocolParams(8, 0.4, 0.8, eps))
         assert 0.0 <= rep.capacity <= 3.0
         assert 0.0 <= rep.i_ae <= eps * 3.0 + 1e-12
+
+
+class TestCapacityGrid:
+    """The column-batched grid against per-point evaluation."""
+
+    @staticmethod
+    def _per_point(m, eps, alpha, beta):
+        params = ProtocolParams(m, alpha, beta, eps)
+        mixed = mixed_bob_matrix(params)
+        ab = mutual_info_dual(mixed)
+        ae = eps * mutual_info_dual(_block_diag(p_correct(params), p_second_correct(params)))
+        return max(ab - ae, 0.0), ab, ae, 1.0 - np.trace(mixed) / (2 * m)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("m", [2, 3, 4, 16, 32])
+    def test_matches_per_point_reference(self, monkeypatch, m, eps):
+        # three alphas per chunk: the seven-alpha axis spans three chunks,
+        # the last one partial
+        monkeypatch.setattr(infotheory_module, "_CHUNK_ENTRIES", 3 * m * m)
+        alphas, betas = np.linspace(0.15, 1.35, 7), np.array([0.3, 0.7, 1.2])
+        grid = infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8)
+        for i, alpha in enumerate(alphas):
+            for j, beta in enumerate(betas):
+                expected = self._per_point(m, eps, alpha, beta)
+                got = [a[i, j] for a in grid]
+                assert got == pytest.approx(expected, rel=0.0, abs=1e-12), (alpha, beta)
+
+    @pytest.mark.parametrize("m,n_alphas", [(16, 70), (32, 20)])
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_chunk_size_leaves_grid_bitwise_unchanged(self, monkeypatch, m, n_alphas, eps):
+        # the default chunk holds 64 alphas at m = 16 and 16 at m = 32
+        alphas, betas = np.linspace(0.1, 1.4, n_alphas), np.array([0.4, 0.9])
+        batched = infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8)
+        monkeypatch.setattr(infotheory_module, "_CHUNK_ENTRIES", 1)
+        single = infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8)
+        for a, b in zip(batched, single):
+            assert np.array_equal(a, b)
+
+    def test_clip_failure_propagates(self, monkeypatch):
+        # the second-stage blocks of a whole column are clipped together; an
+        # excursion beyond accuracy in any of them still raises
+        class Falling:
+            def cumulative(self, w):
+                return 0.5 + 0.1 * np.clip(w, -5.0, 5.0) - 1e-6 * (w > 8.0)
+
+        monkeypatch.setattr(pulse_math, "cached_spectrum", lambda *args: Falling())
+        with pytest.raises(NumericFailure) as info:
+            infotheory_module._capacity_grid(4, 0.5, np.array([0.3, 0.5, 0.9]), [0.7], 1e-8)
+        assert info.value.achieved == pytest.approx(1e-6, rel=1e-9)
 
 
 class TestQser:

@@ -269,7 +269,8 @@ class TestOptimizePoint:
         (4, 0.5, OptimizerConfig(coarse_step=0.1)),
     ])
     def test_alpha_only_terms_once_per_row(self, monkeypatch, m, eps, config):
-        calls = {"p_correct": 0, "p_second_correct": 0}
+        # the stacked builders behind p_correct and p_second_correct
+        calls = {"_correct_stack": 0, "_second_correct_stack": 0}
 
         def counting(name):
             real = getattr(channel_module, name)
@@ -283,9 +284,32 @@ class TestOptimizePoint:
         for name in calls:
             monkeypatch.setattr(channel_module, name, counting(name))
         res = optimize_point(m, eps, config)
-        assert calls["p_correct"] <= len({a for (a, _, _) in res.trace}) + 1
+        assert 0 < calls["_correct_stack"] <= len({a for (a, _, _) in res.trace}) + 1
         if eps == 0.0:
-            assert calls["p_second_correct"] == 0
+            assert calls["_second_correct_stack"] == 0
+
+    def test_coarse_grid_queries_spectrum_once_per_beta_column(self, monkeypatch):
+        from tfqkd.pulse_math import TruncatedSpectrum
+
+        queries, surfaces = [0], []
+        real_cumulative, real_surface = TruncatedSpectrum.cumulative, optimizer_module.c_surface
+
+        def cumulative(self, w):
+            queries[0] += 1
+            return real_cumulative(self, w)
+
+        def surface(*args, **kwargs):
+            before = queries[0]
+            grid = real_surface(*args, **kwargs)
+            surfaces.append((grid.alpha_axis.size, grid.beta_axis.size, queries[0] - before))
+            return grid
+
+        monkeypatch.setattr(TruncatedSpectrum, "cumulative", cumulative)
+        monkeypatch.setattr(optimizer_module, "c_surface", surface)
+        optimize_point(16, 0.5)
+        n_alphas, n_betas, coarse_queries = surfaces[0]
+        assert (n_alphas, n_betas) == (30, 30)
+        assert coarse_queries == n_betas  # one per column, not one per point
 
     def test_rejects_bad_config(self):
         with pytest.raises(DomainError):
