@@ -128,36 +128,39 @@ def c_surface(m, epsilon, alpha_axis, beta_axis, accuracy: float = DEFAULT_ACCUR
 # Overlap functional
 # ---------------------------------------------------------------------------
 
-def _gauss_cdf(t, mu, width):
-    # CDF of the unit-mass density with 1/e half-width `width`
-    return 0.5 * (1.0 + erf((t - mu) / width))
+def _term_crossings(centers: np.ndarray, w_sym: float, w_con: float) -> np.ndarray:
+    """Crossings of each shifted symbol density with the centered conjugate
+    density, one row per center: the two roots of ``log rho_sym = log
+    rho_con``, a quadratic in t, or its one root ``c/2`` where the widths
+    are equal (``a == 0``, also for widths an ulp apart).  The roots are
+    ``q/a`` and ``c/q`` with ``q = -(b + sign(b) sqrt(disc))/2``: the
+    textbook ``(-b + sqrt(disc))/2a`` cancels as ``a`` goes to 0."""
+    a = 1.0 / (w_con * w_con) - 1.0 / (w_sym * w_sym)
+    if a == 0.0:
+        return 0.5 * centers[:, None]
+    b = 2.0 * (centers / (w_sym * w_sym))
+    c = -centers * centers / (w_sym * w_sym) - math.log(w_sym / w_con)
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    return np.sort(np.column_stack([q / a, c / q]), axis=1)
 
 
-def _gauss_l1(mu1: float, w1: float, mu2: float, w2: float) -> float:
-    """Exact L1 distance between two unit-mass Gaussian densities.
+def _piecewise_l1(cuts: np.ndarray, centers: np.ndarray, w_sym: float, w_con: float) -> float:
+    """Sum over the pieces between ``cuts`` (sorted on the last axis) of
+    |comb mass - n * conjugate mass|, where the comb holds the ``n`` symbol
+    densities at ``centers`` (last axis) and the conjugate sits at 0.
 
-    Densities with unequal widths cross exactly twice, equal widths once;
-    between crossings the difference keeps one sign, so the integral reduces
-    to CDF differences at the crossings.
+    Between crossings the difference keeps one sign, so each piece is an
+    exact difference of cumulative masses: one erf per (cut, center) and per
+    cut of the conjugate density, the infinite cuts at erf = -1 and +1.
     """
-    if w1 == w2:
-        if mu1 == mu2:
-            return 0.0
-        tc = 0.5 * (mu1 + mu2)
-        return 2.0 * abs(_gauss_cdf(tc, mu1, w1) - _gauss_cdf(tc, mu2, w2))
-    # solve log rho1 = log rho2: quadratic in t with the width-ratio offset
-    a = 1.0 / (w2 * w2) - 1.0 / (w1 * w1)
-    b = 2.0 * (mu1 / (w1 * w1) - mu2 / (w2 * w2))
-    c = mu2 * mu2 / (w2 * w2) - mu1 * mu1 / (w1 * w1) - math.log(w1 / w2)
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        return 0.0
-    r = math.sqrt(disc)
-    t1, t2 = sorted(((-b - r) / (2.0 * a), (-b + r) / (2.0 * a)))
-    d = (_gauss_cdf(t2, mu1, w1) - _gauss_cdf(t1, mu1, w1)) - (
-        _gauss_cdf(t2, mu2, w2) - _gauss_cdf(t1, mu2, w2)
-    )
-    return 2.0 * abs(d)
+    n = centers.shape[-1]
+    scaled = np.concatenate([(cuts[..., None] - centers) / w_sym, cuts[..., None] / w_con], axis=-1)
+    edge = np.ones(scaled.shape[:-2] + (1, n + 1))
+    mass = 0.5 * np.diff(np.concatenate([-edge, erf(scaled), edge], axis=-2), axis=-2)
+    total = np.abs(mass[..., :n].sum(axis=-1) - n * mass[..., n]).sum()
+    if not np.isfinite(total):
+        raise NumericFailure("overlap functional produced a non-finite value")
+    return float(total)
 
 
 def u_functional(
@@ -173,7 +176,9 @@ def u_functional(
     to the centered conjugate pulse; ``whole-sum`` takes the absolute value
     outside the sum and is bounded above by the per-term value.  Both reduce
     to error-function expressions between sign changes of the density
-    difference; ``accuracy`` (positive) bounds the crossing refinement.
+    difference, summed by one shared evaluator.  ``accuracy`` (positive)
+    bounds only the ``whole-sum`` bisection of those crossings; the
+    ``per-term`` crossings are closed-form.
     """
     params = ProtocolParams(m, alpha, beta)  # validates the inputs
     if not accuracy > 0.0:
@@ -181,7 +186,8 @@ def u_functional(
     centers = make_layout(m).centers
     w_sym, w_con = params.symbol_sigma, params.conjugate_sigma
     if variant == "per-term":
-        return float(sum(_gauss_l1(c, w_sym, 0.0, w_con) for c in centers))
+        return _piecewise_l1(_term_crossings(centers, w_sym, w_con), centers[:, None, None],
+                             w_sym, w_con)
     if variant != "whole-sum":
         raise DomainError(f"unknown u variant {variant!r}")
 
@@ -211,17 +217,7 @@ def u_functional(
         mid = 0.5 * (lo + hi)
         left = np.signbit(diff(mid)) == negative[flips]
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
-    roots = 0.5 * (lo + hi)
-
-    # between crossings the sign is constant, so each piece is an exact
-    # difference of cumulative masses: one erf per (cut, center) and per cut
-    # of the conjugate density, the infinite cuts at erf = -1 and +1
-    scaled = np.column_stack([(roots[:, None] - centers) / w_sym, roots / w_con])
-    mass = 0.5 * np.diff(np.vstack([np.full(m + 1, -1.0), erf(scaled), np.ones(m + 1)]), axis=0)
-    total = np.abs(mass[:, :m].sum(axis=1) - m * mass[:, m]).sum()
-    if not np.isfinite(total):
-        raise NumericFailure("overlap functional produced a non-finite value")
-    return float(total)
+    return _piecewise_l1(0.5 * (lo + hi), centers, w_sym, w_con)
 
 
 # ---------------------------------------------------------------------------

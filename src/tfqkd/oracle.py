@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import chdtrc, erfc
+from scipy.special import chdtrc
 
 from .channel import ProtocolParams, make_layout
 from .errors import DomainError, NumericFailure
@@ -263,7 +263,6 @@ class DftSpectrum:
     x_grid: np.ndarray
     x_weights: np.ndarray
     total_mass: float
-    x_tail_mass: float
     w_tail_estimate: float
     error_order: str
 
@@ -364,9 +363,6 @@ def dft_spectrum_oracle(
     phi_sq = np.exp(-x_grid**2) / (2.0 * np.pi)
     total_mass = float(2.0 * np.pi / _SQRTPI * (phi_sq @ x_weights))
 
-    # amplitude mass ignored by clipping the window to the pulse support
-    x_tail = float(0.5 * erfc(_X_SUPPORT / np.sqrt(2.0)))
-
     phi_lo = np.exp(-0.5 * x_lo**2) / np.sqrt(2.0 * np.pi)
     phi_hi = np.exp(-0.5 * x_hi**2) / np.sqrt(2.0 * np.pi)
     w_tail = float((phi_lo**2 + phi_hi**2) / (_SQRTPI * grid_span)) if x_grid.size else 0.0
@@ -391,7 +387,6 @@ def dft_spectrum_oracle(
         x_grid=x_grid,
         x_weights=x_weights,
         total_mass=total_mass,
-        x_tail_mass=x_tail,
         w_tail_estimate=w_tail,
         error_order="O(h^4)" if rule == "simpson" else "O(h^2)",
     )

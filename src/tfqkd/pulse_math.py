@@ -341,13 +341,16 @@ class TruncatedSpectrum:
 
     def bin_mass(self, w_lo: float, w_hi: float) -> float:
         """Spectral mass on ``[w_lo, w_hi]``; unbounded sides use the
-        remainder against ``total_mass`` rather than direct integration."""
+        remainder against ``total_mass`` rather than direct integration.
+        Raises :class:`NumericFailure` if it is negative by more than
+        ``accuracy``."""
         if w_lo > w_hi:
             raise DomainError(f"empty interval: w_lo={w_lo} > w_hi={w_hi}")
         if w_lo == w_hi:
             return 0.0
         # cumulative is exactly 0 at -inf and total_mass at +inf
-        return max(self.cumulative(w_hi) - self.cumulative(w_lo), 0.0)
+        mass = np.array([self.cumulative(w_hi) - self.cumulative(w_lo)])
+        return float(_clip_within(mass, self.total_mass, self.accuracy)[0])
 
 
 def _clip_within(values: np.ndarray, upper: float, accuracy: float) -> np.ndarray:

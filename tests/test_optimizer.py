@@ -43,6 +43,33 @@ def _u_per_term_quadrature(m, alpha, beta):
     return total
 
 
+def _u_per_term_scalar(m, alpha, beta):
+    """Reference per-term algorithm: one scalar two-crossing L1 distance per
+    center, the textbook quadratic roots and four CDF values each.  The
+    textbook roots cancel as the widths approach each other, so the
+    reference holds only away from near-equal widths."""
+    w_sym, w_con = 0.5 * alpha, 0.5 * beta * m
+
+    def cdf(t, mu, width):
+        return 0.5 * (1.0 + math.erf((t - mu) / width))
+
+    def l1(mu1, w1, mu2, w2):
+        if w1 == w2:
+            if mu1 == mu2:
+                return 0.0
+            tc = 0.5 * (mu1 + mu2)
+            return 2.0 * abs(cdf(tc, mu1, w1) - cdf(tc, mu2, w2))
+        a = 1.0 / (w2 * w2) - 1.0 / (w1 * w1)
+        b = 2.0 * (mu1 / (w1 * w1) - mu2 / (w2 * w2))
+        c = mu2 * mu2 / (w2 * w2) - mu1 * mu1 / (w1 * w1) - math.log(w1 / w2)
+        r = math.sqrt(b * b - 4.0 * a * c)
+        t1, t2 = sorted(((-b - r) / (2.0 * a), (-b + r) / (2.0 * a)))
+        d = (cdf(t2, mu1, w1) - cdf(t1, mu1, w1)) - (cdf(t2, mu2, w2) - cdf(t1, mu2, w2))
+        return 2.0 * abs(d)
+
+    return sum(l1(c, w_sym, 0.0, w_con) for c in make_layout(m).centers)
+
+
 def _u_whole_sum_scalar(m, alpha, beta, accuracy=1e-10):
     """Reference whole-sum algorithm: grid scan, one brentq per sign change,
     then a scalar sum of bin masses per piece between crossings."""
@@ -74,11 +101,38 @@ def _u_whole_sum_scalar(m, alpha, beta, accuracy=1e-10):
 
 
 class TestUFunctional:
-    @pytest.mark.parametrize("m,alpha,beta", [(2, 0.5, 1.1), (4, 0.5, 0.7), (8, 0.3, 0.9)])
+    # (4, 0.5, 0.125) has equal widths; at (2, 0.3, 0.05 + 0.1) the widths
+    # differ by one rounding, where textbook roots lose the near crossing
+    @pytest.mark.parametrize("m,alpha,beta", [(2, 0.5, 1.1), (4, 0.5, 0.7), (8, 0.3, 0.9),
+                                              (4, 0.5, 0.125), (2, 0.3, 0.05 + 0.1)])
     def test_per_term_matches_quadrature(self, m, alpha, beta):
         assert u_functional(m, alpha, beta) == pytest.approx(
             _u_per_term_quadrature(m, alpha, beta), abs=1e-7
         )
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 16, 32, 256])
+    def test_per_term_matches_scalar_reference(self, m):
+        # beta = alpha / m gives equal widths; odd m puts a center at 0
+        for alpha in (0.05, 0.5, 1.5):
+            for beta in (0.05, 0.7, 1.4, alpha / m):
+                assert u_functional(m, alpha, beta) == pytest.approx(
+                    _u_per_term_scalar(m, alpha, beta), rel=0.0, abs=1e-12
+                )
+
+    @pytest.mark.parametrize("m", [2, 5, 16])
+    def test_per_term_continuous_across_equal_widths(self, m):
+        # conjugate widths an ulp or two from the symbol width, where the
+        # quadratic's leading coefficient is tiny or rounds to 0
+        for alpha in np.linspace(0.05, 1.5, 300):
+            equal = u_functional(m, alpha, alpha / m)
+            for beta in (np.nextafter(alpha / m, 0.0), np.nextafter(alpha / m, 1.0)):
+                assert u_functional(m, alpha, beta) == pytest.approx(equal, rel=0.0, abs=1e-9)
+
+    def test_non_finite_crossing_raises(self):
+        centers = make_layout(4).centers
+        with pytest.raises(NumericFailure):
+            optimizer_module._piecewise_l1(np.full((4, 2), np.nan), centers[:, None, None],
+                                           0.25, 0.5)
 
     def test_bounds(self):
         for m, alpha, beta in [(2, 0.1, 0.1), (4, 1.5, 1.5), (8, 0.7, 0.05)]:

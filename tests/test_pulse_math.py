@@ -11,6 +11,7 @@ from tfqkd.channel import ProtocolParams, p_second_correct
 from tfqkd.errors import DomainError, NumericFailure
 from tfqkd.pulse_math import (
     PulseDensity,
+    TruncatedSpectrum,
     build_spectrum,
     cached_spectrum,
     density_bin_mass,
@@ -365,6 +366,15 @@ class TestSpectrumBinMass:
         spec = build_spectrum(2, 4, 0.7)
         with pytest.raises(DomainError):
             spec.bin_mass(2.0, 1.0)
+
+    def test_non_monotone_cumulative_raises(self, monkeypatch):
+        spec = build_spectrum(2, 4, 0.7)
+        # G falling by half the tolerance is clipped to 0, by twice it raises
+        monkeypatch.setattr(TruncatedSpectrum, "cumulative", lambda self, w: -0.5 * spec.accuracy * w)
+        assert spec.bin_mass(1.0, 2.0) == 0.0
+        monkeypatch.setattr(TruncatedSpectrum, "cumulative", lambda self, w: -2.0 * spec.accuracy * w)
+        with pytest.raises(NumericFailure):
+            spec.bin_mass(1.0, 2.0)
 
 
 class TestWorkBudget:
