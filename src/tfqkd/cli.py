@@ -130,15 +130,19 @@ def _with_config(argv: list[str]) -> list[str]:
     if not path:
         return argv
     tokens = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"config line is not key = value: {line!r}")
-            key, _, value = line.partition("=")
-            tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"config file {path} is not UTF-8 text: {exc}") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DomainError(f"config line is not key = value: {line!r}")
+        key, _, value = line.partition("=")
+        tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     return argv[:1] + tokens + argv[1:]
 
 
@@ -217,13 +221,12 @@ def _spectrum_oracle_deviation(params: ProtocolParams, accuracy: float):
     spec = pulse_math.cached_spectrum(params.m, params.beta, accuracy)
     oracles = [dft_spectrum_oracle(f, params.m, params.beta, grid_step=0.02, grid_span=span)
                for f in range(1, params.m + 1)]
-    bins = [(scale * (layout.lower[e] - layout.centers[a]),
-             scale * (layout.upper[e] - layout.centers[a]))
-            for e in range(1, params.m - 1) for a in range(params.m)]  # inner bins only
-    inside = [(lo, hi) for lo, hi in bins if max(abs(lo), abs(hi)) < span]
-    worst = max((abs(spec.bin_mass(lo, hi) - sum(o.bin_mass(lo, hi) for o in oracles))
-                 for lo, hi in inside), default=0.0)
-    return worst, len(bins) - len(inside), len(inside)
+    lo = scale * (layout.lower[1:-1, None] - layout.centers[None, :])  # inner bins only
+    hi = scale * (layout.upper[1:-1, None] - layout.centers[None, :])
+    inside = np.maximum(np.abs(lo), np.abs(hi)) < span
+    lo, hi = lo[inside], hi[inside]
+    deviation = np.abs(spec.bin_mass(lo, hi) - sum(o.bin_mass(lo, hi) for o in oracles))
+    return float(deviation.max(initial=0.0)), int(inside.size - lo.size), lo.size
 
 
 def cmd_validate(args) -> int:

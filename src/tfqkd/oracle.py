@@ -5,7 +5,9 @@ Two oracles that deliberately avoid the closed forms used elsewhere:
 * a photon-by-photon Monte Carlo of sender, interceptor, and receiver whose
   empirical matrix must agree statistically with the analytic one, and
 * a dense discrete-Fourier tabulation of the truncated-pulse spectra whose
-  bin masses must agree numerically with the panel-quadrature spectra.
+  bin masses must agree numerically with the panel-quadrature spectra.  It
+  answers arrays of bins, integrating each distinct bin once by composite
+  Simpson on its own sub-grid, all sub-grids in one transform.
 
 The interceptor's second-stage frequency statistics are not sampled here
 (their 1/w**2 spectral tails make naive sampling unreliable); they are
@@ -16,7 +18,6 @@ receiver-facing probability including attacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.special import chdtrc
@@ -228,19 +229,20 @@ def compare_empirical(
 _X_SUPPORT = 8.75  # |phi(x)| < 1e-17 beyond this; truncation loss is negligible
 
 
-def _composite_weights(n_points: int, step: float, rule: str) -> np.ndarray:
-    if rule == "trapezoid":
-        w = np.full(n_points, step)
-        w[0] = w[-1] = 0.5 * step
-        return w
-    if rule == "simpson":
-        if n_points % 2 == 0:
-            raise DomainError("simpson rule needs an odd number of points")
-        w = np.full(n_points, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        return w * step / 3.0
-    raise DomainError(f"unknown rule {rule!r}")
+def _simpson(lo: np.ndarray, hi: np.ndarray, step: float, min_panels: int):
+    """Composite Simpson rules on the intervals ``[lo[k], hi[k]]``, each with
+    an even number (at least ``min_panels``) of panels no wider than ``step``.
+    Returns the nodes (per interval as ``np.linspace``), their weights and
+    the panel counts."""
+    n = np.maximum(np.ceil((hi - lo) / step), min_panels).astype(np.int64)
+    n += n % 2
+    k = np.repeat(np.arange(n.size), n + 1)
+    j = np.arange(k.size) - np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
+    h = ((hi - lo) / n)[k]
+    last = j == n[k]
+    nodes = np.where(last, hi[k], j * h + lo[k])
+    coef = np.where((j == 0) | last, 1.0, np.where(j % 2, 4.0, 2.0))
+    return nodes, coef * h / 3.0, n
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,10 +250,11 @@ class DftSpectrum:
     """Direct-summation tabulation of one truncated-pulse spectrum.
 
     ``total_mass`` comes from the discrete Parseval identity on the x-grid,
-    a numerical route independent of any closed form.  Finite bins are
-    integrated on their own aligned sub-grids; bins with an unbounded side
-    use the remainder against ``total_mass`` and inherit ``w_tail_estimate``
-    as extra uncertainty.
+    a numerical route independent of any closed form.  ``bin_mass`` takes
+    arrays of bins and integrates each distinct finite bin once, by
+    composite Simpson on its own aligned sub-grid; bins with an unbounded
+    side use the remainder against ``total_mass`` and inherit
+    ``w_tail_estimate`` as extra uncertainty.
     """
 
     filter_index: int
@@ -259,12 +262,10 @@ class DftSpectrum:
     beta: float
     grid_step: float
     grid_span: float
-    rule: str
     x_grid: np.ndarray
     x_weights: np.ndarray
     total_mass: float
     w_tail_estimate: float
-    error_order: str
 
     def _transform(self, w_points: np.ndarray) -> np.ndarray:
         phi_w = np.exp(-0.5 * self.x_grid**2) / np.sqrt(2.0 * np.pi) * self.x_weights
@@ -279,46 +280,43 @@ class DftSpectrum:
         f = self._transform(w)
         return (f.real**2 + f.imag**2) / _SQRTPI
 
-    @cached_property
-    def w_grid(self) -> np.ndarray:
-        n = int(np.ceil(2.0 * self.grid_span / self.grid_step))
-        if n % 2:
-            n += 1
-        return np.linspace(-self.grid_span, self.grid_span, n + 1)
-
-    @cached_property
-    def g_values(self) -> np.ndarray:
-        return self.density(self.w_grid)
-
-    def bin_mass(self, w_lo: float, w_hi: float) -> float:
-        if w_lo > w_hi:
-            raise DomainError(f"empty interval: {w_lo} > {w_hi}")
-        if w_lo == w_hi:
-            return 0.0
-        lo_inf = np.isneginf(w_lo)
-        hi_inf = np.isposinf(w_hi)
-        if lo_inf and hi_inf:
-            return self.total_mass
-        if hi_inf:
-            return self.total_mass - self.bin_mass(-np.inf, w_lo)
-        if lo_inf:
-            # remainder against the Parseval total; the per-side tail estimate
-            # beyond the span is the accuracy floor of unbounded bins
-            return self._finite_mass(-self.grid_span, w_hi) + self.w_tail_estimate
-        return self._finite_mass(w_lo, w_hi)
-
-    def _finite_mass(self, w_lo: float, w_hi: float) -> float:
-        if abs(w_lo) > self.grid_span or abs(w_hi) > self.grid_span:
+    def bin_mass(self, w_lo, w_hi):
+        """Spectral mass on each ``[w_lo, w_hi]`` (arrays broadcast; a float
+        for scalar bounds)."""
+        lo, hi = np.broadcast_arrays(np.asarray(w_lo, dtype=float), np.asarray(w_hi, dtype=float))
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise DomainError("bin bound is NaN")
+        if (lo > hi).any():
+            k = np.argmax(lo > hi)
+            raise DomainError(f"empty interval: {lo.flat[k]} > {hi.flat[k]}")
+        bins, inverse = np.unique(np.stack([lo.ravel(), hi.ravel()], axis=1), axis=0,
+                                  return_inverse=True)
+        a, b = bins.T
+        both = np.isneginf(a) & np.isposinf(b)
+        mass = np.where(both, self.total_mass, 0.0)
+        todo = (a < b) & ~both
+        a, b = a[todo], b[todo]
+        lo_inf, hi_inf = np.isneginf(a), np.isposinf(b)
+        # an unbounded side is the remainder against the Parseval total; the
+        # per-side tail estimate beyond the span is the accuracy floor there
+        start = np.where(lo_inf | hi_inf, -self.grid_span, a)
+        stop = np.where(hi_inf, a, b)
+        outside = np.maximum(np.abs(start), np.abs(stop)) > self.grid_span
+        if outside.any():
+            k = np.argmax(outside)
             raise DomainError(
-                f"bin [{w_lo}, {w_hi}] outside tabulated span {self.grid_span}; "
+                f"bin [{start[k]}, {stop[k]}] outside tabulated span {self.grid_span}; "
                 "increase grid_span"
             )
-        n = max(int(np.ceil((w_hi - w_lo) / self.grid_step)), 2)
-        if self.rule == "simpson" and n % 2:
-            n += 1
-        pts = np.linspace(w_lo, w_hi, n + 1)
-        weights = _composite_weights(n + 1, (w_hi - w_lo) / n, self.rule)
-        return float(self.density(pts) @ weights)
+        nodes, weights, n = _simpson(start, stop, self.grid_step, 2)
+        values = self.density(nodes)
+        # one dot product per bin sums each bin as if it were queried alone
+        part = np.array([values[e - k - 1:e] @ weights[e - k - 1:e]
+                         for k, e in zip(n, np.cumsum(n + 1))], dtype=float)
+        part = np.where(lo_inf | hi_inf, part + self.w_tail_estimate, part)
+        mass[todo] = np.where(hi_inf, self.total_mass - part, part)
+        out = mass[inverse.ravel()].reshape(lo.shape)
+        return out if out.ndim else float(out)
 
 
 def dft_spectrum_oracle(
@@ -327,7 +325,6 @@ def dft_spectrum_oracle(
     beta: float,
     grid_step: float = 0.005,
     grid_span: float = 16.0,
-    rule: str = "simpson",
     tail_tol: float | None = None,
 ) -> DftSpectrum:
     """Tabulate the spectrum of the filter-``f`` truncated pulse by direct
@@ -354,11 +351,7 @@ def dft_spectrum_oracle(
     else:
         # the x-grid must resolve exp(-i w x) out to |w| = grid_span
         x_step = min(grid_step, 0.3 / grid_span)
-        n = max(int(np.ceil((x_hi - x_lo) / x_step)), 8)
-        if rule == "simpson" and n % 2:
-            n += 1
-        x_grid = np.linspace(x_lo, x_hi, n + 1)
-        x_weights = _composite_weights(n + 1, (x_hi - x_lo) / n, rule)
+        x_grid, x_weights, _ = _simpson(np.array([x_lo]), np.array([x_hi]), x_step, 8)
 
     phi_sq = np.exp(-x_grid**2) / (2.0 * np.pi)
     total_mass = float(2.0 * np.pi / _SQRTPI * (phi_sq @ x_weights))
@@ -383,10 +376,8 @@ def dft_spectrum_oracle(
         beta=beta,
         grid_step=grid_step,
         grid_span=grid_span,
-        rule=rule,
         x_grid=x_grid,
         x_weights=x_weights,
         total_mass=total_mass,
         w_tail_estimate=w_tail,
-        error_order="O(h^4)" if rule == "simpson" else "O(h^2)",
     )

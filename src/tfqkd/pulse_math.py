@@ -322,6 +322,8 @@ class TruncatedSpectrum:
         """G(w): spectral mass below ``w``, absolute error <= ``accuracy``;
         raises :class:`NumericFailure` if it leaves ``[0, total_mass]`` by more."""
         arr = np.atleast_1d(np.asarray(w, dtype=float))
+        if np.isnan(arr).any():
+            raise DomainError("spectrum queried at NaN")
         edges = self._edges
         out = np.where(arr > 0.0, self.total_mass, 0.0)  # the values at +-inf
         inside = (arr >= edges[0]) & (arr <= edges[-1])
@@ -339,18 +341,17 @@ class TruncatedSpectrum:
         out = _clip_within(out, self.total_mass, self.accuracy)
         return out if np.ndim(w) else float(out[0])
 
-    def bin_mass(self, w_lo: float, w_hi: float) -> float:
-        """Spectral mass on ``[w_lo, w_hi]``; unbounded sides use the
-        remainder against ``total_mass`` rather than direct integration.
-        Raises :class:`NumericFailure` if it is negative by more than
-        ``accuracy``."""
-        if w_lo > w_hi:
+    def bin_mass(self, w_lo, w_hi):
+        """Spectral mass on each ``[w_lo, w_hi]`` (arrays broadcast; a float
+        for scalar bounds); unbounded sides use the remainder against
+        ``total_mass`` rather than direct integration.  Raises
+        :class:`NumericFailure` if it is negative by more than ``accuracy``."""
+        if np.any(np.asarray(w_lo) > np.asarray(w_hi)):
             raise DomainError(f"empty interval: w_lo={w_lo} > w_hi={w_hi}")
-        if w_lo == w_hi:
-            return 0.0
         # cumulative is exactly 0 at -inf and total_mass at +inf
-        mass = np.array([self.cumulative(w_hi) - self.cumulative(w_lo)])
-        return float(_clip_within(mass, self.total_mass, self.accuracy)[0])
+        mass = np.asarray(self.cumulative(w_hi) - self.cumulative(w_lo))
+        mass = _clip_within(mass, self.total_mass, self.accuracy)
+        return mass if mass.ndim else float(mass)
 
 
 def _clip_within(values: np.ndarray, upper: float, accuracy: float) -> np.ndarray:

@@ -347,6 +347,12 @@ class TestConfigFile:
         assert run_cli("surface", "--config", str(cfg)) == 2
         assert_usage_error(capsys)
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe m = 4\n")
+        assert run_cli("optimize", "--config", str(cfg)) == 2
+        assert "UTF-8" in assert_usage_error(capsys)
+
     def test_config_flag_without_path(self, capsys):
         assert run_cli("optimize", "--m", "4", "--eps", "0", "--config") == 2
         assert "--config" in assert_usage_error(capsys)

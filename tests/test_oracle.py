@@ -164,8 +164,8 @@ class TestDftSpectrumOracle:
         # an interior filter of a vanishingly narrow pulse covers the whole
         # support: spectrum of the untruncated pulse
         oracle = dft_spectrum_oracle(2, 3, 1e-4, grid_step=0.01, grid_span=4.0)
-        w = oracle.w_grid
-        assert np.allclose(oracle.g_values, np.exp(-w * w) / np.sqrt(np.pi), atol=1e-6)
+        w = np.linspace(-4.0, 4.0, 801)
+        assert np.allclose(oracle.density(w), np.exp(-w * w) / np.sqrt(np.pi), atol=1e-6)
         assert oracle.total_mass == pytest.approx(1.0, abs=1e-8)
 
     def test_window_outside_support_is_empty(self):
@@ -191,15 +191,6 @@ class TestDftSpectrumOracle:
         for w_lo, w_hi in [(-2.0, -0.5), (-0.5, 1.0), (3.0, 8.0)]:
             assert oracle.bin_mass(w_lo, w_hi) == pytest.approx(
                 spec.bin_mass(w_lo, w_hi), abs=1e-6
-            )
-
-    def test_trapezoid_rule_agrees(self):
-        simpson = dft_spectrum_oracle(2, 4, 0.7, grid_step=0.005, grid_span=6.0)
-        trapez = dft_spectrum_oracle(2, 4, 0.7, grid_step=0.005, grid_span=6.0, rule="trapezoid")
-        assert trapez.error_order == "O(h^2)"
-        for w_lo, w_hi in [(-1.0, 0.5), (1.0, 3.0)]:
-            assert trapez.bin_mass(w_lo, w_hi) == pytest.approx(
-                simpson.bin_mass(w_lo, w_hi), abs=1e-5
             )
 
     def test_refuses_bins_beyond_span(self):
@@ -240,3 +231,58 @@ class TestDftSpectrumOracle:
         assert oracle.bin_mass(54.0, 58.0) == pytest.approx(
             build_spectrum(8, 16, 0.7).bin_mass(54.0, 58.0), abs=1e-6
         )
+
+
+class TestDftArrayQueries:
+    # repeated bins, lo == hi, unbounded sides (both at once too)
+    W_LO = np.array([-1.0, 0.5, -1.0, 2.0, -np.inf, 1.5, -np.inf, np.inf, -np.inf, 0.5])
+    W_HI = np.array([2.0, 3.5, 2.0, 2.0, -0.5, np.inf, np.inf, np.inf, -np.inf, 3.5])
+
+    def test_array_call_equals_scalar_calls(self):
+        oracle = dft_spectrum_oracle(2, 4, 0.7, grid_step=0.01, grid_span=8.0)
+        masses = oracle.bin_mass(self.W_LO, self.W_HI)
+        assert masses.shape == self.W_LO.shape
+        expected = [oracle.bin_mass(lo, hi) for lo, hi in zip(self.W_LO, self.W_HI)]
+        assert all(isinstance(x, float) for x in expected)
+        assert np.allclose(masses, expected, rtol=0.0, atol=1e-15)
+        assert masses[0] == masses[2] and masses[1] == masses[9]
+        assert masses[3] == masses[7] == masses[8] == 0.0
+        assert masses[6] == oracle.total_mass
+        assert np.allclose(oracle.bin_mass(self.W_LO.reshape(2, 5), self.W_HI.reshape(2, 5)),
+                           masses.reshape(2, 5), rtol=0.0, atol=1e-15)
+
+    def test_window_outside_support_is_all_zeros(self):
+        oracle = dft_spectrum_oracle(4, 4, 1e-4, grid_step=0.01, grid_span=4.0)
+        assert np.array_equal(oracle.bin_mass(self.W_LO, self.W_HI), np.zeros(self.W_LO.size))
+
+    def test_one_bad_pair_rejects_the_array(self):
+        oracle = dft_spectrum_oracle(2, 4, 0.7, grid_step=0.01, grid_span=4.0)
+        with pytest.raises(DomainError):  # one bin beyond the span
+            oracle.bin_mass(np.array([-1.0, 3.0]), np.array([1.0, 6.0]))
+        with pytest.raises(DomainError):  # one inverted bin
+            oracle.bin_mass(np.array([-1.0, 2.0]), np.array([1.0, 1.0]))
+
+    def test_nan_bound_is_domain_error(self):
+        oracle = dft_spectrum_oracle(2, 4, 0.7, grid_step=0.01, grid_span=4.0)
+        with pytest.raises(DomainError):
+            oracle.bin_mass(np.nan, 1.0)
+        with pytest.raises(DomainError):
+            oracle.bin_mass(np.array([0.0, 0.0]), np.array([1.0, np.nan]))
+
+    def test_validate_runs_one_transform_per_oracle(self, monkeypatch, capsys):
+        from tfqkd.cli import main as cli_main
+        from tfqkd.oracle import DftSpectrum
+
+        calls = []
+        transform = DftSpectrum._transform
+
+        def counted(self, w_points):
+            calls.append(w_points.size)
+            return transform(self, w_points)
+
+        monkeypatch.setattr(DftSpectrum, "_transform", counted)
+        cli_main(["validate", "--m", "16", "--alpha", "0.5", "--beta", "0.7", "--eps", "0.5",
+                  "--photons", "10000", "--seed", "42"])
+        capsys.readouterr()
+        # 16 oracles, each integrating its 29 distinct lattice bins at once
+        assert len(calls) == 16

@@ -367,6 +367,47 @@ class TestSpectrumBinMass:
         with pytest.raises(DomainError):
             spec.bin_mass(2.0, 1.0)
 
+    def test_nan_bound_is_domain_error(self):
+        spec = cached_spectrum(4, 0.7, 1e-8)
+        with pytest.raises(DomainError):
+            spec.cumulative(np.nan)
+        with pytest.raises(DomainError):
+            spec.cumulative(np.array([0.0, np.nan]))
+        with pytest.raises(DomainError):
+            spec.bin_mass(np.nan, 1.0)
+
+    def test_array_call_equals_scalar_calls(self):
+        spec = cached_spectrum(4, 0.7, 1e-8)
+        # repeated bins, lo == hi and unbounded sides, all inside the table
+        w_lo = np.array([-1.0, -1.0, 0.5, -np.inf, 2.0, -np.inf, 3.0, np.inf, -np.inf])
+        w_hi = np.array([2.0, 2.0, 0.5, -3.0, np.inf, np.inf, 3.0, np.inf, -np.inf])
+        masses = spec.bin_mass(w_lo, w_hi)
+        assert masses.shape == w_lo.shape
+        expected = [spec.bin_mass(lo, hi) for lo, hi in zip(w_lo, w_hi)]
+        assert all(isinstance(x, float) for x in expected)
+        assert np.array_equal(masses, expected)
+        assert np.array_equal(spec.bin_mass(w_lo.reshape(3, 3), w_hi.reshape(3, 3)),
+                              masses.reshape(3, 3))
+
+    def test_array_call_in_the_tails(self):
+        # beyond |w| = 30 the tail series sums its terms with a matrix
+        # product, whose rounding may depend on how many points are queried
+        spec = cached_spectrum(16, 0.7, 1e-8)
+        w_lo = np.array([-58.0, -50.0, -38.0, 34.0, 40.0, 40.0])
+        w_hi = np.array([-54.0, -42.0, -34.0, 38.0, 50.0, np.inf])
+        expected = [spec.bin_mass(lo, hi) for lo, hi in zip(w_lo, w_hi)]
+        assert np.allclose(spec.bin_mass(w_lo, w_hi), expected, rtol=0.0, atol=1e-16)
+
+    def test_array_call_window_outside_support(self):
+        spec = build_spectrum(4, 4, 1e-4)
+        masses = spec.bin_mass(np.array([-np.inf, -1.0, 3.0]), np.array([-1.0, 2.5, np.inf]))
+        assert np.array_equal(masses, np.zeros(3))
+
+    def test_array_call_rejects_one_inverted_pair(self):
+        spec = build_spectrum(2, 4, 0.7)
+        with pytest.raises(DomainError):
+            spec.bin_mass(np.array([0.0, 2.0, -1.0]), np.array([1.0, 1.0, 0.0]))
+
     def test_non_monotone_cumulative_raises(self, monkeypatch):
         spec = build_spectrum(2, 4, 0.7)
         # G falling by half the tolerance is clipped to 0, by twice it raises
