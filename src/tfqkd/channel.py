@@ -54,10 +54,10 @@ class ProtocolParams:
     def __post_init__(self):
         if int(self.m) != self.m or self.m < 2:
             raise DomainError(f"m must be an integer >= 2, got {self.m}")
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if not self.beta > 0.0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
+        if not 0.0 < self.alpha < math.inf:
+            raise DomainError(f"alpha must be finite and positive, got {self.alpha}")
+        if not 0.0 < self.beta < math.inf:
+            raise DomainError(f"beta must be finite and positive, got {self.beta}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise DomainError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         object.__setattr__(self, "m", int(self.m))

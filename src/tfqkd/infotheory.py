@@ -159,6 +159,6 @@ def capacity(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> Capa
 
 def key_rate(sifted_rate: float, capacity_bits: float) -> float:
     """Secret key rate in bits/second from the sifted symbol rate."""
-    if sifted_rate < 0.0:
-        raise DomainError(f"sifted rate must be >= 0, got {sifted_rate}")
+    if not 0.0 <= sifted_rate < np.inf:
+        raise DomainError(f"sifted rate must be finite and >= 0, got {sifted_rate}")
     return sifted_rate * capacity_bits

@@ -38,6 +38,17 @@ __all__ = [
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _check_search(tol: float, coarse_step: float, **boxes: tuple[float, float]):
+    """Raise :class:`DomainError` unless ``tol`` and ``coarse_step`` are finite
+    and positive and each box is finite with ``0 < lo < hi``."""
+    for name, value in (("tol", tol), ("coarse_step", coarse_step)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be finite and positive, got {value}")
+    for name, (lo, hi) in boxes.items():
+        if not 0.0 < lo < hi < math.inf:
+            raise DomainError(f"{name} must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Search box, grid resolution, and scheme switches."""
@@ -55,11 +66,9 @@ class OptimizerConfig:
             raise DomainError(f"unknown scheme {self.scheme!r}")
         if self.u_variant not in ("per-term", "whole-sum"):
             raise DomainError(f"unknown u variant {self.u_variant!r}")
-        for name, (lo, hi) in (("alpha_box", self.alpha_box), ("beta_box", self.beta_box)):
-            if not (0.0 < lo < hi):
-                raise DomainError(f"{name} must satisfy 0 < lo < hi, got ({lo}, {hi})")
-        if not (self.coarse_step > 0.0 and self.tol > 0.0 and self.accuracy > 0.0):
-            raise DomainError("coarse_step, tol and accuracy must be positive")
+        _check_search(self.tol, self.coarse_step, alpha_box=self.alpha_box, beta_box=self.beta_box)
+        if not self.accuracy > 0.0:
+            raise DomainError(f"accuracy must be positive, got {self.accuracy}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +119,9 @@ class SweepEntry:
 # ---------------------------------------------------------------------------
 
 def _check_axis(name: str, axis: np.ndarray):
-    if axis.size == 0 or axis[0] <= 0.0 or np.any(np.diff(axis) <= 0.0):
-        raise DomainError(f"{name} must be strictly increasing and positive")
+    if (axis.size == 0 or not np.all(np.isfinite(axis)) or axis[0] <= 0.0
+            or np.any(np.diff(axis) <= 0.0)):
+        raise DomainError(f"{name} must be finite, strictly increasing and positive")
 
 
 def c_surface(m, epsilon, alpha_axis, beta_axis, accuracy: float = DEFAULT_ACCURACY) -> SurfaceGrid:
@@ -168,7 +178,6 @@ def u_functional(
     alpha: float,
     beta: float,
     variant: str = "per-term",
-    accuracy: float = 1e-10,
 ) -> float:
     """Overlap deviation between the symbol-pulse comb and the conjugate pulse.
 
@@ -176,13 +185,10 @@ def u_functional(
     to the centered conjugate pulse; ``whole-sum`` takes the absolute value
     outside the sum and is bounded above by the per-term value.  Both reduce
     to error-function expressions between sign changes of the density
-    difference, summed by one shared evaluator.  ``accuracy`` (positive)
-    bounds only the ``whole-sum`` bisection of those crossings; the
-    ``per-term`` crossings are closed-form.
+    difference, summed by one shared evaluator.  The ``per-term`` crossings
+    are closed-form; the ``whole-sum`` ones are bisected to 1e-10.
     """
     params = ProtocolParams(m, alpha, beta)  # validates the inputs
-    if not accuracy > 0.0:
-        raise DomainError(f"accuracy must be positive, got {accuracy}")
     centers = make_layout(m).centers
     w_sym, w_con = params.symbol_sigma, params.conjugate_sigma
     if variant == "per-term":
@@ -211,9 +217,9 @@ def u_functional(
     negative = np.signbit(diff(grid))
     flips = np.nonzero(np.diff(negative))[0]
 
-    # bisect every bracket at once until it is narrower than min(accuracy, 1e-10)
+    # bisect every bracket at once until it is narrower than 1e-10
     lo, hi = grid[flips], grid[flips + 1]
-    for _ in range(math.ceil(math.log2((grid[1] - grid[0]) / min(accuracy, 1e-10)))):
+    for _ in range(math.ceil(math.log2((grid[1] - grid[0]) / 1e-10))):
         mid = 0.5 * (lo + hi)
         left = np.signbit(diff(mid)) == negative[flips]
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
@@ -292,9 +298,7 @@ def minimize_beta(
     Coarse grid scan refined by golden section to ``tol``; exact ties break
     toward the smaller width.
     """
-    lo, hi = search_box
-    if not (0.0 < lo < hi):
-        raise DomainError(f"search box must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    _check_search(tol, coarse_step, search_box=search_box)
     axis = _axis(search_box, coarse_step)
     values = np.array([u_functional(m, alpha, b, variant) for b in axis])
     if not np.all(np.isfinite(values)):

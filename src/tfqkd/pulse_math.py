@@ -32,7 +32,7 @@ SQRTPI = np.sqrt(np.pi)
 DEFAULT_ACCURACY = 1e-8
 
 # The asymptotic tail series below is trusted only beyond this point, so the
-# panel tables cover exactly [-_TAIL_W_MIN, _TAIL_W_MIN].
+# panel tables cover exactly [0, _TAIL_W_MIN]; every spectrum is even.
 _TAIL_W_MIN = 30.0
 _TAIL_ORDER = 10
 _FACTORIAL = factorial(np.arange(2 * _TAIL_ORDER))  # k! for k < 2 * order
@@ -187,27 +187,22 @@ def _tail_coefficients(windows):
 
 
 def _tail_mass(series, w):
-    """Spectral mass beyond each ``|w| >= 30`` of the 1-d array ``w``, on the
-    side of ``w``: above it when positive, below it when negative.
-    ``series`` comes from :func:`_tail_coefficients`.
-
-    The mass below ``w < 0`` is the upper tail of the mirror window
-    ``(-x_hi, -x_lo)``, whose coefficients are ``(-1)**k`` times the
-    conjugates of these; that is the same series read at the signed ``w``,
-    times -1.  Truncation error is O(|w| ** -(order+1)); with order 10 and
-    ``|w| >= 30`` it stays below 1e-14 against adaptive quadrature.
+    """Spectral mass above each ``w >= 30`` of the 1-d array ``w``;
+    ``series`` comes from :func:`_tail_coefficients`.  The spectrum is even,
+    so the mass below ``-w`` is the same number.  Truncation error is
+    O(w ** -(order+1)); with order 10 and ``w >= 30`` it stays below 1e-14
+    against adaptive quadrature.
     """
     coef, first, lag = series
     w = np.asarray(w, dtype=float)
-    sign = np.sign(w)
-    # vander multiplies out the powers; ``**`` is slow for negative bases
+    # vander multiplies out the powers of 1/w
     sums = np.vander(1.0 / w, coef.shape[0] + 1, increasing=True)[:, 1:] @ coef
     if coef.shape[1] == 1:
-        return sign * sums[:, 0]
-    si, ci = sici(lag * np.abs(w))
-    i_1 = -ci + 1j * sign * (0.5 * np.pi - si)  # I_1 at w > 0, its conjugate at w < 0
+        return sums[:, 0]
+    si, ci = sici(lag * w)
+    i_1 = -ci + 1j * (0.5 * np.pi - si)
     cross = first * i_1 + np.exp(1j * lag * w) * (sums[:, 1] + 1j * sums[:, 2])
-    return sign * (sums[:, 0] + cross.real)
+    return sums[:, 0] + cross.real
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +292,12 @@ class TruncatedSpectrum:
     it by Parseval); ``total_mass_numeric`` is the same value recovered from
     the panel table plus the asymptotic tails, kept as a self-check of the
     quadrature; ``error_bound`` is the summed K15-G7 gauge of its
-    ``n_panels`` panels.  Per panel of ``[-30, 30]`` the table holds G as a
-    polynomial: the mass below the panel plus the antiderivative of the K15
-    interpolant.  Beyond the table the tail series answers.
+    ``n_panels`` panels.  The spectrum of a real pulse is even, so the table
+    covers ``[0, 30]`` only and ``G(-w) = total_mass - G(w)``; the bound thus
+    holds for G everywhere.  Per panel the table holds G as a polynomial:
+    ``total_mass / 2`` plus the mass between 0 and the panel plus the
+    antiderivative of the K15 interpolant.  Beyond 30 the tail series
+    answers.
     """
 
     windows: tuple
@@ -324,21 +322,20 @@ class TruncatedSpectrum:
         arr = np.atleast_1d(np.asarray(w, dtype=float))
         if np.isnan(arr).any():
             raise DomainError("spectrum queried at NaN")
-        edges = self._edges
-        out = np.where(arr > 0.0, self.total_mass, 0.0)  # the values at +-inf
-        inside = (arr >= edges[0]) & (arr <= edges[-1])
-        ws = arr[inside]
+        edges, mag = self._edges, np.abs(arr)
+        g = np.full(arr.shape, self.total_mass)  # G(|w|) at |w| = inf
+        inside = mag <= edges[-1]
+        ws = mag[inside]
         idx = np.minimum(np.searchsorted(edges, ws, side="right") - 1, edges.size - 2)
         a, b = edges[idx], edges[idx + 1]
         t = (2.0 * ws - a - b) / (b - a)
         powers = np.vander(t, self._coef.shape[1], increasing=True)
-        out[inside] = np.einsum("ij,ij->i", self._coef[idx], powers)
-        tail = ~inside & np.isfinite(arr)
+        g[inside] = np.einsum("ij,ij->i", self._coef[idx], powers)
+        tail = ~inside & np.isfinite(mag)
         if tail.any():
-            wt = arr[tail]
-            mass = _tail_mass(self._tail, wt)
-            out[tail] = np.where(wt < 0.0, mass, self.total_mass - mass)
-        out = _clip_within(out, self.total_mass, self.accuracy)
+            g[tail] = self.total_mass - _tail_mass(self._tail, mag[tail])
+        out = _clip_within(np.where(arr < 0.0, self.total_mass - g, g), self.total_mass,
+                           self.accuracy)
         return out if np.ndim(w) else float(out[0])
 
     def bin_mass(self, w_lo, w_hi):
@@ -385,8 +382,7 @@ def _seed_edges(length: float) -> np.ndarray:
     right = [*np.arange(0.0, 10.0, h), 10.0]
     while right[-1] < _TAIL_W_MIN:
         right.append(min(right[-1] * 1.4, _TAIL_W_MIN))
-    right = np.asarray(right)
-    return np.unique(np.concatenate([-right[::-1], right]))
+    return np.asarray(right)
 
 
 def build_spectrum(
@@ -432,19 +428,19 @@ def build_spectrum(
         raise DomainError(f"empty window in {windows}")
 
     shortest = min(x_hi - x_lo for x_lo, x_hi in windows)
+    # a bin across w = 0 carries the error of both halves, so each half gets
+    # accuracy / 4 and the bin stays within accuracy / 2
     edges, panels, nodes, error_bound = _integrate_adaptive(
-        lambda w: _summed_density(windows, w), _seed_edges(shortest), tol_total=0.5 * accuracy
+        lambda w: _summed_density(windows, w), _seed_edges(shortest), tol_total=0.25 * accuracy
     )
     series = _tail_coefficients(windows)
-    left_tail, right_tail = _tail_mass(series, np.array([edges[0], edges[-1]]))
-    cum = left_tail + np.concatenate([[0.0], np.cumsum(panels)])
-    # per panel: G(w) = polynomial in t, the constant term carrying the mass
-    # below the panel
-    coef = (0.5 * np.diff(edges))[:, None] * (nodes @ _K15_ANTIDERIVATIVE.T)
-    coef[:, 0] += cum[:-1]
-
     total_exact = sum(density_bin_mass(1.0, 0.0, x_lo, x_hi) for x_lo, x_hi in windows)
-    total_numeric = float(cum[-1] + right_tail)
+    cum = np.concatenate([[0.0], np.cumsum(panels)])
+    # per panel: G(w) = polynomial in t, the constant term carrying the mass
+    # below the panel (half the total below w = 0, by evenness)
+    coef = (0.5 * np.diff(edges))[:, None] * (nodes @ _K15_ANTIDERIVATIVE.T)
+    coef[:, 0] += 0.5 * total_exact + cum[:-1]
+    total_numeric = 2.0 * float(cum[-1] + _tail_mass(series, edges[-1:])[0])
 
     for table in (edges, coef):
         table.setflags(write=False)

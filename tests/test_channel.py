@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -40,6 +42,8 @@ class TestProtocolParams:
             dict(m=1, alpha=0.5, beta=0.7),
             dict(m=4, alpha=0.0, beta=0.7),
             dict(m=4, alpha=0.5, beta=-0.7),
+            dict(m=4, alpha=math.inf, beta=0.7),
+            dict(m=4, alpha=0.5, beta=math.inf),
             dict(m=4, alpha=0.5, beta=0.7, epsilon=1.5),
             dict(m=4, alpha=0.5, beta=0.7, epsilon=-0.1),
         ],

@@ -391,8 +391,9 @@ class TestUsage:
         (("surface", "--beta", "0.1:0.5"), "lo:hi:step"),
         (("optimize", "--alpha-box", "0.1:inf"), "must be finite"),
         (("optimize", "--beta-box", "0.2:0.9:0.1"), "lo:hi"),
+        (("optimize", "--step", "inf"), "coarse_step must be finite"),
     ], ids=["alpha-inf", "beta-nan-step", "alpha-reversed", "beta-two-parts",
-            "alpha-box-inf", "beta-box-three-parts"])
+            "alpha-box-inf", "beta-box-three-parts", "step-inf"])
     def test_bad_range_names_reason(self, argv, reason, capsys):
         assert run_cli(*argv, "--m", "4", "--eps", "0") == 2
         assert reason in assert_usage_error(capsys)

@@ -286,3 +286,8 @@ class TestKeyRate:
     def test_rejects_negative_rate(self):
         with pytest.raises(DomainError):
             key_rate(-1.0, 1.0)
+
+    @pytest.mark.parametrize("rate,bits", [(math.nan, 1.0), (math.inf, 0.0)])
+    def test_rejects_non_finite_rate(self, rate, bits):
+        with pytest.raises(DomainError):
+            key_rate(rate, bits)

@@ -171,12 +171,6 @@ class TestUFunctional:
         with pytest.raises(DomainError):
             u_functional(4, 0.5, 0.7, "median")
 
-    @pytest.mark.parametrize("variant", ["per-term", "whole-sum"])
-    @pytest.mark.parametrize("accuracy", [0.0, -1.0, float("nan")])
-    def test_rejects_non_positive_accuracy(self, variant, accuracy):
-        with pytest.raises(DomainError):
-            u_functional(4, 0.5, 0.7, variant, accuracy)
-
 
 class TestMinimizeBeta:
     def test_matches_dense_grid(self):
@@ -215,6 +209,16 @@ class TestMinimizeBeta:
         with pytest.raises(DomainError):
             minimize_beta(4, 0.5, search_box=(0.9, 0.2))
 
+    # golden section stops only at a positive tol, and is skipped at a NaN one
+    @pytest.mark.parametrize("kwargs", [
+        dict(tol=0.0), dict(tol=-1.0), dict(tol=math.nan),
+        dict(coarse_step=0.0), dict(coarse_step=-0.1), dict(coarse_step=math.nan),
+        dict(search_box=(0.05, math.inf)),
+    ])
+    def test_rejects_bad_numeric_settings(self, kwargs):
+        with pytest.raises(DomainError, match=next(iter(kwargs))):
+            minimize_beta(4, 0.5, **kwargs)
+
 
 class TestCSurface:
     def test_values_within_bounds(self):
@@ -237,6 +241,9 @@ class TestCSurface:
             c_surface(4, 0.5, np.array([0.8, 0.4]), np.array([0.6]))
         with pytest.raises(DomainError):
             c_surface(4, 0.5, np.array([-0.1, 0.4]), np.array([0.6]))
+        for alphas in ([0.1, math.nan, 0.5], [0.1, math.inf]):
+            with pytest.raises(DomainError, match="alpha axis"):
+                c_surface(4, 0.0, alphas, [0.7])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -375,6 +382,16 @@ class TestOptimizePoint:
         for accuracy in (0.0, -1e-8, float("nan")):
             with pytest.raises(DomainError):
                 OptimizerConfig(accuracy=accuracy)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(tol=0.0), dict(tol=-1.0), dict(tol=math.nan), dict(tol=math.inf),
+        dict(coarse_step=0.0), dict(coarse_step=-0.1), dict(coarse_step=math.nan),
+        dict(coarse_step=math.inf), dict(alpha_box=(0.05, math.inf)),
+        dict(beta_box=(0.05, math.nan)),
+    ])
+    def test_rejects_bad_numeric_settings(self, kwargs):
+        with pytest.raises(DomainError, match=next(iter(kwargs))):
+            OptimizerConfig(**kwargs)
 
 
 class TestSweep:

@@ -220,10 +220,10 @@ class TestPolynomialQueries:
 
     @staticmethod
     def _quad_cumulative(spec, window, w):
-        # independent reference: adaptive quadrature of g from the table's
-        # left edge, plus the tail series below it (itself checked against
-        # quadrature in TestTailSeries)
-        below, left = _tail_mass(_tail_coefficients([window]), np.array([w, -30.0]))
+        # independent reference: adaptive quadrature of g from w = -30, plus
+        # the tail series below it (itself checked against quadrature in
+        # TestTailSeries); the mass below -w equals the mass above w
+        below, left = _tail_mass(_tail_coefficients([window]), np.array([abs(w), 30.0]))
         if w <= -30.0:
             return below
         pieces = np.linspace(-30.0, w, int(np.ceil((w + 30.0) / 0.5)) + 1)
@@ -248,16 +248,29 @@ class TestPolynomialQueries:
     def test_mirrored_filter_matches_independent_build(self, m, beta):
         # filters f and m+1-f have mirrored windows, so their independently
         # built tables satisfy G_{m+1-f}(w) = total - G_f(-w); this is the
-        # evenness H(w) + H(-w) = 1 of the filter-summed table
+        # evenness H(w) + H(-w) = 1 of the filter-summed table.  At w = 0 both
+        # sides read a panel polynomial at its left end, whose rounding (up to
+        # ~1e-14) adds up there instead of cancelling, so w = 0 keeps 1e-12
         w = np.concatenate([np.linspace(-45.0, 45.0, 181), [-30.0, 30.0]])
+        off_zero = w != 0.0
         for f in range(1, (m + 1) // 2 + 1):
             spec = build_spectrum(f, m, beta)
             mirror = build_spectrum(m + 1 - f, m, beta)
             lo, hi = _filter_window(f, m, beta)
             assert _filter_window(m + 1 - f, m, beta) == (-hi, -lo)
             assert mirror.total_mass == pytest.approx(spec.total_mass, abs=1e-15)
-            assert np.allclose(mirror.cumulative(w), spec.total_mass - spec.cumulative(-w),
-                               rtol=0.0, atol=1e-12)
+            got, want = mirror.cumulative(w), spec.total_mass - spec.cumulative(-w)
+            assert np.allclose(got[off_zero], want[off_zero], rtol=0.0, atol=1e-15)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 16, 32])
+    @pytest.mark.parametrize("beta", [0.1, 0.7, 1.2])
+    def test_table_is_even(self, m, beta):
+        # the table covers w >= 0 and reads G(-w) as total - G(w), so the
+        # evenness holds to rounding, in the panels and in the tails
+        spec = cached_spectrum(m, beta, 1e-8)
+        w = np.concatenate([np.geomspace(0.01, 150.0, 301), [29.999, 30.0, 30.001]])
+        assert np.abs(spec.cumulative(w) + spec.cumulative(-w) - spec.total_mass).max() <= 1e-15
 
     @pytest.mark.parametrize("m", [2, 3, 5, 16, 32])
     @pytest.mark.parametrize("beta", [0.1, 0.7, 1.2])
@@ -304,27 +317,31 @@ class TestPolynomialQueries:
             reference.total_mass, reference.total_mass_numeric, reference.error_bound)
 
     def test_excursion_beyond_accuracy_raises(self):
-        # the untruncated spectrum has G = 0 far below the core and G = 1 far
-        # above it, so a shifted table leaves [0, 1] by the shift
+        # the untruncated spectrum has G = 1 far above the core, and G(-w) is
+        # read as 1 - G(w); a table raised by a shift puts G(20) above 1 and
+        # G(-20) below 0 by the shift
         spec = build_spectrum(1, 2, 0.7, window=(-np.inf, np.inf))
         w = np.array([-20.0, 20.0])
         assert np.allclose(spec.cumulative(w), [0.0, 1.0], rtol=0.0, atol=1e-15)
-        for shift in (1e-6, -1e-6):
-            coef = spec._coef.copy()
-            coef[:, 0] += shift
+        coef = spec._coef.copy()
+        coef[:, 0] += 1e-6
+        for side in (-20.0, 20.0):
             with pytest.raises(NumericFailure) as info:
-                replace(spec, _coef=coef).cumulative(w)
+                replace(spec, _coef=coef).cumulative(side)
             assert info.value.achieved == pytest.approx(1e-6, rel=1e-6)
             assert info.value.target == spec.accuracy
         coef = spec._coef.copy()
-        coef[:, 0] += 1e-10  # within accuracy: clipped, not raised
-        assert np.allclose(replace(spec, _coef=coef).cumulative(w), [1e-10, 1.0], rtol=0.0, atol=1e-15)
+        coef[:, 0] += 1e-10  # within accuracy: clipped on both sides, not raised
+        shifted = replace(spec, _coef=coef)
+        assert spec.cumulative(20.0) + 1e-10 > 1.0
+        assert np.array_equal(shifted.cumulative(w), [0.0, 1.0])
 
     def test_error_fields(self):
-        # the build refines until the summed K15-G7 gauge meets accuracy / 2
+        # the build refines the w >= 0 half until the summed K15-G7 gauge
+        # meets accuracy / 4
         spec = build_spectrum(2, 4, 0.7)
         assert spec.n_panels >= 1
-        assert 0.0 <= spec.error_bound <= 0.5 * spec.accuracy
+        assert 0.0 <= spec.error_bound <= 0.25 * spec.accuracy
         assert abs(spec.total_mass_numeric - spec.total_mass) <= spec.accuracy
 
     @settings(max_examples=25, deadline=None)
