@@ -134,10 +134,10 @@ def _lattice_block(values: np.ndarray, at_neg_inf: float, at_pos_inf: float) -> 
     return upper
 
 
-def _correct_stack(m: int, alphas) -> np.ndarray:
-    """:func:`p_correct` at each of ``alphas``, from one ``erf`` call: (k, m, m)."""
+def _correct_lattice(m: int, alphas) -> np.ndarray:
+    """Symbol-pulse cumulative ``erf / 2`` on the lattice at each of ``alphas``: (k, 2m)."""
     sigma = 0.5 * np.asarray(alphas, dtype=float)[:, None]
-    return 0.5 * _lattice_block(erf((np.arange(-m, m) + 0.5) / sigma), -1.0, 1.0)
+    return 0.5 * erf((np.arange(-m, m) + 0.5) / sigma)
 
 
 def p_correct(params: ProtocolParams) -> np.ndarray:
@@ -147,7 +147,7 @@ def p_correct(params: ProtocolParams) -> np.ndarray:
     ``c(a)`` inside bin ``r``; columns are exactly stochastic because the
     bins tile the whole axis.
     """
-    return _correct_stack(params.m, [params.alpha])[0]
+    return _lattice_block(_correct_lattice(params.m, [params.alpha]), -0.5, 0.5)[0]
 
 
 def p_wrong(params: ProtocolParams) -> np.ndarray:
@@ -162,12 +162,10 @@ def p_wrong(params: ProtocolParams) -> np.ndarray:
     return np.broadcast_to(col[:, None], (params.m, params.m))
 
 
-def _second_correct_stack(m: int, alphas, beta: float, accuracy: float) -> np.ndarray:
-    """:func:`p_second_correct` at each of ``alphas``, from one spectrum query: (k, m, m)."""
-    spectrum = pulse_math.cached_spectrum(m, beta, accuracy)
+def _second_lattice(m: int, alphas, beta: float, accuracy: float) -> np.ndarray:
+    """Second-stage cumulative H on the lattice at each of ``alphas``, one query: (k, 2m)."""
     w = (2.0 / np.asarray(alphas, dtype=float))[:, None] * (np.arange(-m, m) + 0.5)
-    P = _lattice_block(spectrum.cumulative(w), 0.0, 1.0)
-    return pulse_math._clip_within(P, 1.0, accuracy)
+    return pulse_math.cached_spectrum(m, beta, accuracy).cumulative(w)
 
 
 def p_second_correct(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> np.ndarray:
@@ -180,7 +178,8 @@ def p_second_correct(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY)
     :mod:`tfqkd.pulse_math`, answers every entry.  Bin bounds map to
     spectrum coordinates as ``w = 2*(b - c(a))/alpha``.
     """
-    return _second_correct_stack(params.m, [params.alpha], params.beta, accuracy)[0]
+    values = _second_lattice(params.m, [params.alpha], params.beta, accuracy)
+    return pulse_math._clip_within(_lattice_block(values, 0.0, 1.0)[0], 1.0, accuracy)
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def _list_of(cast):
     return parse
 
 
-_positive = _checked(float, lambda x: x > 0.0, "positive")
+_accuracy = _checked(float, lambda x: 0.0 < x < math.inf, "finite and positive")
 _rate = _checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")
 _seed = _checked(int, lambda n: n >= 0, ">= 0")
 
@@ -294,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, m_type=int, eps_type=float):
         p.add_argument("--config", help="key = value lines, each parsed as its --key=value flag")
         p.add_argument("--out", help="output file (atomic write); stdout when omitted")
-        p.add_argument("--accuracy", type=_positive, default=DEFAULT_ACCURACY,
+        p.add_argument("--accuracy", type=_accuracy, default=DEFAULT_ACCURACY,
                        help="absolute tolerance for spectral bin masses")
         p.add_argument("--m", type=m_type, required=True)
         p.add_argument("--eps", type=eps_type, required=True)

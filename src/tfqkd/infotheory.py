@@ -8,10 +8,11 @@ zeros so that structurally-zero blocks cannot produce spurious infinities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from . import channel
+from . import channel, pulse_math
 from .channel import ProtocolParams
 from .errors import DomainError
 from .pulse_math import DEFAULT_ACCURACY
@@ -41,14 +42,21 @@ class CapacityReport:
     qser: float
 
 
+def _checked(matrix, prior) -> tuple[np.ndarray, np.ndarray]:
+    """Float arrays of a channel matrix of probabilities and a prior distribution."""
+    matrix, prior = np.asarray(matrix, dtype=float), np.asarray(prior, dtype=float)
+    if matrix.ndim != 2 or prior.ndim != 1 or matrix.shape[1] != prior.shape[0]:
+        raise DomainError(f"dimension mismatch: matrix {matrix.shape} vs prior {prior.shape}")
+    if not (np.all(prior >= 0.0) and abs(prior.sum() - 1.0) <= 1e-9):
+        raise DomainError(f"prior must be finite, >= 0 and sum to 1 within 1e-9, got {prior}")
+    if not np.all((matrix >= 0.0) & (matrix <= 1.0)):
+        raise DomainError("matrix entries must be finite and lie in [0, 1]")
+    return matrix, prior
+
+
 def marginal(matrix: np.ndarray, prior: np.ndarray) -> np.ndarray:
     """Receiver distribution ``matrix @ prior`` for a column-stochastic matrix."""
-    matrix = np.asarray(matrix, dtype=float)
-    prior = np.asarray(prior, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[1] != prior.shape[0]:
-        raise DomainError(
-            f"dimension mismatch: matrix {matrix.shape} vs prior {prior.shape}"
-        )
+    matrix, prior = _checked(matrix, prior)
     return matrix @ prior
 
 
@@ -70,8 +78,8 @@ def mutual_info_single(matrix: np.ndarray, prior: np.ndarray) -> float:
     ``matrix[r, s]`` is P(receive r | sent s); ``prior[s]`` the sender's
     distribution.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    return float(_mutual_info(matrix, prior, marginal(matrix, prior)))
+    matrix, prior = _checked(matrix, prior)
+    return float(_mutual_info(matrix, prior, matrix @ prior))
 
 
 def mutual_info_dual(matrix: np.ndarray, prior: np.ndarray | None = None) -> float:
@@ -102,8 +110,41 @@ def _block_stats(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _mutual_info(blocks, prior, blocks @ prior), 1.0 - np.trace(blocks, axis1=-2, axis2=-1) / m
 
 
-# A chunk of alphas stacks at most this many matrix entries, so memory stays
-# flat however large m is (one alpha per chunk from m = 128 on).
+@lru_cache(maxsize=64)
+def _lattice_weights(m: int) -> np.ndarray:
+    """Weights of the ``x log2 x`` terms of :func:`_lattice_stats`: an entry's cells over m
+    (``m - 1 - |r - a|`` interior cells, ``m - 2`` on the diagonal); received ones -1."""
+    s = np.arange(2 - m, m - 1)
+    weights = np.concatenate([m - 1 - np.abs(s) - (s == 0), np.ones(2 * m), np.full(m, -m)]) / m
+    weights.setflags(write=False)
+    return weights
+
+
+def _lattice_stats(values: np.ndarray, at_neg_inf: float, at_pos_inf: float,
+                   accuracy: float) -> tuple[np.ndarray, np.ndarray]:
+    """Information and QSER of each block ``channel._lattice_block(values, at_neg_inf,
+    at_pos_inf)`` of a (k, 2m) stack, without forming it: rows 1..m-2 are Toeplitz in
+    ``r - a`` and rows 0, m-1 take F(-inf), F(inf), so 4m - 3 distinct entries, clipped
+    as the block would be, give H(Y|X), and windows of one running sum give H(Y)."""
+    m = values.shape[-1] // 2
+    entries = pulse_math._clip_within(np.concatenate([
+        values[..., 2:-1] - values[..., 1:-2],          # interior, s = 2-m..m-2
+        values[..., m:0:-1] - at_neg_inf,               # row 0, a = 0..m-1
+        at_pos_inf - values[..., 2 * m - 2:m - 2:-1],   # row m-1, a = 0..m-1
+    ], axis=-1), 1.0, accuracy)
+    interior, row0, last = np.split(entries, [2 * m - 3, 3 * m - 3], axis=-1)
+    running = np.concatenate([np.zeros(interior.shape[:-1] + (1,)), interior], axis=-1).cumsum(-1)
+    received = np.concatenate([row0.sum(-1, keepdims=True), last.sum(-1, keepdims=True),
+                               running[..., m:] - running[..., :m - 2]], axis=-1) / m
+    terms = np.concatenate([entries, received], axis=-1)
+    log_terms = np.log2(terms, out=np.zeros(terms.shape), where=terms > _ZERO_CLAMP)
+    info = (log_terms * terms * _lattice_weights(m)).sum(-1)
+    trace = (m - 2) * interior[..., m - 2] + row0[..., 0] + last[..., -1]
+    return info, 1.0 - trace / m
+
+
+# A chunk of alphas stacks at most this many entries (m * m per alpha, about
+# 4m at epsilon == 0), so memory stays flat however large m is.
 _CHUNK_ENTRIES = 1 << 14
 
 
@@ -111,25 +152,27 @@ def _capacity_grid(m, epsilon, alphas, betas, accuracy: float):
     """``(capacity, i_ab, i_ae, qser)`` arrays over ``alphas x betas``, one
     beta column of a chunk of alphas at a time: one wrong-basis column, one
     spectrum query and one stacked information pass per column, the
-    alpha-only blocks once per chunk.  At ``epsilon == 0`` beta plays no part."""
+    alpha-only terms once per chunk.  Only the attack-averaged block is formed
+    (:func:`_lattice_stats` reads the others), none at ``epsilon == 0``."""
     m = ProtocolParams(m, alphas[0], betas[0], epsilon).m  # validates m and epsilon
     shape = (len(alphas), len(betas))
     ab, ae, qs = np.empty(shape), np.zeros(shape), np.empty(shape)
-    step = max(1, _CHUNK_ENTRIES // (m * m))
+    step = max(1, _CHUNK_ENTRIES // (m * m if epsilon else 4 * m))
     for lo in range(0, len(alphas), step):
         rows, chunk = slice(lo, lo + step), alphas[lo:lo + step]
-        pc = channel._correct_stack(m, chunk)
-        info_pc, qser_pc = _block_stats(pc)
+        cdf = channel._correct_lattice(m, chunk)
+        info_pc, qser_pc = _lattice_stats(cdf, -0.5, 0.5, accuracy)
         if epsilon == 0.0:
             ab[rows], qs[rows] = info_pc[:, None], qser_pc[:, None]
             continue
+        pc = channel._lattice_block(cdf, -0.5, 0.5)
         pc2 = pc @ pc
         for j, beta in enumerate(betas):
             # no per-column stack outlives its statement, which bounds peak memory
             pw = channel.p_wrong(ProtocolParams(m, alphas[0], beta))
             ab[rows, j], qs[rows, j] = _block_stats(channel._mixed_block(pc, pc2, pw, epsilon))
-            info_second = _block_stats(channel._second_correct_stack(m, chunk, beta, accuracy))[0]
-            ae[rows, j] = epsilon * 0.5 * (info_pc + info_second)
+            second = channel._second_lattice(m, chunk, beta, accuracy)
+            ae[rows, j] = epsilon * 0.5 * (info_pc + _lattice_stats(second, 0.0, 1.0, accuracy)[0])
     return np.maximum(ab - ae, 0.0), ab, ae, qs
 
 

@@ -67,8 +67,8 @@ class OptimizerConfig:
         if self.u_variant not in ("per-term", "whole-sum"):
             raise DomainError(f"unknown u variant {self.u_variant!r}")
         _check_search(self.tol, self.coarse_step, alpha_box=self.alpha_box, beta_box=self.beta_box)
-        if not self.accuracy > 0.0:
-            raise DomainError(f"accuracy must be positive, got {self.accuracy}")
+        if not 0.0 < self.accuracy < math.inf:
+            raise DomainError(f"accuracy must be finite and positive, got {self.accuracy}")
 
 
 @dataclass(frozen=True, eq=False)

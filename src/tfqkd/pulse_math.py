@@ -418,8 +418,8 @@ def build_spectrum(
         raise DomainError(f"filter index {f} outside 1..{m}")
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
-    if not accuracy > 0.0:
-        raise DomainError(f"accuracy must be positive, got {accuracy}")
+    if not 0.0 < accuracy < np.inf:
+        raise DomainError(f"accuracy must be finite and positive, got {accuracy}")
 
     filters = range(1, m + 1) if f is None else (f,)
     windows = (tuple(window),) if window is not None else tuple(

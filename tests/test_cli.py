@@ -384,6 +384,11 @@ class TestUsage:
         assert run_cli(*argv) == 2
         assert_usage_error(capsys)
 
+    @pytest.mark.parametrize("command", ["surface", "optimize"])
+    def test_infinite_accuracy_exits_2(self, command, capsys):
+        assert run_cli(command, "--m", "4", "--eps", "0.5", "--accuracy", "inf") == 2
+        assert "finite and positive" in assert_usage_error(capsys)
+
     @pytest.mark.parametrize("argv,reason", [
         (("surface", "--alpha", "0.1:inf:0.1"), "finite lo <= hi"),
         (("surface", "--beta", "0.1:0.5:nan"), "step > 0"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tfqkd.channel as channel_module
 import tfqkd.infotheory as infotheory_module
 from tfqkd import pulse_math
 from tfqkd.channel import (
@@ -63,6 +64,33 @@ class TestMarginal:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             marginal(np.eye(4), np.full(3, 1 / 3))
+
+
+class TestInputChecks:
+    """The public information functions take only a distribution as prior
+    and only probabilities as matrix entries."""
+
+    FUNCTIONS = [marginal, mutual_info_single, mutual_info_dual]
+
+    @pytest.mark.parametrize("fn", FUNCTIONS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("prior", [[2.0, -1.0], [0.3, 0.3], [math.nan, 1.0], [math.inf, 0.0]],
+                             ids=["negative", "sum-0.6", "nan", "inf"])
+    def test_rejects_non_distribution_prior(self, fn, prior):
+        with pytest.raises(DomainError, match="prior"):
+            fn(np.eye(2), np.array(prior))
+
+    @pytest.mark.parametrize("fn", FUNCTIONS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("entry", [-1.0, 1.5, math.nan, math.inf],
+                             ids=["negative", "above-one", "nan", "inf"])
+    def test_rejects_non_probability_entry(self, fn, entry):
+        matrix = np.eye(2)
+        matrix[1, 0] = entry
+        with pytest.raises(DomainError, match="matrix entries"):
+            fn(matrix, np.full(2, 0.5))
+
+    def test_accepts_prior_within_tolerance(self):
+        prior = np.array([0.5, 0.5 + 5e-10])
+        assert mutual_info_single(np.eye(2), prior) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestMutualInfoSingle:
@@ -243,16 +271,54 @@ class TestCapacityGrid:
             assert np.array_equal(a, b)
 
     def test_clip_failure_propagates(self, monkeypatch):
-        # the second-stage blocks of a whole column are clipped together; an
-        # excursion beyond accuracy in any of them still raises
-        class Falling:
-            def cumulative(self, w):
-                return 0.5 + 0.1 * np.clip(w, -5.0, 5.0) - 1e-6 * (w > 8.0)
+        # the second-stage entries of a whole column are clipped together; an
+        # excursion beyond accuracy in any of them still raises, in the
+        # interior rows (a falling step) and in row 0 (H < 0) or row m-1 (H > 1)
+        def falling(w):
+            return 0.5 + 0.1 * np.clip(w, -5.0, 5.0) - 1e-6 * (w > 8.0)
 
-        monkeypatch.setattr(pulse_math, "cached_spectrum", lambda *args: Falling())
-        with pytest.raises(NumericFailure) as info:
-            infotheory_module._capacity_grid(4, 0.5, np.array([0.3, 0.5, 0.9]), [0.7], 1e-8)
-        assert info.value.achieved == pytest.approx(1e-6, rel=1e-9)
+        def below_zero(w):
+            return 0.5 + 0.1 * np.clip(w, -5.0, 5.0) - 1e-6 * (w < -8.0)
+
+        def above_one(w):
+            return 0.5 + 0.1 * np.clip(w, -5.0, 5.0) + 1e-6 * (w > 8.0)
+
+        for cumulative in (falling, below_zero, above_one):
+            spectrum = type("Spectrum", (), {"cumulative": staticmethod(cumulative)})()
+            monkeypatch.setattr(pulse_math, "cached_spectrum", lambda *args: spectrum)
+            with pytest.raises(NumericFailure) as info:
+                infotheory_module._capacity_grid(4, 0.5, np.array([0.3, 0.5, 0.9]), [0.7], 1e-8)
+            assert info.value.achieved == pytest.approx(1e-6, rel=1e-9), cumulative.__name__
+
+
+class TestLatticeStats:
+    """Information and QSER of a lattice block from its distinct entries,
+    against the dense block."""
+
+    @staticmethod
+    def _assert_matches_dense(values, at_neg_inf, at_pos_inf):
+        info, qs = infotheory_module._lattice_stats(values, at_neg_inf, at_pos_inf, 1e-8)
+        block = channel_module._lattice_block(values, at_neg_inf, at_pos_inf)
+        ref_info, ref_qs = infotheory_module._block_stats(
+            pulse_math._clip_within(block, 1.0, 1e-8))
+        assert info == pytest.approx(ref_info, rel=0.0, abs=1e-12)
+        assert qs == pytest.approx(ref_qs, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.5])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 16, 32, 256, 1024])
+    def test_p_correct(self, m, alpha):
+        self._assert_matches_dense(channel_module._correct_lattice(m, [alpha]), -0.5, 0.5)
+
+    @pytest.mark.parametrize("beta", [0.1, 0.6, 1.2])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 16, 32, 256])
+    def test_second_stage(self, m, beta):
+        values = channel_module._second_lattice(m, [0.05, 0.5, 1.5], beta, 1e-8)
+        self._assert_matches_dense(values, 0.0, 1.0)
+
+    def test_stack_of_alphas(self):
+        alphas = np.linspace(0.05, 1.5, 30)
+        self._assert_matches_dense(channel_module._correct_lattice(16, alphas), -0.5, 0.5)
+        self._assert_matches_dense(channel_module._second_lattice(16, alphas, 0.7, 1e-8), 0.0, 1.0)
 
 
 class TestQser:

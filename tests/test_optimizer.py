@@ -330,8 +330,8 @@ class TestOptimizePoint:
         (4, 0.5, OptimizerConfig(coarse_step=0.1)),
     ])
     def test_alpha_only_terms_once_per_row(self, monkeypatch, m, eps, config):
-        # the stacked builders behind p_correct and p_second_correct
-        calls = {"_correct_stack": 0, "_second_correct_stack": 0}
+        # the lattice builders behind p_correct and the second stage
+        calls = {"_correct_lattice": 0, "_second_lattice": 0, "_lattice_block": 0}
 
         def counting(name):
             real = getattr(channel_module, name)
@@ -345,9 +345,11 @@ class TestOptimizePoint:
         for name in calls:
             monkeypatch.setattr(channel_module, name, counting(name))
         res = optimize_point(m, eps, config)
-        assert 0 < calls["_correct_stack"] <= len({a for (a, _, _) in res.trace}) + 1
+        assert 0 < calls["_correct_lattice"] <= len({a for (a, _, _) in res.trace}) + 1
+        # dense blocks only for the attack-averaged channel, one per chunk of alphas
+        assert calls["_lattice_block"] <= (calls["_correct_lattice"] if eps else 0)
         if eps == 0.0:
-            assert calls["_second_correct_stack"] == 0
+            assert calls["_second_lattice"] == 0
 
     def test_coarse_grid_queries_spectrum_once_per_beta_column(self, monkeypatch):
         from tfqkd.pulse_math import TruncatedSpectrum
@@ -382,6 +384,11 @@ class TestOptimizePoint:
         for accuracy in (0.0, -1e-8, float("nan")):
             with pytest.raises(DomainError):
                 OptimizerConfig(accuracy=accuracy)
+
+    def test_rejects_infinite_accuracy(self):
+        # an infinite tolerance would let every clip pass silently
+        with pytest.raises(DomainError, match="finite"):
+            OptimizerConfig(accuracy=math.inf)
 
     @pytest.mark.parametrize("kwargs", [
         dict(tol=0.0), dict(tol=-1.0), dict(tol=math.nan), dict(tol=math.inf),

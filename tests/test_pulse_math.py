@@ -212,6 +212,8 @@ class TestBuildSpectrum:
         with pytest.raises(DomainError):
             build_spectrum(1, 4, 0.7, accuracy=0.0)
         with pytest.raises(DomainError):
+            build_spectrum(None, 4, 0.7, accuracy=np.inf)
+        with pytest.raises(DomainError):
             build_spectrum(1, 4, 0.7, window=(0.5, 0.5))
 
 
