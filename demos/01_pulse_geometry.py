@@ -5,9 +5,7 @@ pulse with normalized width alpha has 1/e half-width alpha/2; whatever
 energy falls outside its own bin ("spill") becomes a raw symbol error.
 """
 
-import numpy as np
-
-from tfqkd import PulseDensity, ProtocolParams, make_layout, p_correct
+from tfqkd import ProtocolParams, density_bin_mass, make_layout, p_correct
 
 m = 4
 layout = make_layout(m)
@@ -17,10 +15,9 @@ print("  lower bounds:", layout.lower)
 print("  upper bounds:", layout.upper)
 
 # A pulse sent in the 2nd bin, with alpha = 0.5
-pulse = PulseDensity(width=0.25, center=layout.centers[1])
 print("\npulse in bin 2, alpha=0.5:")
 for j in range(m):
-    mass = pulse.mass(layout.lower[j], layout.upper[j])
+    mass = density_bin_mass(0.25, layout.centers[1], layout.lower[j], layout.upper[j])
     print(f"  mass in bin {j + 1}: {mass:.6f}")
 print("  (sums to 1: outer bins are unbounded, no photon is lost)")
 

@@ -25,13 +25,9 @@ from .errors import DomainError, NumericFailure
 from .infotheory import (
     CapacityReport,
     capacity,
-    i_ab,
-    i_ae,
     key_rate,
-    marginal,
     mutual_info_dual,
     mutual_info_single,
-    qser,
 )
 from .optimizer import (
     OptimizationResult,
@@ -55,7 +51,6 @@ from .oracle import (
 )
 from .pulse_math import (
     DEFAULT_ACCURACY,
-    PulseDensity,
     TruncatedSpectrum,
     build_spectrum,
     density_bin_mass,
@@ -77,7 +72,6 @@ __all__ = [
     "OptimizationResult",
     "OptimizerConfig",
     "ProtocolParams",
-    "PulseDensity",
     "SurfaceGrid",
     "SweepEntry",
     "TruncatedSpectrum",
@@ -90,12 +84,9 @@ __all__ = [
     "density_bin_mass",
     "dft_spectrum_oracle",
     "eve_matrix",
-    "i_ab",
-    "i_ae",
     "is_column_stochastic",
     "key_rate",
     "make_layout",
-    "marginal",
     "minimize_beta",
     "mixed_bob_matrix",
     "mutual_info_dual",
@@ -104,7 +95,6 @@ __all__ = [
     "p_correct",
     "p_second_correct",
     "p_wrong",
-    "qser",
     "run_mc",
     "sweep",
     "truncated_pulse_fourier",

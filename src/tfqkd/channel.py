@@ -72,10 +72,6 @@ class ProtocolParams:
         """1/e half-width of the conjugate-pulse energy density."""
         return 0.5 * self.beta * self.m
 
-    @property
-    def bits_per_symbol(self) -> float:
-        return math.log2(self.m)
-
 
 @dataclass(frozen=True, eq=False)
 class BinLayout:
@@ -197,8 +193,6 @@ def _block_diag(top: np.ndarray, bottom: np.ndarray | None = None) -> np.ndarray
 def _mixed_block(pc: np.ndarray, pc2: np.ndarray, pw: np.ndarray, eps: float) -> np.ndarray:
     """Per-basis receiver block(s) when a fraction ``eps`` of photons is
     intercepted and resent, from ``pc``, ``pc2 = pc @ pc`` and ``pw = p_wrong``."""
-    if eps == 0.0:
-        return pc
     return (1.0 - eps) * pc + eps * (0.5 * (pc2 + pw))
 
 

@@ -109,10 +109,9 @@ def _checked(cast, ok=lambda value: True, what: str = ""):
 
 
 def _list_of(cast):
-    """An argparse type for comma-separated ``cast`` values."""
+    """An argparse type for comma-separated values, each parsed by the argparse type ``cast``."""
     def parse(text: str) -> list:
         return [cast(v) for v in text.split(",") if v != ""]
-    parse.__name__ = f"{cast.__name__} list"
     return parse
 
 
@@ -322,7 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("sweep", help="optimize over comma-separated lists of m and eps")
-    common(p, _list_of(int), _list_of(float))
+    common(p, _list_of(_checked(int, lambda n: n >= 2, "an integer >= 2")),
+           _list_of(_checked(float, lambda e: 0.0 <= e <= 1.0, "in [0, 1]")))
     optimizer_flags(p)
     p.set_defaults(fn=cmd_sweep)
 

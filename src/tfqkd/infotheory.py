@@ -21,20 +21,24 @@ _ZERO_CLAMP = 1e-300
 
 __all__ = [
     "CapacityReport",
-    "marginal",
     "mutual_info_single",
     "mutual_info_dual",
-    "i_ab",
-    "i_ae",
     "capacity",
-    "qser",
     "key_rate",
 ]
 
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """Information balance of one operating point, in bits per photon."""
+    """Information balance of one operating point, in bits per photon.
+
+    ``i_ab`` is the sender-receiver information over the attack-averaged
+    channel.  ``i_ae``, the sender-eavesdropper information, scales linearly
+    with the intercepted fraction and is exactly zero when nothing is
+    intercepted.  ``capacity`` is ``i_ab - i_ae`` clamped at zero.  ``qser``
+    is the symbol error rate of the sifted key: one minus the mean diagonal
+    of the attack-averaged receiver matrix.
+    """
 
     i_ab: float
     i_ae: float
@@ -52,12 +56,6 @@ def _checked(matrix, prior) -> tuple[np.ndarray, np.ndarray]:
     if not np.all((matrix >= 0.0) & (matrix <= 1.0)):
         raise DomainError("matrix entries must be finite and lie in [0, 1]")
     return matrix, prior
-
-
-def marginal(matrix: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """Receiver distribution ``matrix @ prior`` for a column-stochastic matrix."""
-    matrix, prior = _checked(matrix, prior)
-    return matrix @ prior
 
 
 def _mutual_info(matrix: np.ndarray, prior: np.ndarray, received: np.ndarray):
@@ -174,23 +172,6 @@ def _capacity_grid(m, epsilon, alphas, betas, accuracy: float):
             second = channel._second_lattice(m, chunk, beta, accuracy)
             ae[rows, j] = epsilon * 0.5 * (info_pc + _lattice_stats(second, 0.0, 1.0, accuracy)[0])
     return np.maximum(ab - ae, 0.0), ab, ae, qs
-
-
-def i_ab(params: ProtocolParams) -> float:
-    """Sender-receiver information over the attack-averaged channel."""
-    return capacity(params).i_ab
-
-
-def i_ae(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> float:
-    """Sender-eavesdropper information; scales linearly with the intercepted
-    fraction and is exactly zero when nothing is intercepted."""
-    return capacity(params, accuracy).i_ae
-
-
-def qser(params: ProtocolParams) -> float:
-    """Symbol error rate of the sifted key: one minus the mean diagonal of
-    the attack-averaged receiver matrix."""
-    return capacity(params).qser
 
 
 def capacity(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> CapacityReport:

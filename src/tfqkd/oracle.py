@@ -335,13 +335,17 @@ def dft_spectrum_oracle(
     spectral mass beyond ``grid_span`` exceeds ``tail_tol`` (so outer-bin
     remainders would be untrustworthy at that tolerance).
     """
-    if grid_step <= 0.0:
-        raise DomainError(f"grid_step must be positive, got {grid_step}")
-    if grid_span <= 0.0:
-        raise DomainError(f"grid_span must be positive, got {grid_span}")
     layout = make_layout(m)
+    if f not in range(1, layout.m + 1):
+        raise DomainError(f"filter index {f} outside 1..{m}")
+    if not 0.0 < beta < np.inf:
+        raise DomainError(f"beta must be finite and positive, got {beta}")
+    if not 0.0 < grid_step < np.inf:
+        raise DomainError(f"grid_step must be finite and positive, got {grid_step}")
+    if not 0.0 < grid_span < np.inf:
+        raise DomainError(f"grid_span must be finite and positive, got {grid_span}")
     scale = 0.5 * beta * m
-    b_lo, b_up = layout.lower[f - 1], layout.upper[f - 1]
+    b_lo, b_up = layout.lower[int(f) - 1], layout.upper[int(f) - 1]
     x_lo = -_X_SUPPORT if np.isneginf(b_lo) else max(b_lo / scale, -_X_SUPPORT)
     x_hi = _X_SUPPORT if np.isposinf(b_up) else min(b_up / scale, _X_SUPPORT)
     if x_lo >= x_hi:

@@ -59,33 +59,6 @@ def density_bin_mass(width: float, center: float, lo: float, hi: float) -> float
     return 0.5 * (ehi - elo)
 
 
-@dataclass(frozen=True)
-class PulseDensity:
-    """Unit-mass Gaussian energy density with 1/e half-width ``width``.
-
-    Equivalently a normal density with standard deviation ``width/sqrt(2)``
-    centered at ``center``; even-symmetric about its center.
-    """
-
-    width: float
-    center: float = 0.0
-
-    def __post_init__(self):
-        if not self.width > 0.0:
-            raise DomainError(f"width must be positive, got {self.width}")
-
-    def __call__(self, z):
-        u = (np.asarray(z, dtype=float) - self.center) / self.width
-        return np.exp(-u * u) / (self.width * SQRTPI)
-
-    def amplitude(self, z):
-        """Positive square root of the density (chirp-free pulse)."""
-        return np.sqrt(self(z))
-
-    def mass(self, lo: float, hi: float) -> float:
-        return density_bin_mass(self.width, self.center, lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # Fourier transform of a truncated standard-normal amplitude
 # ---------------------------------------------------------------------------
@@ -412,12 +385,13 @@ def build_spectrum(
         coordinates; a test hook (``(-inf, inf)`` gives the untruncated
         reference spectrum ``exp(-w**2)/sqrt(pi)``).
     """
-    if m < 2:
-        raise DomainError(f"m must be >= 2, got {m}")
-    if f is not None and not 1 <= f <= m:
+    if m % 1 or not m >= 2:
+        raise DomainError(f"m must be an integer >= 2, got {m}")
+    m = int(m)
+    if f is not None and f not in range(1, m + 1):
         raise DomainError(f"filter index {f} outside 1..{m}")
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < np.inf:
+        raise DomainError(f"beta must be finite and positive, got {beta}")
     if not 0.0 < accuracy < np.inf:
         raise DomainError(f"accuracy must be finite and positive, got {accuracy}")
 

@@ -14,7 +14,7 @@ from conftest import record_acceptance
 
 from tfqkd.channel import ProtocolParams, make_layout
 from tfqkd.cli import main as cli_main
-from tfqkd.infotheory import i_ae, mutual_info_dual, mutual_info_single
+from tfqkd.infotheory import capacity, mutual_info_dual, mutual_info_single
 from tfqkd.optimizer import c_surface, optimize_point, sweep
 from tfqkd.oracle import dft_spectrum_oracle
 from tfqkd.pulse_math import build_spectrum, density_bin_mass
@@ -238,9 +238,9 @@ def test_criterion_8_invariant_suite(tmp_path):
         checks.append(-1e-12 <= dual <= n + 1e-12)
 
     # linearity of the interceptor's information in the intercepted fraction
-    full = i_ae(ProtocolParams(4, 0.5, 0.7, 1.0))
+    full = capacity(ProtocolParams(4, 0.5, 0.7, 1.0)).i_ae
     for eps in (0.2, 0.6, 0.95):
-        checks.append(abs(i_ae(ProtocolParams(4, 0.5, 0.7, eps)) - eps * full) <= 1e-12)
+        checks.append(abs(capacity(ProtocolParams(4, 0.5, 0.7, eps)).i_ae - eps * full) <= 1e-12)
 
     # block decomposition identity
     rng = np.random.default_rng(0)

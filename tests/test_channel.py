@@ -34,7 +34,6 @@ class TestProtocolParams:
         p = ProtocolParams(8, 0.6, 0.9, 0.25)
         assert p.symbol_sigma == pytest.approx(0.3)
         assert p.conjugate_sigma == pytest.approx(3.6)
-        assert p.bits_per_symbol == pytest.approx(3.0)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -384,6 +384,15 @@ class TestUsage:
         assert run_cli(*argv) == 2
         assert_usage_error(capsys)
 
+    @pytest.mark.parametrize("argv,reason", [
+        (("sweep", "--m", "1", "--eps", "0.5"), "integer >= 2"),
+        (("sweep", "--m", "4", "--eps", "1.5"), "in [0, 1]"),
+        (("sweep", "--m", "2,1", "--eps", "0"), "integer >= 2"),
+    ], ids=["sweep-m-1", "sweep-eps-1.5", "sweep-m-list-with-1"])
+    def test_out_of_domain_exits_2_with_reason(self, argv, reason, capsys):
+        assert run_cli(*argv) == 2
+        assert reason in assert_usage_error(capsys)
+
     @pytest.mark.parametrize("command", ["surface", "optimize"])
     def test_infinite_accuracy_exits_2(self, command, capsys):
         assert run_cli(command, "--m", "4", "--eps", "0.5", "--accuracy", "inf") == 2

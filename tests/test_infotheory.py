@@ -18,13 +18,9 @@ from tfqkd.channel import (
 from tfqkd.errors import DomainError, NumericFailure
 from tfqkd.infotheory import (
     capacity,
-    i_ab,
-    i_ae,
     key_rate,
-    marginal,
     mutual_info_dual,
     mutual_info_single,
-    qser,
 )
 
 MI_BSC = 0.6025969807153304  # 1 - H2(q) at q = 0.5*(1 - erf(1))
@@ -45,32 +41,23 @@ def _block_diag(a, b):
 
 
 class TestMarginal:
-    def test_identity_keeps_uniform(self):
-        u = np.full(4, 0.25)
-        assert np.allclose(marginal(np.eye(4), u), u)
-
-    def test_column_average(self):
-        rng = np.random.default_rng(7)
-        P = _random_stochastic(5, rng)
-        u = np.full(5, 0.2)
-        assert np.allclose(marginal(P, u), P.mean(axis=1))
-        assert marginal(P, u).sum() == pytest.approx(1.0, abs=1e-12)
+    """The receiver's distribution ``matrix @ prior``."""
 
     def test_bob_m2_uniform_stays_uniform(self):
         B = bob_matrix(ProtocolParams(2, 1.0, 0.7))
         u = np.full(4, 0.25)
-        assert np.allclose(marginal(B, u), u, atol=1e-12)
+        assert np.allclose(B @ u, u, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            marginal(np.eye(4), np.full(3, 1 / 3))
+            mutual_info_single(np.eye(4), np.full(3, 1 / 3))
 
 
 class TestInputChecks:
     """The public information functions take only a distribution as prior
     and only probabilities as matrix entries."""
 
-    FUNCTIONS = [marginal, mutual_info_single, mutual_info_dual]
+    FUNCTIONS = [mutual_info_single, mutual_info_dual]
 
     @pytest.mark.parametrize("fn", FUNCTIONS, ids=lambda fn: fn.__name__)
     @pytest.mark.parametrize("prior", [[2.0, -1.0], [0.3, 0.3], [math.nan, 1.0], [math.inf, 0.0]],
@@ -170,23 +157,24 @@ class TestMutualInfoDual:
 
 class TestChannelInformation:
     def test_iab_no_attack_narrow(self):
-        assert i_ab(ProtocolParams(4, 1e-4, 0.7, 0.0)) == pytest.approx(2.0, abs=1e-9)
+        assert capacity(ProtocolParams(4, 1e-4, 0.7, 0.0)).i_ab == pytest.approx(2.0, abs=1e-9)
 
     def test_iab_no_attack_equals_bob(self):
         params = ProtocolParams(4, 0.6, 0.7, 0.0)
-        assert i_ab(params) == pytest.approx(mutual_info_dual(bob_matrix(params)), abs=1e-14)
+        assert capacity(params).i_ab == pytest.approx(mutual_info_dual(bob_matrix(params)), abs=1e-14)
 
     def test_iab_full_attack_equals_attack_matrix(self):
         params = ProtocolParams(2, 1.0, 0.7, 1.0)
-        assert i_ab(params) == pytest.approx(mutual_info_dual(attack_matrix(params)), abs=1e-14)
+        assert capacity(params).i_ab == pytest.approx(mutual_info_dual(attack_matrix(params)),
+                                                      abs=1e-14)
 
     def test_iae_zero_without_interception(self):
-        assert i_ae(ProtocolParams(4, 0.5, 0.7, 0.0)) == 0.0
+        assert capacity(ProtocolParams(4, 0.5, 0.7, 0.0)).i_ae == 0.0
 
     @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5, 0.75, 1.0])
     def test_iae_linear_in_epsilon(self, eps):
-        full = i_ae(ProtocolParams(4, 0.5, 0.7, 1.0))
-        part = i_ae(ProtocolParams(4, 0.5, 0.7, eps))
+        full = capacity(ProtocolParams(4, 0.5, 0.7, 1.0)).i_ae
+        part = capacity(ProtocolParams(4, 0.5, 0.7, eps)).i_ae
         assert part == pytest.approx(eps * full, abs=1e-12)
 
     def test_iae_narrow_limit_block_decomposition(self):
@@ -198,7 +186,7 @@ class TestChannelInformation:
         freq_mi = mutual_info_single(p_second_correct(params), np.full(4, 0.25))
         dual = mutual_info_dual(eve_matrix(params))
         assert dual == pytest.approx(0.5 * (2.0 + freq_mi), abs=1e-8)
-        assert i_ae(params) == pytest.approx(dual, abs=1e-12)
+        assert capacity(params).i_ae == pytest.approx(dual, abs=1e-12)
 
 
 class TestCapacity:
@@ -208,9 +196,6 @@ class TestCapacity:
                 params = ProtocolParams(m, 0.5, 0.7, eps)
                 rep = capacity(params)
                 assert rep.capacity == pytest.approx(max(rep.i_ab - rep.i_ae, 0.0), abs=1e-15)
-                assert rep.i_ab == pytest.approx(i_ab(params), abs=1e-14)
-                assert rep.i_ae == pytest.approx(i_ae(params), abs=1e-14)
-                assert rep.qser == pytest.approx(qser(params), abs=1e-14)
                 # the block path against the 2m x 2m path it replaced
                 mixed = mixed_bob_matrix(params)
                 ae_dual = eps * mutual_info_dual(eve_matrix(params))
@@ -262,13 +247,19 @@ class TestCapacityGrid:
     @pytest.mark.parametrize("m,n_alphas", [(16, 70), (32, 20)])
     @pytest.mark.parametrize("eps", [0.0, 0.5])
     def test_chunk_size_leaves_grid_bitwise_unchanged(self, monkeypatch, m, n_alphas, eps):
-        # the default chunk holds 64 alphas at m = 16 and 16 at m = 32
+        # the default chunk holds 2^14 / m^2 alphas at eps > 0 (64 at m = 16,
+        # 16 at m = 32) and 2^14 / 4m at eps = 0 (256 and 128: one chunk
+        # here), so a chunk of 64m entries (16 alphas at eps = 0, 64 / m at
+        # eps > 0) also splits the eps = 0 grid into several chunks
         alphas, betas = np.linspace(0.1, 1.4, n_alphas), np.array([0.4, 0.9])
         batched = infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8)
-        monkeypatch.setattr(infotheory_module, "_CHUNK_ENTRIES", 1)
-        single = infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8)
-        for a, b in zip(batched, single):
-            assert np.array_equal(a, b)
+        runs = []
+        for entries in (64 * m, 1):
+            monkeypatch.setattr(infotheory_module, "_CHUNK_ENTRIES", entries)
+            runs.append(infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8))
+        for grid in runs:
+            for a, b in zip(batched, grid):
+                assert np.array_equal(a, b)
 
     def test_clip_failure_propagates(self, monkeypatch):
         # the second-stage entries of a whole column are clipped together; an
@@ -323,10 +314,10 @@ class TestLatticeStats:
 
 class TestQser:
     def test_zero_for_perfect_channel(self):
-        assert qser(ProtocolParams(4, 1e-4, 0.7, 0.0)) == pytest.approx(0.0, abs=1e-12)
+        assert capacity(ProtocolParams(4, 1e-4, 0.7, 0.0)).qser == pytest.approx(0.0, abs=1e-12)
 
     def test_m2_alpha1_frozen(self):
-        assert qser(ProtocolParams(2, 1.0, 0.7, 0.0)) == pytest.approx(Q2, abs=1e-12)
+        assert capacity(ProtocolParams(2, 1.0, 0.7, 0.0)).qser == pytest.approx(Q2, abs=1e-12)
 
     def test_uniform_blocks_trace_arithmetic(self):
         # hand-built channel with uniform blocks: qser = 1 - 1/m
@@ -335,7 +326,7 @@ class TestQser:
         assert 1.0 - np.trace(M) / 8.0 == pytest.approx(0.75)
 
     def test_nondecreasing_in_alpha(self):
-        vals = [qser(ProtocolParams(4, a, 0.7, 0.0)) for a in np.arange(0.1, 1.51, 0.1)]
+        vals = [capacity(ProtocolParams(4, a, 0.7, 0.0)).qser for a in np.arange(0.1, 1.51, 0.1)]
         assert np.all(np.diff(vals) >= -1e-12)
 
 

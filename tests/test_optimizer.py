@@ -11,7 +11,7 @@ import tfqkd.channel as channel_module
 import tfqkd.optimizer as optimizer_module
 from tfqkd.channel import ProtocolParams, make_layout
 from tfqkd.errors import DomainError, NumericFailure
-from tfqkd.infotheory import capacity, i_ae
+from tfqkd.infotheory import capacity
 from tfqkd.optimizer import (
     OptimizerConfig,
     c_surface,
@@ -260,7 +260,6 @@ class TestCSurface:
                 rep = capacity(params)
                 for name in ("capacity", "i_ab", "i_ae", "qser"):
                     assert getattr(grid, name)[i, j] == pytest.approx(getattr(rep, name), abs=1e-12)
-                assert i_ae(params) == pytest.approx(rep.i_ae, abs=1e-12)
 
     def test_alpha_dependence_dwarfs_beta_dependence(self):
         grid = c_surface(4, 0.5, np.arange(0.1, 1.5001, 0.1), np.arange(0.5, 1.0001, 0.1))

@@ -208,6 +208,25 @@ class TestDftSpectrumOracle:
         with pytest.raises(DomainError):
             dft_spectrum_oracle(2, 4, 0.7, grid_span=-1.0)
 
+    @pytest.mark.parametrize("args,kwargs", [
+        ((0, 4, 0.7), {}),
+        ((5, 4, 0.7), {}),
+        ((2.5, 4, 0.7), {}),
+        ((None, 4, 0.7), {}),
+        ((1, 4, -0.7), {}),
+        ((1, 4, 0.0), {}),
+        ((1, 4, np.nan), {}),
+        ((1, 4, np.inf), {}),
+        ((2, 4, 0.7), dict(grid_step=np.nan)),
+        ((2, 4, 0.7), dict(grid_step=np.inf)),
+        ((2, 4, 0.7), dict(grid_span=np.nan)),
+        ((2, 4, 0.7), dict(grid_span=np.inf)),
+    ], ids=["f-0", "f-above-m", "f-fraction", "f-none", "beta-negative", "beta-0", "beta-nan",
+            "beta-inf", "step-nan", "step-inf", "span-nan", "span-inf"])
+    def test_rejects_impossible_arguments(self, args, kwargs):
+        with pytest.raises(DomainError):
+            dft_spectrum_oracle(*args, **kwargs)
+
     def test_mass_conservation_against_panels(self):
         # every inner bin the channel uses at this operating point
         m, beta, alpha = 4, 0.7, 0.8

@@ -10,7 +10,6 @@ from tfqkd import pulse_math
 from tfqkd.channel import ProtocolParams, p_second_correct
 from tfqkd.errors import DomainError, NumericFailure
 from tfqkd.pulse_math import (
-    PulseDensity,
     TruncatedSpectrum,
     build_spectrum,
     cached_spectrum,
@@ -31,11 +30,16 @@ def _spectral_density(x_lo, x_hi, w):
     return (f.real * f.real + f.imag * f.imag) / np.sqrt(np.pi)
 
 
+def _gaussian_density(z, width, center=0.0):
+    """Reference unit-mass Gaussian density with 1/e half-width ``width``."""
+    u = (z - center) / width
+    return np.exp(-u * u) / (width * np.sqrt(np.pi))
+
+
 class TestDensityBinMass:
     def test_against_quadrature(self):
         # independent oracle: adaptive quadrature of the density itself
-        rho = PulseDensity(width=0.5, center=-0.5)
-        expected, _ = quad(rho, -1.0, 0.0)
+        expected, _ = quad(_gaussian_density, -1.0, 0.0, args=(0.5, -0.5))
         assert density_bin_mass(0.5, -0.5, -1.0, 0.0) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(ERF1, abs=1e-12)
 
@@ -69,31 +73,11 @@ class TestDensityBinMass:
         total = sum(density_bin_mass(width, center, lo, hi) for lo, hi in zip(lower, upper))
         assert total == pytest.approx(1.0, abs=1e-12)
 
-
-class TestPulseDensity:
-    def test_rejects_nonpositive_width(self):
-        with pytest.raises(DomainError):
-            PulseDensity(width=0.0)
-
-    def test_even_symmetry(self):
-        rho = PulseDensity(width=0.7, center=1.3)
-        z = np.linspace(0.0, 5.0, 50)
-        assert np.allclose(rho(1.3 + z), rho(1.3 - z), rtol=0.0, atol=1e-15)
-
-    def test_unit_mass(self):
-        assert PulseDensity(width=2.4, center=-0.6).mass(-np.inf, np.inf) == pytest.approx(1.0)
-
     def test_variance_is_half_width_squared(self):
         # the density is normal with std width/sqrt(2); the Monte Carlo
         # sampler relies on this moment
-        rho = PulseDensity(width=1.7)
-        second, _ = quad(lambda z: z * z * rho(z), -20.0, 20.0)
+        second, _ = quad(lambda z: z * z * _gaussian_density(z, 1.7), -20.0, 20.0)
         assert second == pytest.approx(1.7**2 / 2.0, rel=1e-10)
-
-    def test_amplitude_squares_to_density(self):
-        rho = PulseDensity(width=0.9, center=0.2)
-        z = np.linspace(-3.0, 3.0, 21)
-        assert np.allclose(rho.amplitude(z) ** 2, rho(z), rtol=1e-12)
 
 
 class TestTruncatedPulseFourier:
@@ -215,6 +199,14 @@ class TestBuildSpectrum:
             build_spectrum(None, 4, 0.7, accuracy=np.inf)
         with pytest.raises(DomainError):
             build_spectrum(1, 4, 0.7, window=(0.5, 0.5))
+
+    @pytest.mark.parametrize("f,m,beta", [
+        (None, 2.5, 0.7), (None, np.nan, 0.7), (None, 1, 0.7), (1.5, 4, 0.7),
+        (1, 4, np.inf), (1, 4, np.nan),
+    ], ids=["m-fraction", "m-nan", "m-1", "f-fraction", "beta-inf", "beta-nan"])
+    def test_rejects_impossible_arguments(self, f, m, beta):
+        with pytest.raises(DomainError):
+            build_spectrum(f, m, beta)
 
 
 class TestPolynomialQueries:
