@@ -52,15 +52,13 @@ class ProtocolParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 2:
-            raise DomainError(f"m must be an integer >= 2, got {self.m}")
+        object.__setattr__(self, "m", pulse_math._symbol_count(self.m))
         if not 0.0 < self.alpha < math.inf:
             raise DomainError(f"alpha must be finite and positive, got {self.alpha}")
         if not 0.0 < self.beta < math.inf:
             raise DomainError(f"beta must be finite and positive, got {self.beta}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise DomainError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        object.__setattr__(self, "m", int(self.m))
 
     @property
     def symbol_sigma(self) -> float:
@@ -89,9 +87,7 @@ class BinLayout:
 
 def make_layout(m: int) -> BinLayout:
     """Centers ``i - (m+1)/2`` and unit-pitch bins, outer bins unbounded."""
-    if int(m) != m or m < 2:
-        raise DomainError(f"m must be an integer >= 2, got {m}")
-    m = int(m)
+    m = pulse_math._symbol_count(m)
     idx = np.arange(1, m + 1, dtype=float)
     centers = idx - 0.5 * (m + 1)
     lower = idx - 0.5 * m - 1.0

@@ -38,20 +38,21 @@ __all__ = [
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _check_search(tol: float, coarse_step: float, **boxes: tuple[float, float]):
-    """Raise :class:`DomainError` unless ``tol`` and ``coarse_step`` are finite
-    and positive and each box is finite with ``0 < lo < hi``."""
-    for name, value in (("tol", tol), ("coarse_step", coarse_step)):
-        if not 0.0 < value < math.inf:
-            raise DomainError(f"{name} must be finite and positive, got {value}")
-    for name, (lo, hi) in boxes.items():
-        if not 0.0 < lo < hi < math.inf:
-            raise DomainError(f"{name} must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search box, grid resolution, and scheme switches."""
+    """Settings of both optimization stages, read by :func:`optimize_point`
+    and :func:`minimize_beta` alike.
+
+    ``alpha_box`` (stage 1) is the alpha range; ``beta_box`` (both stages)
+    the beta range of the capacity rows and of the overlap scan;
+    ``coarse_step`` and ``tol`` (both stages) the grid step of every axis and
+    the bracket width at which golden-section refinement stops; ``accuracy``
+    (stage 1, the nested stage 2 and the final report) the spectrum
+    tolerance of every capacity evaluation; ``u_variant`` (stage 2) the
+    overlap functional the staged scheme minimizes and both report as
+    ``u_min``; ``scheme`` (stage 2) picks beta by overlap (``staged``) or by
+    capacity (``nested``).
+    """
 
     alpha_box: tuple[float, float] = (0.05, 1.5)
     beta_box: tuple[float, float] = (0.05, 1.5)
@@ -66,9 +67,14 @@ class OptimizerConfig:
             raise DomainError(f"unknown scheme {self.scheme!r}")
         if self.u_variant not in ("per-term", "whole-sum"):
             raise DomainError(f"unknown u variant {self.u_variant!r}")
-        _check_search(self.tol, self.coarse_step, alpha_box=self.alpha_box, beta_box=self.beta_box)
-        if not 0.0 < self.accuracy < math.inf:
-            raise DomainError(f"accuracy must be finite and positive, got {self.accuracy}")
+        for name in ("tol", "coarse_step", "accuracy"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be finite and positive, got {value}")
+        for name in ("alpha_box", "beta_box"):
+            lo, hi = getattr(self, name)
+            if not 0.0 < lo < hi < math.inf:
+                raise DomainError(f"{name} must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,25 +233,30 @@ def u_functional(
 
 
 # ---------------------------------------------------------------------------
-# Golden-section refinement (deterministic, ties toward smaller argument)
+# Grid search refined by golden section (deterministic, ties toward smaller argument)
 # ---------------------------------------------------------------------------
 
-def _golden_min(fn, lo: float, hi: float, tol: float, known: dict | None = None):
-    """Minimize on [lo, hi]; returns the best evaluated point and its value,
-    preferring the smaller argument on exact ties.  ``known`` maps points to
-    values of ``fn`` that are already computed."""
+def _refine_min(fn, axis: np.ndarray, values: np.ndarray, tol: float):
+    """Grid minimum of ``values`` (``fn`` on ``axis``) refined by golden
+    section to ``tol`` between its grid neighbours; returns ``(argument,
+    value)`` of the least evaluation, preferring the smaller argument on
+    exact ties.  The grid point and its neighbours seed the evaluations, so
+    a one-point axis never calls ``fn``."""
     evals: dict[float, float] = {}
 
-    def f(x: float) -> float:
+    def f(x: float, known: float | None = None) -> float:
         if x not in evals:
-            v = known[x] if known and x in known else fn(x)
+            v = fn(x) if known is None else known
             if not np.isfinite(v):
                 raise NumericFailure(f"non-finite objective value at {x}")
             evals[x] = v
         return evals[x]
 
-    a, b = lo, hi
-    f(a), f(b)
+    k = int(np.argmin(values))  # first minimum = smallest argument on ties
+    i_lo, i_hi = max(k - 1, 0), min(k + 1, axis.size - 1)
+    for i in range(i_lo, i_hi + 1):
+        f(axis[i], values[i])
+    a, b = axis[i_lo], axis[i_hi]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     while (b - a) > tol:
@@ -255,23 +266,8 @@ def _golden_min(fn, lo: float, hi: float, tol: float, known: dict | None = None)
         else:
             a, c = c, d
             d = a + _INVPHI * (b - a)
-    best = min(sorted(evals), key=lambda x: (evals[x], x))
-    return best, evals[best]
-
-
-def _refine_min(fn, axis: np.ndarray, values: np.ndarray, tol: float):
-    """Grid minimum of ``values`` (``fn`` on ``axis``) refined by golden
-    section between its grid neighbours; returns ``(argument, value)``,
-    preferring the smaller argument on exact ties."""
-    k = int(np.argmin(values))  # first minimum = smallest argument on ties
-    i_lo, i_hi = max(k - 1, 0), min(k + 1, axis.size - 1)
-    lo, hi = axis[i_lo], axis[i_hi]
-    if lo == hi:
-        return float(axis[k]), values[k]
-    x, v = _golden_min(fn, lo, hi, tol, {lo: values[i_lo], hi: values[i_hi]})
-    if values[k] < v or (values[k] == v and axis[k] < x):
-        return float(axis[k]), values[k]
-    return float(x), v
+    best = min(evals, key=lambda x: (evals[x], x))
+    return float(best), evals[best]
 
 
 def _axis(box: tuple[float, float], step: float) -> np.ndarray:
@@ -285,25 +281,20 @@ def _axis(box: tuple[float, float], step: float) -> np.ndarray:
 # Optimization
 # ---------------------------------------------------------------------------
 
-def minimize_beta(
-    m: int,
-    alpha: float,
-    variant: str = "per-term",
-    search_box: tuple[float, float] = (0.05, 1.5),
-    tol: float = 1e-3,
-    coarse_step: float = 0.05,
-) -> tuple[float, float]:
+def minimize_beta(m: int, alpha: float,
+                  config: OptimizerConfig = OptimizerConfig()) -> tuple[float, float]:
     """Conjugate width minimizing the overlap deviation at fixed ``alpha``.
 
-    Coarse grid scan refined by golden section to ``tol``; exact ties break
-    toward the smaller width.
+    The ``config.u_variant`` functional is scanned over ``config.beta_box``
+    at ``config.coarse_step`` and refined by golden section to
+    ``config.tol``, the same search as stage 1's; exact ties break toward
+    the smaller width.
     """
-    _check_search(tol, coarse_step, search_box=search_box)
-    axis = _axis(search_box, coarse_step)
-    values = np.array([u_functional(m, alpha, b, variant) for b in axis])
-    if not np.all(np.isfinite(values)):
-        raise NumericFailure("overlap functional produced non-finite values")
-    beta_opt, u_min = _refine_min(lambda b: u_functional(m, alpha, b, variant), axis, values, tol)
+    def u(beta: float) -> float:
+        return u_functional(m, alpha, beta, config.u_variant)
+
+    axis = _axis(config.beta_box, config.coarse_step)
+    beta_opt, u_min = _refine_min(u, axis, np.array([u(b) for b in axis]), config.tol)
     return beta_opt, float(u_min)
 
 
@@ -365,9 +356,7 @@ def optimize_point(
         stage1_c = -neg_c
 
     if config.scheme == "staged":
-        beta_opt, u_min = minimize_beta(
-            m, alpha_opt, config.u_variant, config.beta_box, config.tol, config.coarse_step
-        )
+        beta_opt, u_min = minimize_beta(m, alpha_opt, config)
     else:
         beta_opt = best_beta(alpha_opt)[0]
         u_min = u_functional(m, alpha_opt, beta_opt, config.u_variant)

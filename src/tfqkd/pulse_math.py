@@ -17,6 +17,8 @@ finite-interval integral, never by integrating out to infinity.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,6 +38,14 @@ DEFAULT_ACCURACY = 1e-8
 _TAIL_W_MIN = 30.0
 _TAIL_ORDER = 10
 _FACTORIAL = factorial(np.arange(2 * _TAIL_ORDER))  # k! for k < 2 * order
+
+
+def _symbol_count(m) -> int:
+    """``m`` as an int, or :class:`DomainError` unless it is an integer >= 2
+    (2.0 counts as 2; NaN, infinities, None and strings do not)."""
+    if not (isinstance(m, numbers.Real) and math.isfinite(m) and m % 1 == 0 and m >= 2):
+        raise DomainError(f"m must be an integer >= 2, got {m!r}")
+    return int(m)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +395,7 @@ def build_spectrum(
         coordinates; a test hook (``(-inf, inf)`` gives the untruncated
         reference spectrum ``exp(-w**2)/sqrt(pi)``).
     """
-    if m % 1 or not m >= 2:
-        raise DomainError(f"m must be an integer >= 2, got {m}")
-    m = int(m)
+    m = _symbol_count(m)
     if f is not None and f not in range(1, m + 1):
         raise DomainError(f"filter index {f} outside 1..{m}")
     if not 0.0 < beta < np.inf:

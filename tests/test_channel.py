@@ -18,6 +18,7 @@ from tfqkd.channel import (
     p_wrong,
 )
 from tfqkd.errors import DomainError, NumericFailure
+from tfqkd.oracle import dft_spectrum_oracle
 from tfqkd.pulse_math import build_spectrum
 
 # closed-form references computed once from the error function
@@ -50,6 +51,24 @@ class TestProtocolParams:
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             ProtocolParams(**kwargs)
+
+
+# every entry point that takes m shares one check, so each raises DomainError
+@pytest.mark.parametrize("build", [
+    lambda m: ProtocolParams(m, 0.5, 0.7), make_layout, lambda m: build_spectrum(None, m, 0.7),
+    lambda m: dft_spectrum_oracle(1, m, 0.7),
+], ids=["ProtocolParams", "make_layout", "build_spectrum", "dft_spectrum_oracle"])
+@pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf, None, 2.5, 1, "4", True],
+                         ids=["nan", "inf", "-inf", "None", "2.5", "1", "str", "True"])
+def test_impossible_m_is_domain_error(build, m):
+    with pytest.raises(DomainError, match="m must be an integer >= 2"):
+        build(m)
+
+
+def test_integral_float_m_counts_as_int():
+    for m in (ProtocolParams(2.0, 0.5, 0.7).m, make_layout(np.float64(2.0)).m,
+              build_spectrum(None, 2.0, 0.7).m):
+        assert m == 2 and type(m) is int
 
 
 class TestMakeLayout:

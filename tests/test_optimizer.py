@@ -19,7 +19,7 @@ from tfqkd.optimizer import (
     optimize_point,
     sweep,
     u_functional,
-    _golden_min,
+    _refine_min,
 )
 from tfqkd.pulse_math import density_bin_mass
 
@@ -189,10 +189,11 @@ class TestMinimizeBeta:
     @pytest.mark.parametrize("m,alpha", [(m, a) for m in (2, 3, 4, 16) for a in (0.05, 0.5, 1.5)]
                              + [(32, 0.5)])
     def test_whole_sum_same_beta_as_scalar_reference(self, m, alpha, monkeypatch):
-        beta_opt, _ = minimize_beta(m, alpha, "whole-sum")
+        config = OptimizerConfig(u_variant="whole-sum")
+        beta_opt, _ = minimize_beta(m, alpha, config)
         monkeypatch.setattr(optimizer_module, "u_functional",
                             lambda m, alpha, beta, variant: _u_whole_sum_scalar(m, alpha, beta))
-        assert minimize_beta(m, alpha, "whole-sum")[0] == beta_opt
+        assert minimize_beta(m, alpha, config)[0] == beta_opt
 
     def test_deterministic(self):
         a = minimize_beta(8, 0.4)
@@ -201,23 +202,51 @@ class TestMinimizeBeta:
 
     def test_argmin_invariant_under_rescaling(self):
         # positive rescaling of the objective must not move the minimizer
-        base, _ = _golden_min(lambda b: u_functional(4, 0.5, b), 0.4, 1.2, 1e-4)
-        scaled, _ = _golden_min(lambda b: 7.3 * u_functional(4, 0.5, b), 0.4, 1.2, 1e-4)
-        assert scaled == pytest.approx(base, abs=1e-4)
+        axis = np.array([0.4, 0.8, 1.2])
 
-    def test_rejects_bad_box(self):
-        with pytest.raises(DomainError):
-            minimize_beta(4, 0.5, search_box=(0.9, 0.2))
+        def argmin(scale):
+            def fn(b):
+                return scale * u_functional(4, 0.5, b)
+            return _refine_min(fn, axis, np.array([fn(b) for b in axis]), 1e-4)[0]
+        assert argmin(7.3) == pytest.approx(argmin(1.0), abs=1e-4)
 
-    # golden section stops only at a positive tol, and is skipped at a NaN one
-    @pytest.mark.parametrize("kwargs", [
-        dict(tol=0.0), dict(tol=-1.0), dict(tol=math.nan),
-        dict(coarse_step=0.0), dict(coarse_step=-0.1), dict(coarse_step=math.nan),
-        dict(search_box=(0.05, math.inf)),
-    ])
-    def test_rejects_bad_numeric_settings(self, kwargs):
-        with pytest.raises(DomainError, match=next(iter(kwargs))):
-            minimize_beta(4, 0.5, **kwargs)
+
+class TestRefineMin:
+    axis = np.array([0.0, 1.0, 2.0])
+
+    def test_one_point_axis_never_calls_fn(self):
+        def fn(x):
+            raise AssertionError("fn called")
+        assert _refine_min(fn, np.array([0.3]), np.array([1.5]), 1e-3) == (0.3, 1.5)
+
+    def test_grid_point_beats_every_golden_point(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return 1.0
+        assert _refine_min(fn, self.axis, np.array([2.0, 0.5, 2.0]), 1e-3) == (1.0, 0.5)
+        assert calls  # the golden points were evaluated, and lost
+
+    def test_tie_goes_to_the_smaller_argument(self):
+        # a golden point below the grid point ties with it and wins ...
+        x, v = _refine_min(lambda x: 0.0, self.axis, np.array([1.0, 0.0, 1.0]), 1e-3)
+        assert v == 0.0 and 0.0 < x < 1.0
+        # ... while golden points above it tie and lose
+        def fn(x):
+            return 0.0 if x > 1.0 else 5.0
+        assert _refine_min(fn, self.axis, np.array([1.0, 0.0, 1.0]), 1e-3) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_seed_raises(self, bad):
+        def fn(x):
+            raise AssertionError("fn called")
+        with pytest.raises(NumericFailure):
+            _refine_min(fn, self.axis, np.array([2.0, 0.5, bad]), 1e-3)
+
+    def test_non_finite_fn_value_raises(self):
+        with pytest.raises(NumericFailure):
+            _refine_min(lambda x: math.nan, self.axis, np.array([1.0, 0.0, 1.0]), 1e-3)
 
 
 class TestCSurface:
@@ -393,7 +422,8 @@ class TestOptimizePoint:
         dict(tol=0.0), dict(tol=-1.0), dict(tol=math.nan), dict(tol=math.inf),
         dict(coarse_step=0.0), dict(coarse_step=-0.1), dict(coarse_step=math.nan),
         dict(coarse_step=math.inf), dict(alpha_box=(0.05, math.inf)),
-        dict(beta_box=(0.05, math.nan)),
+        dict(beta_box=(0.05, math.nan)), dict(beta_box=(0.05, math.inf)),
+        dict(beta_box=(0.9, 0.2)),
     ])
     def test_rejects_bad_numeric_settings(self, kwargs):
         with pytest.raises(DomainError, match=next(iter(kwargs))):

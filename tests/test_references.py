@@ -20,6 +20,10 @@ REFERENCES = {
     "keyrate-plain": ("keyrate --m 256 --eps 0 --rep-rate-hz 1e8",
                       "bench/references/keyrate-plain.json"),
     "optimize-cold": ("optimize --m 16 --eps 0.5", "bench/references/optimize-cold.json"),
+    "optimize-nested": ("optimize --m 16 --eps 0.5 --scheme nested",
+                        "tests/data/optimize-m16-eps0.5-nested.json"),
+    "optimize-whole-sum": ("optimize --m 16 --eps 0.5 --u-variant whole-sum",
+                           "tests/data/optimize-m16-eps0.5-whole-sum.json"),
 }
 
 
