@@ -149,8 +149,7 @@ def p_wrong(params: ProtocolParams) -> np.ndarray:
     is the same vector of bin masses of a width-``beta*m/2`` pulse at 0; the
     matrix is a read-only broadcast of that column.
     """
-    inner = erf(make_layout(params.m).upper[:-1] / params.conjugate_sigma)
-    col = 0.5 * np.diff(np.concatenate([[-1.0], inner, [1.0]]))
+    col = 0.5 * np.diff(erf(pulse_math._filter_cuts(params.m, params.beta)))
     return np.broadcast_to(col[:, None], (params.m, params.m))
 
 

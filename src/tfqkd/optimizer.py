@@ -386,13 +386,12 @@ def sweep(ms, epsilons, config: OptimizerConfig = OptimizerConfig()) -> list[Swe
     epsilons = list(epsilons)
     if not ms or not epsilons:
         raise DomainError("sweep needs at least one m and one epsilon")
-    points = [(int(m), float(e)) for m in ms for e in epsilons]
 
-    def run(point):
-        m, eps = point
+    def run(m, eps):
         try:
-            return SweepEntry(m, eps, "ok", result=optimize_point(m, eps, config))
+            result = optimize_point(m, eps, config)
         except (DomainError, NumericFailure) as exc:
             return SweepEntry(m, eps, "failed", error=str(exc))
+        return SweepEntry(result.m, result.epsilon, "ok", result=result)
 
-    return [run(p) for p in points]
+    return [run(m, e) for m in ms for e in epsilons]

@@ -376,7 +376,7 @@ def dft_spectrum_oracle(
     x_weights.setflags(write=False)
     return DftSpectrum(
         filter_index=f,
-        m=m,
+        m=layout.m,
         beta=beta,
         grid_step=grid_step,
         grid_span=grid_span,

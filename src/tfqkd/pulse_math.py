@@ -73,22 +73,25 @@ def density_bin_mass(width: float, center: float, lo: float, hi: float) -> float
 # Fourier transform of a truncated standard-normal amplitude
 # ---------------------------------------------------------------------------
 
-def _erf_exp_half(x: float, w: np.ndarray) -> np.ndarray:
-    """``exp(-w**2/2) * erf((x + i*w)/sqrt(2))`` without overflow.
+def _erf_exp_half(cuts: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows ``exp(-w**2/2) * erf((x + i*w)/sqrt(2))``, one per cut ``x``, without overflow.
 
     A naive complex erf overflows once ``|w|`` reaches ~38; rewriting
     through the Faddeeva function keeps every factor bounded because
     ``wofz`` is evaluated in the half plane where it is <= 1 in modulus.
+    erf is odd, so a negative cut is ``-conj`` of its mirror image; the
+    rows of cuts at +-inf are ``+-exp(-w**2/2)``.
     """
-    envelope = np.exp(-0.5 * w * w)
-    if np.isposinf(x):
-        return envelope + 0.0j
-    if np.isneginf(x):
-        return -envelope + 0.0j
+    rows = np.full(cuts.shape + w.shape, np.exp(-0.5 * w * w), dtype=complex)
+    finite = np.isfinite(cuts)
+    x = np.abs(cuts[finite]).reshape((-1,) + (1,) * w.ndim)
     damp = np.exp(-0.5 * x * x) * np.exp(-1j * w * x)
-    if x >= 0.0:
-        return envelope - damp * wofz((-w + 1j * x) / SQRT2)
-    return -envelope + damp * wofz((w - 1j * x) / SQRT2)
+    faddeeva = wofz((-w + 1j * x) / SQRT2)
+    # named operands: on a large temporary numpy may swap the factors, which rounds differently
+    product = damp * faddeeva
+    rows[finite] -= product
+    rows[cuts < 0.0] = -np.conj(rows[cuts < 0.0])
+    return rows
 
 
 def truncated_pulse_fourier(x_lo: float, x_hi: float, w):
@@ -97,71 +100,69 @@ def truncated_pulse_fourier(x_lo: float, x_hi: float, w):
     ``phi`` is the standard normal pdf; bounds may be infinite.  Satisfies
     ``|F| <= 1`` and the conjugate symmetry ``F(-w) == conj(F(w))``.
     """
-    if x_lo > x_hi:
-        raise DomainError(f"empty window: x_lo={x_lo} > x_hi={x_hi}")
-    w_arr = np.asarray(w, dtype=float)
-    out = 0.5 * (_erf_exp_half(x_hi, w_arr) - _erf_exp_half(x_lo, w_arr))
+    if not x_lo <= x_hi:  # also rejects NaN
+        raise DomainError(f"empty window: x_lo={x_lo}, x_hi={x_hi}")
+    out = 0.5 * np.diff(_erf_exp_half(np.array([x_lo, x_hi], dtype=float),
+                                      np.asarray(w, dtype=float)), axis=0)[0]
     return out if out.ndim else complex(out)
 
 
-def _summed_density(windows, w):
-    """Sum over ``windows`` of the spectral density ``|F(w)|**2 / sqrt(pi)``
-    of :func:`truncated_pulse_fourier`, with one :func:`_erf_exp_half` per
-    distinct edge: neighbouring filters share one."""
-    w_arr = np.asarray(w, dtype=float)
-    half = {x: _erf_exp_half(x, w_arr) for x in set().union(*windows)}
-    spectra = (0.5 * (half[x_hi] - half[x_lo]) for x_lo, x_hi in windows)
-    return sum((f.real * f.real + f.imag * f.imag) / SQRTPI for f in spectra)
+def _summed_density(cuts: np.ndarray, w):
+    """Sum of the spectral densities ``|F(w)|**2 / sqrt(pi)`` of the windows
+    between neighbouring ``cuts``, added in window order."""
+    spectra = 0.5 * np.diff(_erf_exp_half(cuts, np.asarray(w, dtype=float)), axis=0)
+    return ((spectra.real * spectra.real + spectra.imag * spectra.imag) / SQRTPI).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
 # Asymptotic tail mass of the spectral density
 # ---------------------------------------------------------------------------
 
-def _phi_derivatives(x: float, order: int):
-    """Values ``phi^(k)(x)`` for k = 0..order-1 (probabilists' Hermite)."""
+def _phi_derivatives(x: np.ndarray, order: int) -> np.ndarray:
+    """Rows of ``phi^(k)(x)``, k = 0..order-1 (probabilists' Hermite), per point of ``x``."""
     phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    he = [1.0, x]
+    he = [np.ones_like(x), x]
     for k in range(2, order):
         he.append(x * he[k - 1] - (k - 1) * he[k - 2])
-    return [((-1.0) ** k) * he[k] * phi for k in range(order)]
+    return np.stack([((-1.0) ** k) * he[k] * phi for k in range(order)], axis=-1)
 
 
-def _tail_coefficients(windows):
+def _tail_coefficients(cuts: np.ndarray):
     """Series coefficients of ``(1/sqrt(pi)) * integral_w^inf |F|**2``,
-    summed over the spectra of ``windows``.
+    summed over the spectra of the windows between neighbouring ``cuts``.
 
     Integration by parts expands F into Gaussian derivatives at the finite
-    window edges, so ``|F|**2`` is a sum of ``exp(i*lag*w) * w**-n`` terms,
-    n = 2..2*order.  An edge with itself has lag 0: powers of ``1/w`` after
-    integration.  The two edges have lag ``x_hi - x_lo``: their terms
-    integrate to ``I_n``, whose exact recurrence
-    ``I_n = (exp(i*lag*w) * w**(1-n) + i*lag*I_{n-1}) / (n-1)`` is unrolled
-    here into ``first * I_1 + exp(i*lag*w) * (powers of 1/w)``.  The series
-    is linear in these terms, so a sum of spectra adds them up; its cross
-    terms must share one lag (all interior filters have the same length).
+    cuts, so ``|F|**2`` is a sum of ``exp(i*lag*w) * w**-n`` terms,
+    n = 2..2*order.  A cut with itself has lag 0: powers of ``1/w`` after
+    integration, once per window the cut bounds.  The two cuts of a finite
+    window have lag ``x_hi - x_lo``: their terms integrate to ``I_n``, whose
+    exact recurrence ``I_n = (exp(i*lag*w) * w**(1-n) + i*lag*I_{n-1}) / (n-1)``
+    is unrolled here into ``first * I_1 + exp(i*lag*w) * (powers of 1/w)``.
+    The series is linear in these terms, so a sum of spectra adds them up;
+    its cross terms must share one lag (all interior filters have the same
+    length).
 
     Returns ``(coef, first, lag)``; ``coef[k]`` multiplies ``w**-(k+1)`` in
     one column (lag 0) or three (lag 0, real and imaginary cross part).
     """
-    # per finite edge: c_k = s * phi^(k)(x) * (-i)**(k+1), k = 0..order-1
+    # per finite cut: c_k = phi^(k)(x) * (-i)**(k+1), k = 0..order-1, negated
+    # where the cut is the upper edge of a window
     minus_i = (-1j) ** np.arange(1, _TAIL_ORDER + 1)
-    per_window = [[sign * np.asarray(_phi_derivatives(x, _TAIL_ORDER)) * minus_i
-                   for sign, x in ((+1.0, x_lo), (-1.0, x_hi)) if np.isfinite(x)]
-                  for x_lo, x_hi in windows]
+    finite = np.isfinite(cuts)
+    c = _phi_derivatives(cuts[finite], _TAIL_ORDER) * minus_i
+    windows_bounded = np.convolve(np.ones(cuts.size - 1, dtype=int), [1, 1])  # 1 at ends, else 2
     n = np.arange(2, 2 * _TAIL_ORDER + 1)
-    terms = [c for edges in per_window for c in edges]
-    lag0 = sum(np.convolve(c, np.conj(c)).real for c in terms) if terms else np.zeros(n.size)
+    lag0 = sum(np.convolve(ck, np.conj(ck)).real
+               for ck in np.repeat(c, windows_bounded[finite], axis=0))
     coef = lag0 / (n - 1) / SQRTPI
-    pairs = [edges for edges in per_window if len(edges) == 2]
-    if not pairs:
+    if c.shape[0] < 2:
         return coef[:, None], 0.0, np.inf
-    lags = [x_hi - x_lo for x_lo, x_hi in windows if np.isfinite(x_hi - x_lo)]
+    lags = np.diff(cuts[finite])
     if not np.allclose(lags, lags[0], rtol=1e-12, atol=0.0):
-        raise DomainError(f"windows of lengths {min(lags)} and {max(lags)} share no tail series")
+        raise DomainError(f"windows of lengths {lags.min()} and {lags.max()} share no tail series")
     lag = float(lags[0])
     il = 1j * lag
-    cross = sum(2.0 * np.convolve(lo, np.conj(hi)) for lo, hi in pairs)
+    cross = sum(2.0 * np.convolve(lo, np.conj(hi)) for lo, hi in zip(c[:-1], -c[1:]))
     scaled = cross / SQRTPI / _FACTORIAL[n - 1]  # c_n / (n-1)!
     first = np.sum(scaled * il ** (n - 1))
     unrolled = np.array([_FACTORIAL[j - 2] * np.sum(scaled[k:] * il ** (n[k:] - j))
@@ -228,7 +229,7 @@ _K15_ANTIDERIVATIVE = np.column_stack([
 def _integrate_adaptive(g, seed_edges: np.ndarray, tol_total: float, max_rounds: int = 48):
     """Refine seed panels by bisection until the summed error gauge meets
     ``tol_total``; returns (sorted edges, per-panel integrals, per-panel K15
-    node values, error bound)."""
+    node values, error bound); a node value that is not finite raises at once."""
     a = np.asarray(seed_edges[:-1], dtype=float)
     b = np.asarray(seed_edges[1:], dtype=float)
     span = float(seed_edges[-1] - seed_edges[0])
@@ -236,6 +237,8 @@ def _integrate_adaptive(g, seed_edges: np.ndarray, tol_total: float, max_rounds:
     for round_ in range(max_rounds + 1):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         nodes = g((mid[:, None] + half[:, None] * _K15_NODES).ravel()).reshape(a.size, -1)
+        if not np.isfinite(nodes).all():
+            raise NumericFailure("integrand is not finite at a quadrature node", target=tol_total)
         val = (nodes @ _K15_WEIGHTS) * half
         err = np.abs(val - (nodes[:, 1::2] @ _G7_WEIGHTS) * half)  # K15 - G7 gauge
         ok = (err <= np.maximum(tol_total * (b - a) / span, 1e-17)) | ((b - a) <= 1e-12)
@@ -267,11 +270,12 @@ def _integrate_adaptive(g, seed_edges: np.ndarray, tol_total: float, max_rounds:
 class TruncatedSpectrum:
     """Cumulative spectral-energy distribution of time-truncated pulses.
 
-    The density is the sum of the spectra of the pulse truncated by each of
-    the ``windows``: one window for a single filter, all ``m`` for the
-    filter bank whose outputs the eavesdropper's receiver sums.  Immutable
-    after construction, so cached instances are shared.  ``total_mass`` is
-    the exact pass probability of the windows (the spectrum integrates to
+    The density is the sum of the spectra of the pulse truncated by each
+    window between neighbouring ``cuts`` (strictly increasing, read-only):
+    two cuts for a single filter, ``m + 1`` for the filter bank whose outputs
+    the eavesdropper's receiver sums.  Immutable after construction, so
+    cached instances are shared.  ``total_mass`` is the exact pass
+    probability of the windows (the spectrum integrates to
     it by Parseval); ``total_mass_numeric`` is the same value recovered from
     the panel table plus the asymptotic tails, kept as a self-check of the
     quadrature; ``error_bound`` is the summed K15-G7 gauge of its
@@ -283,7 +287,7 @@ class TruncatedSpectrum:
     answers.
     """
 
-    windows: tuple
+    cuts: np.ndarray
     m: int
     beta: float
     accuracy: float
@@ -297,7 +301,7 @@ class TruncatedSpectrum:
 
     def density(self, w):
         """Spectral energy density g(w), summed over the windows."""
-        return _summed_density(self.windows, w)
+        return _summed_density(self.cuts, w)
 
     def cumulative(self, w):
         """G(w): spectral mass below ``w``, absolute error <= ``accuracy``;
@@ -344,14 +348,12 @@ def _clip_within(values: np.ndarray, upper: float, accuracy: float) -> np.ndarra
     return np.clip(values, 0.0, upper)
 
 
-def _filter_window(f: int, m: int, beta: float):
-    """Normalized amplitude-domain window (2*b/(beta*m)) of filter ``f``."""
-    b_lo = -np.inf if f == 1 else f - 0.5 * m - 1.0
-    b_up = np.inf if f == m else f - 0.5 * m
-    scale = 0.5 * beta * m
-    x_lo = -np.inf if np.isneginf(b_lo) else b_lo / scale
-    x_hi = np.inf if np.isposinf(b_up) else b_up / scale
-    return x_lo, x_hi
+def _filter_cuts(m: int, beta: float) -> np.ndarray:
+    """Sorted cuts of the filter bank in normalized amplitude coordinates
+    (2*b/(beta*m)): -inf, the m - 1 inner bin bounds, +inf.  Filter ``f``
+    is the window ``cuts[f-1:f+1]``."""
+    inner = (np.arange(1, m) - 0.5 * m) / (0.5 * beta * m)
+    return np.concatenate([[-np.inf], inner, [np.inf]])
 
 
 def _seed_edges(length: float) -> np.ndarray:
@@ -403,20 +405,18 @@ def build_spectrum(
     if not 0.0 < accuracy < np.inf:
         raise DomainError(f"accuracy must be finite and positive, got {accuracy}")
 
-    filters = range(1, m + 1) if f is None else (f,)
-    windows = (tuple(window),) if window is not None else tuple(
-        _filter_window(g, m, beta) for g in filters)
-    if any(x_lo >= x_hi for x_lo, x_hi in windows):
-        raise DomainError(f"empty window in {windows}")
+    cuts = _filter_cuts(m, beta) if window is None else np.array(window, dtype=float)
+    if window is None and f is not None:
+        cuts = cuts[f - 1:f + 1]
+    if (window is not None and cuts.shape != (2,)) or not np.all(cuts[1:] > cuts[:-1]):
+        raise DomainError(f"cuts must be strictly increasing and a window one pair, got {cuts}")
 
-    shortest = min(x_hi - x_lo for x_lo, x_hi in windows)
     # a bin across w = 0 carries the error of both halves, so each half gets
     # accuracy / 4 and the bin stays within accuracy / 2
     edges, panels, nodes, error_bound = _integrate_adaptive(
-        lambda w: _summed_density(windows, w), _seed_edges(shortest), tol_total=0.25 * accuracy
-    )
-    series = _tail_coefficients(windows)
-    total_exact = sum(density_bin_mass(1.0, 0.0, x_lo, x_hi) for x_lo, x_hi in windows)
+        lambda w: _summed_density(cuts, w), _seed_edges(np.diff(cuts).min()), 0.25 * accuracy)
+    series = _tail_coefficients(cuts)
+    total_exact = sum(0.5 * np.diff(erf(cuts)))
     cum = np.concatenate([[0.0], np.cumsum(panels)])
     # per panel: G(w) = polynomial in t, the constant term carrying the mass
     # below the panel (half the total below w = 0, by evenness)
@@ -424,10 +424,10 @@ def build_spectrum(
     coef[:, 0] += 0.5 * total_exact + cum[:-1]
     total_numeric = 2.0 * float(cum[-1] + _tail_mass(series, edges[-1:])[0])
 
-    for table in (edges, coef):
+    for table in (cuts, edges, coef):
         table.setflags(write=False)
     return TruncatedSpectrum(
-        windows=windows,
+        cuts=cuts,
         m=m,
         beta=beta,
         accuracy=accuracy,

@@ -67,7 +67,7 @@ def test_impossible_m_is_domain_error(build, m):
 
 def test_integral_float_m_counts_as_int():
     for m in (ProtocolParams(2.0, 0.5, 0.7).m, make_layout(np.float64(2.0)).m,
-              build_spectrum(None, 2.0, 0.7).m):
+              build_spectrum(None, 2.0, 0.7).m, dft_spectrum_oracle(1, 2.0, 0.7).m):
         assert m == 2 and type(m) is int
 
 
@@ -172,6 +172,14 @@ class TestPWrong:
         P = p_wrong(ProtocolParams(m, 0.5, beta))
         assert is_column_stochastic(P, tol=1e-9)
         assert np.allclose(P, P[::-1, ::-1], atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 16])
+    @pytest.mark.parametrize("beta", [0.3, 1.2])
+    def test_column_is_filter_pass_probabilities(self, m, beta):
+        # one owner of the filter geometry: the bin masses of the conjugate
+        # pulse are the exact totals of the single-filter spectra
+        column = p_wrong(ProtocolParams(m, 0.5, beta))[:, 0]
+        assert np.array_equal(column, [build_spectrum(f, m, beta).total_mass for f in range(1, m + 1)])
 
 
 class TestPSecondCorrect:

@@ -451,6 +451,14 @@ class TestSweep:
         assert entries[1].status == "failed"
         assert "forced failure" in entries[1].error
 
+    def test_impossible_m_is_a_failed_entry(self):
+        # m reaches ProtocolParams unchanged: a fraction is not truncated to
+        # an int and None is not a bare TypeError
+        entries = sweep([2.5, None, 1], [0.0], OptimizerConfig(coarse_step=0.25))
+        assert [(e.m, e.epsilon, e.status) for e in entries] == [
+            (2.5, 0.0, "failed"), (None, 0.0, "failed"), (1, 0.0, "failed")]
+        assert all("m must be an integer" in e.error for e in entries)
+
     def test_rejects_empty_lists(self):
         with pytest.raises(DomainError):
             sweep([], [0.1])

@@ -15,7 +15,8 @@ from tfqkd.pulse_math import (
     cached_spectrum,
     density_bin_mass,
     truncated_pulse_fourier,
-    _filter_window,
+    _filter_cuts,
+    _integrate_adaptive,
     _summed_density,
     _tail_coefficients,
     _tail_mass,
@@ -115,6 +116,11 @@ class TestTruncatedPulseFourier:
         with pytest.raises(DomainError):
             truncated_pulse_fourier(1.0, -1.0, 0.0)
 
+    @pytest.mark.parametrize("x_lo,x_hi", [(np.nan, 1.0), (-1.0, np.nan)], ids=["lo", "hi"])
+    def test_rejects_nan_bound(self, x_lo, x_hi):
+        with pytest.raises(DomainError):
+            truncated_pulse_fourier(x_lo, x_hi, 0.0)
+
 
 class TestBuildSpectrum:
     def test_half_line_windows_carry_half_mass(self):
@@ -200,6 +206,15 @@ class TestBuildSpectrum:
         with pytest.raises(DomainError):
             build_spectrum(1, 4, 0.7, window=(0.5, 0.5))
 
+    @pytest.mark.parametrize("window", [(np.nan, 1.0), (0.0, np.nan), (np.inf, np.inf),
+                                        (1.0,), (0.0, 1.0, 2.0)],
+                             ids=["nan-lo", "nan-hi", "inf-inf", "one-cut", "three-cuts"])
+    def test_rejects_bad_window(self, window):
+        # NaN fails every comparison, so only a strict order check stops it;
+        # its NaN density would keep the quadrature refining without end
+        with pytest.raises(DomainError):
+            build_spectrum(1, 2, 0.7, window=window)
+
     @pytest.mark.parametrize("f,m,beta", [
         (None, 2.5, 0.7), (None, np.nan, 0.7), (None, 1, 0.7), (1.5, 4, 0.7),
         (1, 4, np.inf), (1, 4, np.nan),
@@ -213,11 +228,11 @@ class TestPolynomialQueries:
     """The table answers queries by panel lookup plus a polynomial."""
 
     @staticmethod
-    def _quad_cumulative(spec, window, w):
+    def _quad_cumulative(spec, cuts, w):
         # independent reference: adaptive quadrature of g from w = -30, plus
         # the tail series below it (itself checked against quadrature in
         # TestTailSeries); the mass below -w equals the mass above w
-        below, left = _tail_mass(_tail_coefficients([window]), np.array([abs(w), 30.0]))
+        below, left = _tail_mass(_tail_coefficients(cuts), np.array([abs(w), 30.0]))
         if w <= -30.0:
             return below
         pieces = np.linspace(-30.0, w, int(np.ceil((w + 30.0) / 0.5)) + 1)
@@ -236,7 +251,7 @@ class TestPolynomialQueries:
             got = spec.cumulative(ws)
             for w, g in zip(ws, got):
                 assert g == pytest.approx(
-                    self._quad_cumulative(spec, _filter_window(f, m, beta), w), abs=1e-9)
+                    self._quad_cumulative(spec, _filter_cuts(m, beta)[f - 1:f + 1], w), abs=1e-9)
 
     @pytest.mark.parametrize("m,beta", [(4, 0.7), (5, 1.2), (16, 0.3), (32, 0.5)])
     def test_mirrored_filter_matches_independent_build(self, m, beta):
@@ -250,8 +265,8 @@ class TestPolynomialQueries:
         for f in range(1, (m + 1) // 2 + 1):
             spec = build_spectrum(f, m, beta)
             mirror = build_spectrum(m + 1 - f, m, beta)
-            lo, hi = _filter_window(f, m, beta)
-            assert _filter_window(m + 1 - f, m, beta) == (-hi, -lo)
+            lo, hi = _filter_cuts(m, beta)[f - 1:f + 1]
+            assert tuple(_filter_cuts(m, beta)[m - f:m + 2 - f]) == (-hi, -lo)
             assert mirror.total_mass == pytest.approx(spec.total_mass, abs=1e-15)
             got, want = mirror.cumulative(w), spec.total_mass - spec.cumulative(-w)
             assert np.allclose(got[off_zero], want[off_zero], rtol=0.0, atol=1e-15)
@@ -271,8 +286,9 @@ class TestPolynomialQueries:
     def test_summed_matches_sum_of_filters(self, m, beta):
         w = np.concatenate([np.linspace(-29.0, 29.0, 59), [-30.5, -30.0, 30.0, 30.5, -75.0, 120.0]])
         summed = cached_spectrum(m, beta, 1e-8)
-        assert summed.windows == tuple(_filter_window(f, m, beta) for f in range(1, m + 1))
+        assert np.array_equal(summed.cuts, _filter_cuts(m, beta))
         per_filter = [build_spectrum(f, m, beta) for f in range(1, m + 1)]
+        assert all(np.array_equal(s.cuts, summed.cuts[f - 1:f + 1]) for f, s in enumerate(per_filter, 1))
         assert summed.total_mass == pytest.approx(1.0, abs=1e-15)
         assert summed.total_mass == pytest.approx(sum(s.total_mass for s in per_filter), abs=1e-15)
         expected = sum(s.cumulative(w) for s in per_filter)
@@ -280,27 +296,30 @@ class TestPolynomialQueries:
         assert np.allclose(summed.density(w), sum(s.density(w) for s in per_filter),
                            rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 16, 32])
-    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.7, 1.2])
+    @pytest.mark.parametrize("beta,m", [(beta, m) for beta in (0.1, 0.3, 0.7, 1.2)
+                                        for m in (2, 3, 4, 5, 8, 16, 32)] + [(0.7, 256)])
     def test_shared_edges_leave_table_bitwise_unchanged(self, m, beta, monkeypatch):
-        # neighbouring filters share an edge, evaluated once; the density and
-        # the table built from it equal the per-window sum bit for bit
-        windows = tuple(_filter_window(f, m, beta) for f in range(1, m + 1))
+        # neighbouring filters share a cut, and one kernel call evaluates all
+        # m + 1 cuts; the density and the table built from it equal the
+        # per-window sum bit for bit (at m = 256 the kernel's arrays are large
+        # enough for numpy to reuse temporaries)
+        cuts = _filter_cuts(m, beta)
         w = np.linspace(-40.0, 40.0, 801)
-        per_window = lambda windows, w: sum(_spectral_density(lo, hi, w) for lo, hi in windows)
-        reference_density = per_window(windows, w)
-        edges = []
+        per_window = lambda cuts, w: sum(_spectral_density(lo, hi, w)
+                                         for lo, hi in zip(cuts[:-1], cuts[1:]))
+        reference_density = per_window(cuts, w)
+        calls = []
         evaluate = pulse_math._erf_exp_half
 
-        def counting(x, w):
-            edges.append(x)
-            return evaluate(x, w)
+        def counting(cuts, w):
+            calls.append(cuts)
+            return evaluate(cuts, w)
 
         with monkeypatch.context() as patch:
             patch.setattr(pulse_math, "_erf_exp_half", counting)
-            density = _summed_density(windows, w)
+            density = _summed_density(cuts, w)
         assert np.array_equal(density, reference_density)
-        assert len(edges) == len(set(edges)) == m + 1  # the m - 1 finite edges and -inf, +inf
+        assert len(calls) == 1 and np.array_equal(calls[0], cuts)
         shared = build_spectrum(None, m, beta)
         monkeypatch.setattr(pulse_math, "_summed_density", per_window)
         reference = build_spectrum(None, m, beta)
@@ -431,13 +450,18 @@ class TestSpectrumBinMass:
 
 class TestWorkBudget:
     def test_exhausted_budget_reports_achieved_error(self):
-        from tfqkd.pulse_math import _integrate_adaptive
-
         ripple = lambda w: 1.0 + np.sin(400.0 * np.asarray(w)) ** 2
         with pytest.raises(NumericFailure) as info:
             _integrate_adaptive(ripple, np.array([0.0, 50.0]), tol_total=1e-13, max_rounds=2)
         assert info.value.achieved is not None
         assert info.value.achieved > info.value.target
+
+    def test_non_finite_integrand_raises(self):
+        # NaN never compares above the error target, so it must stop the
+        # refinement by itself
+        with pytest.raises(NumericFailure):
+            _integrate_adaptive(lambda w: np.full(np.shape(w), np.nan), np.array([0.0, 1.0]),
+                                1e-10, max_rounds=3)
 
 
 class TestTailSeries:
@@ -449,7 +473,7 @@ class TestTailSeries:
                 for lo, hi in zip(edges[:-1], edges[1:]):
                     mid += quad(lambda w: _spectral_density(x_lo, x_hi, w), lo, hi,
                                 limit=200, epsabs=1e-14)[0]
-                series = _tail_coefficients([(x_lo, x_hi)])
+                series = _tail_coefficients(np.array([x_lo, x_hi]))
                 near, far = _tail_mass(series, np.array([w_from, 2 * w_from]))
                 assert near == pytest.approx(mid + far, abs=5e-9)
 
@@ -457,8 +481,8 @@ class TestTailSeries:
         # summed cross terms share one I_1, so windows of different lengths
         # cannot be summed; half-line windows have no cross terms
         with pytest.raises(DomainError):
-            _tail_coefficients([(-1.0, 0.0), (0.0, 2.0)])
-        coef, _, lag = _tail_coefficients([(-np.inf, 0.0), (0.0, np.inf)])
+            _tail_coefficients(np.array([-1.0, 0.0, 2.0]))
+        coef, _, lag = _tail_coefficients(np.array([-np.inf, 0.0, np.inf]))
         assert coef.shape[1] == 1 and lag == np.inf
 
 
