@@ -63,9 +63,9 @@ def _mutual_info(matrix: np.ndarray, prior: np.ndarray, received: np.ndarray):
     joint = matrix * prior
     mask = joint > _ZERO_CLAMP
     # marginals are positive wherever some joint entry in the row is; the
-    # other entries keep log2(1) = 0
-    terms = np.divide(matrix, received[..., None], out=np.ones_like(joint), where=mask)
-    np.log2(terms, out=terms)
+    # other entries stay 0
+    terms = np.divide(matrix, received[..., None], out=np.zeros(joint.shape), where=mask)
+    np.log2(terms, out=terms, where=mask)
     np.multiply(terms, joint, out=terms, where=mask)
     return terms.sum(axis=(-2, -1))
 
@@ -141,36 +141,50 @@ def _lattice_stats(values: np.ndarray, at_neg_inf: float, at_pos_inf: float,
     return info, 1.0 - trace / m
 
 
-# A chunk of alphas stacks at most this many entries (m * m per alpha, about
-# 4m at epsilon == 0), so memory stays flat however large m is.
+# A tile of alphas x betas stacks at most this many entries: m * m per pair
+# in the mixed blocks (4m per alpha at epsilon == 0), about 8 per point of the
+# second stage's query (m points per pair); so memory stays flat for any m.
 _CHUNK_ENTRIES = 1 << 14
 
 
 def _capacity_grid(m, epsilon, alphas, betas, accuracy: float):
-    """``(capacity, i_ab, i_ae, qser)`` arrays over ``alphas x betas``, one
-    beta column of a chunk of alphas at a time: one wrong-basis column, one
-    spectrum query and one stacked information pass per column, the
-    alpha-only terms once per chunk.  Only the attack-averaged block is formed
+    """``(capacity, i_ab, i_ae, qser)`` arrays over ``alphas x betas``, a tile
+    at a time: per chunk of alphas the alpha-only terms, per group of betas
+    one ``erf`` call for the wrong-basis columns, one (k, nb, m, m) stack of
+    mixed blocks and, in tiles of its own, one stacked query of the betas'
+    spectrum tables.  Only the attack-averaged block is formed
     (:func:`_lattice_stats` reads the others), none at ``epsilon == 0``."""
     m = ProtocolParams(m, alphas[0], betas[0], epsilon).m  # validates m and epsilon
     shape = (len(alphas), len(betas))
     ab, ae, qs = np.empty(shape), np.zeros(shape), np.empty(shape)
-    step = max(1, _CHUNK_ENTRIES // (m * m if epsilon else 4 * m))
+    info_pc = np.empty(len(alphas))
+
+    def tile(per_pair: int) -> tuple[int, int]:  # (alphas, betas) per tile, all alphas if they fit
+        step = min(len(alphas), max(1, _CHUNK_ENTRIES // per_pair))
+        return step, max(1, _CHUNK_ENTRIES // per_pair // step)
+
+    step, group = tile(m * m if epsilon else 4 * m)
     for lo in range(0, len(alphas), step):
-        rows, chunk = slice(lo, lo + step), alphas[lo:lo + step]
-        cdf = channel._correct_lattice(m, chunk)
-        info_pc, qser_pc = _lattice_stats(cdf, -0.5, 0.5, accuracy)
+        rows = slice(lo, lo + step)
+        cdf = channel._correct_lattice(m, alphas[rows])
+        info_pc[rows], qser_pc = _lattice_stats(cdf, -0.5, 0.5, accuracy)
         if epsilon == 0.0:
-            ab[rows], qs[rows] = info_pc[:, None], qser_pc[:, None]
+            ab[rows], qs[rows] = info_pc[rows, None], qser_pc[:, None]
             continue
         pc = channel._lattice_block(cdf, -0.5, 0.5)
-        pc2 = pc @ pc
-        for j, beta in enumerate(betas):
-            # no per-column stack outlives its statement, which bounds peak memory
-            pw = channel.p_wrong(ProtocolParams(m, alphas[0], beta))
-            ab[rows, j], qs[rows, j] = _block_stats(channel._mixed_block(pc, pc2, pw, epsilon))
-            second = channel._second_lattice(m, chunk, beta, accuracy)
-            ae[rows, j] = epsilon * 0.5 * (info_pc + _lattice_stats(second, 0.0, 1.0, accuracy)[0])
+        pc, pc2 = pc[:, None], (pc @ pc)[:, None]
+        for j in range(0, len(betas), group):
+            # no stack outlives its statement, which bounds peak memory
+            pw = channel._wrong_columns(m, betas[j:j + group])[..., None]
+            ab[rows, j:j + group], qs[rows, j:j + group] = _block_stats(
+                channel._mixed_block(pc, pc2, pw, epsilon))
+    step, group = tile(8 * m)
+    for lo in range(0, len(alphas), step) if epsilon else ():
+        rows = slice(lo, lo + step)
+        for j in range(0, len(betas), group):
+            second = channel._second_lattice(m, alphas[rows], betas[j:j + group], accuracy)
+            info_second = _lattice_stats(second, 0.0, 1.0, accuracy)[0].T
+            ae[rows, j:j + group] = epsilon * 0.5 * (info_pc[rows, None] + info_second)
     return np.maximum(ab - ae, 0.0), ab, ae, qs
 
 

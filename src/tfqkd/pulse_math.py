@@ -38,6 +38,8 @@ DEFAULT_ACCURACY = 1e-8
 _TAIL_W_MIN = 30.0
 _TAIL_ORDER = 10
 _FACTORIAL = factorial(np.arange(2 * _TAIL_ORDER))  # k! for k < 2 * order
+# i + j: summing a.T @ b over it adds up the convolutions of the rows of a and b
+_ANTIDIAGONAL = np.add.outer(np.arange(_TAIL_ORDER), np.arange(_TAIL_ORDER))
 
 
 def _symbol_count(m) -> int:
@@ -84,12 +86,13 @@ def _erf_exp_half(cuts: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     rows = np.full(cuts.shape + w.shape, np.exp(-0.5 * w * w), dtype=complex)
     finite = np.isfinite(cuts)
-    x = np.abs(cuts[finite]).reshape((-1,) + (1,) * w.ndim)
+    x, inverse = np.unique(np.abs(cuts[finite]), return_inverse=True)  # mirrored cuts share |x|
+    x = x.reshape((-1,) + (1,) * w.ndim)
     damp = np.exp(-0.5 * x * x) * np.exp(-1j * w * x)
     faddeeva = wofz((-w + 1j * x) / SQRT2)
     # named operands: on a large temporary numpy may swap the factors, which rounds differently
     product = damp * faddeeva
-    rows[finite] -= product
+    rows[finite] -= product[inverse]
     rows[cuts < 0.0] = -np.conj(rows[cuts < 0.0])
     return rows
 
@@ -152,8 +155,8 @@ def _tail_coefficients(cuts: np.ndarray):
     c = _phi_derivatives(cuts[finite], _TAIL_ORDER) * minus_i
     windows_bounded = np.convolve(np.ones(cuts.size - 1, dtype=int), [1, 1])  # 1 at ends, else 2
     n = np.arange(2, 2 * _TAIL_ORDER + 1)
-    lag0 = sum(np.convolve(ck, np.conj(ck)).real
-               for ck in np.repeat(c, windows_bounded[finite], axis=0))
+    lag0 = np.zeros(n.size)
+    np.add.at(lag0, _ANTIDIAGONAL, ((c.T * windows_bounded[finite]) @ np.conj(c)).real)
     coef = lag0 / (n - 1) / SQRTPI
     if c.shape[0] < 2:
         return coef[:, None], 0.0, np.inf
@@ -162,7 +165,8 @@ def _tail_coefficients(cuts: np.ndarray):
         raise DomainError(f"windows of lengths {lags.min()} and {lags.max()} share no tail series")
     lag = float(lags[0])
     il = 1j * lag
-    cross = sum(2.0 * np.convolve(lo, np.conj(hi)) for lo, hi in zip(c[:-1], -c[1:]))
+    cross = np.zeros(n.size, dtype=complex)
+    np.add.at(cross, _ANTIDIAGONAL, 2.0 * (c[:-1].T @ np.conj(-c[1:])))
     scaled = cross / SQRTPI / _FACTORIAL[n - 1]  # c_n / (n-1)!
     first = np.sum(scaled * il ** (n - 1))
     unrolled = np.array([_FACTORIAL[j - 2] * np.sum(scaled[k:] * il ** (n[k:] - j))
@@ -171,22 +175,27 @@ def _tail_coefficients(cuts: np.ndarray):
 
 
 def _tail_mass(series, w):
-    """Spectral mass above each ``w >= 30`` of the 1-d array ``w``;
-    ``series`` comes from :func:`_tail_coefficients`.  The spectrum is even,
-    so the mass below ``-w`` is the same number.  Truncation error is
-    O(w ** -(order+1)); with order 10 and ``w >= 30`` it stays below 1e-14
-    against adaptive quadrature.
-    """
+    """Spectral mass above each ``w >= 30`` (and below ``-w``, by evenness): w is
+    1-d for one :func:`_tail_coefficients` series, (n, q) for n series stacked,
+    row i for series i.  Horner's rule in 1/w runs point by point, so no value
+    depends on the other points.  Truncation error is O(w ** -(order+1)),
+    below 1e-14 against adaptive quadrature at order 10 and ``w >= 30``."""
     coef, first, lag = series
     w = np.asarray(w, dtype=float)
-    # vander multiplies out the powers of 1/w
-    sums = np.vander(1.0 / w, coef.shape[0] + 1, increasing=True)[:, 1:] @ coef
-    if coef.shape[1] == 1:
-        return sums[:, 0]
+    if w.ndim == 1:  # one series for every point
+        return _tail_mass((coef[None], np.array([first]), np.array([lag])), w[None])[0]
+    x = 1.0 / w
+    sums = np.zeros(coef.shape[2:] + w.shape)
+    for column in coef.transpose(1, 2, 0)[::-1, ..., None]:  # (columns, n, 1), highest power first
+        sums += column
+        sums *= x
+    if coef.shape[2] == 1:
+        return sums[0]
+    first, lag = first[:, None], lag[:, None]
     si, ci = sici(lag * w)
     i_1 = -ci + 1j * (0.5 * np.pi - si)
-    cross = first * i_1 + np.exp(1j * lag * w) * (sums[:, 1] + 1j * sums[:, 2])
-    return sums[:, 0] + cross.real
+    cross = first * i_1 + np.exp(1j * lag * w) * (sums[1] + 1j * sums[2])
+    return sums[0] + cross.real
 
 
 # ---------------------------------------------------------------------------
@@ -305,25 +314,10 @@ class TruncatedSpectrum:
 
     def cumulative(self, w):
         """G(w): spectral mass below ``w``, absolute error <= ``accuracy``;
-        raises :class:`NumericFailure` if it leaves ``[0, total_mass]`` by more."""
-        arr = np.atleast_1d(np.asarray(w, dtype=float))
-        if np.isnan(arr).any():
-            raise DomainError("spectrum queried at NaN")
-        edges, mag = self._edges, np.abs(arr)
-        g = np.full(arr.shape, self.total_mass)  # G(|w|) at |w| = inf
-        inside = mag <= edges[-1]
-        ws = mag[inside]
-        idx = np.minimum(np.searchsorted(edges, ws, side="right") - 1, edges.size - 2)
-        a, b = edges[idx], edges[idx + 1]
-        t = (2.0 * ws - a - b) / (b - a)
-        powers = np.vander(t, self._coef.shape[1], increasing=True)
-        g[inside] = np.einsum("ij,ij->i", self._coef[idx], powers)
-        tail = ~inside & np.isfinite(mag)
-        if tail.any():
-            g[tail] = self.total_mass - _tail_mass(self._tail, mag[tail])
-        out = _clip_within(np.where(arr < 0.0, self.total_mass - g, g), self.total_mass,
-                           self.accuracy)
-        return out if np.ndim(w) else float(out[0])
+        raises :class:`NumericFailure` if it leaves ``[0, total_mass]`` by more.
+        The one-table case of :func:`_stacked_cumulative`."""
+        out = _stacked_cumulative((self,), np.asarray(w, dtype=float)[None])[0]
+        return out if out.ndim else float(out)
 
     def bin_mass(self, w_lo, w_hi):
         """Spectral mass on each ``[w_lo, w_hi]`` (arrays broadcast; a float
@@ -338,22 +332,55 @@ class TruncatedSpectrum:
         return mass if mass.ndim else float(mass)
 
 
-def _clip_within(values: np.ndarray, upper: float, accuracy: float) -> np.ndarray:
-    """Clip ``values`` to ``[0, upper]`` when they leave it by at most
-    ``accuracy``; raise :class:`NumericFailure` beyond that."""
-    excursion = max(-values.min(initial=0.0), values.max(initial=upper) - upper)
+def _stacked_cumulative(tables, w) -> np.ndarray:
+    """G of ``tables[i]`` at every point of ``w[i]``, clipped to each table's
+    ``[0, total_mass]`` as :meth:`TruncatedSpectrum.cumulative`: one panel
+    lookup and, beyond 30, one :func:`_tail_mass` call for all tables, whose
+    series must therefore share one form."""
+    w = np.asarray(w, dtype=float)
+    if np.isnan(w).any():
+        raise DomainError("spectrum queried at NaN")
+    flat = w.reshape(len(tables), -1)
+    total = np.array([s.total_mass for s in tables])[:, None]
+    mag = np.abs(flat)
+    g = np.repeat(total, flat.shape[1], axis=1)  # G(|w|) at |w| = inf
+    inside = mag <= _TAIL_W_MIN
+    table, ws = np.nonzero(inside)[0], mag[inside]
+    # complex numbers sort by real, then imaginary part: table i's panels
+    # are keyed (i, left edge), so one exact searchsorted serves all tables
+    keys = np.concatenate([i + 1j * s._edges[:-1] for i, s in enumerate(tables)])
+    idx = np.searchsorted(keys, table + 1j * ws, side="right") - 1
+    edges = np.concatenate([s._edges for s in tables])  # panel idx of table i: edges[idx + i]
+    a, b = edges[idx + table], edges[idx + table + 1]
+    t = (2.0 * ws - a - b) / (b - a)
+    coef = np.concatenate([s._coef for s in tables])
+    powers = np.vander(t, coef.shape[1], increasing=True)
+    g[inside] = np.einsum("ij,ij->i", coef[idx], powers)
+    tail = ~inside & np.isfinite(mag)
+    if tail.any():
+        series = [np.stack(part) for part in zip(*(s._tail for s in tables))]
+        g[tail] -= _tail_mass(series, np.where(tail, mag, _TAIL_W_MIN))[tail]
+    accuracy = min(s.accuracy for s in tables)
+    return _clip_within(np.where(flat < 0.0, total - g, g), total, accuracy).reshape(w.shape)
+
+
+def _clip_within(values: np.ndarray, upper, accuracy: float) -> np.ndarray:
+    """Clip ``values`` to ``[0, upper]`` (``upper`` broadcasts against them) when
+    they leave it by at most ``accuracy``; raise :class:`NumericFailure` beyond that."""
+    excursion = max(-values.min(initial=0.0), (values - upper).max(initial=0.0))
     if excursion > accuracy:
-        raise NumericFailure(f"values leave [0, {upper:.17g}] by {excursion:.3e} (tolerance "
-                             f"{accuracy:.3e})", achieved=excursion, target=accuracy)
+        raise NumericFailure(f"values leave [0, {np.max(upper):.17g}] by {excursion:.3e} "
+                             f"(tolerance {accuracy:.3e})", achieved=excursion, target=accuracy)
     return np.clip(values, 0.0, upper)
 
 
 def _filter_cuts(m: int, beta: float) -> np.ndarray:
     """Sorted cuts of the filter bank in normalized amplitude coordinates
     (2*b/(beta*m)): -inf, the m - 1 inner bin bounds, +inf.  Filter ``f``
-    is the window ``cuts[f-1:f+1]``."""
-    inner = (np.arange(1, m) - 0.5 * m) / (0.5 * beta * m)
-    return np.concatenate([[-np.inf], inner, [np.inf]])
+    is the window ``cuts[f-1:f+1]``.  An array of betas gives one row each."""
+    inner = (np.arange(1, m) - 0.5 * m) / (0.5 * np.asarray(beta, dtype=float)[..., None] * m)
+    edge = np.full(inner.shape[:-1] + (1,), np.inf)
+    return np.concatenate([-edge, inner, edge], axis=-1)
 
 
 def _seed_edges(length: float) -> np.ndarray:

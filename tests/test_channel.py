@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+import tfqkd.channel as channel_module
 from tfqkd import pulse_math
 from tfqkd.channel import (
     ProtocolParams,
@@ -181,6 +182,17 @@ class TestPWrong:
         column = p_wrong(ProtocolParams(m, 0.5, beta))[:, 0]
         assert np.array_equal(column, [build_spectrum(f, m, beta).total_mass for f in range(1, m + 1)])
 
+    @pytest.mark.parametrize("m", [2, 3, 16, 256])
+    def test_group_of_betas_is_one_broadcast_each(self, m):
+        # the capacity grid reads a group of betas in one erf call; each row is
+        # bitwise the column p_wrong broadcasts
+        betas = np.linspace(0.05, 1.5, 30)
+        columns = channel_module._wrong_columns(m, betas)
+        assert columns.shape == (30, m)
+        for beta, column in zip(betas, columns):
+            expected = np.broadcast_to(column[:, None], (m, m))
+            assert np.array_equal(p_wrong(ProtocolParams(m, 0.5, beta)), expected)
+
 
 class TestPSecondCorrect:
     @pytest.mark.parametrize("m,alpha,beta", [(2, 0.5, 0.7), (4, 0.5, 0.7), (8, 0.9, 0.4)])
@@ -214,8 +226,11 @@ class TestPSecondCorrect:
     def test_excursion_beyond_accuracy_raises(self, monkeypatch):
         # a cumulative that falls by 1e-6 between w = 6 and w = 10 gives a
         # negative entry beyond the 1e-8 accuracy; one that falls by 1e-10 is
-        # clipped to zero
+        # clipped to zero.  The stacked query reads the table at w > 0, and
+        # the points w < 0 follow from its total mass.
         class Falling:
+            total_mass = 1.0
+
             def __init__(self, drop):
                 self.drop = drop
 
@@ -223,6 +238,8 @@ class TestPSecondCorrect:
                 return 0.5 + 0.1 * np.clip(w, -5.0, 5.0) - self.drop * (w > 8.0)
 
         params = ProtocolParams(4, 0.5, 0.7)
+        monkeypatch.setattr(pulse_math, "_stacked_cumulative",
+                            lambda tables, w: tables[0].cumulative(w))
         monkeypatch.setattr(pulse_math, "cached_spectrum", lambda *args: Falling(1e-6))
         with pytest.raises(NumericFailure) as info:
             p_second_correct(params)

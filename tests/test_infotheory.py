@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,6 +117,22 @@ class TestMutualInfoSingle:
         P = p_correct(ProtocolParams(4, 0.9, 0.7))
         u = np.full(4, 0.25)
         assert mutual_info_single(P @ P, u) <= mutual_info_single(P, u)
+
+    def test_stack_matches_ones_buffer_reference(self):
+        # masked cells start at 0 instead of log2(1); every value stays bitwise
+        rng = np.random.default_rng(3)
+        blocks = rng.random((5, 3, 16, 16)) * (rng.random((5, 3, 16, 16)) < 0.3)
+        blocks[0, 0] = np.eye(16)
+        blocks /= np.maximum(blocks.sum(axis=-2, keepdims=True), 1e-300)
+        prior = np.full(16, 1 / 16)
+        received = blocks @ prior
+        joint = blocks * prior
+        mask = joint > 1e-300
+        terms = np.divide(blocks, received[..., None], out=np.ones_like(joint), where=mask)
+        np.log2(terms, out=terms)
+        np.multiply(terms, joint, out=terms, where=mask)
+        got = infotheory_module._mutual_info(blocks, prior, received)
+        assert np.array_equal(got, terms.sum(axis=(-2, -1)))
 
 
 class TestMutualInfoDual:
@@ -261,25 +279,51 @@ class TestCapacityGrid:
             for a, b in zip(batched, grid):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("m,limit_mb", [(16, 2.0), (32, 2.0), (256, 4.0)])
+    def test_peak_memory_is_bounded(self, m, limit_mb):
+        # every stack of a tile is capped by _CHUNK_ENTRIES, so a 30 x 30 grid
+        # on warm tables allocates a few MB at most, whatever m is
+        alphas, betas = np.linspace(0.05, 1.5, 30), np.linspace(0.05, 1.5, 30)
+        infotheory_module._capacity_grid(m, 0.5, alphas, betas, 1e-8)  # warms the tables
+        tracemalloc.start()
+        try:
+            infotheory_module._capacity_grid(m, 0.5, alphas, betas, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 2 ** 20
+
+    @staticmethod
+    def _piecewise_table(total, pieces):
+        # a real table whose G is linear on each (a, b, G(a), G(b)) piece of
+        # [0, 30] and equals total beyond 30 (zero tail series)
+        spec = pulse_math.cached_spectrum(4, 0.7, 1e-8)
+        coef = np.zeros((len(pieces), spec._coef.shape[1]))
+        for row, (_, _, g_a, g_b) in zip(coef, pieces):
+            row[:2] = 0.5 * (g_a + g_b), 0.5 * (g_b - g_a)
+        edges = np.array([piece[0] for piece in pieces] + [30.0])
+        tail = (np.zeros_like(spec._tail[0]), 0.0 * spec._tail[1], spec._tail[2])
+        return replace(spec, total_mass=total, _edges=edges, _coef=coef, _tail=tail)
+
     def test_clip_failure_propagates(self, monkeypatch):
-        # the second-stage entries of a whole column are clipped together; an
-        # excursion beyond accuracy in any of them still raises, in the
-        # interior rows (a falling step) and in row 0 (H < 0) or row m-1 (H > 1)
-        def falling(w):
-            return 0.5 + 0.1 * np.clip(w, -5.0, 5.0) - 1e-6 * (w > 8.0)
-
-        def below_zero(w):
-            return 0.5 + 0.1 * np.clip(w, -5.0, 5.0) - 1e-6 * (w < -8.0)
-
-        def above_one(w):
-            return 0.5 + 0.1 * np.clip(w, -5.0, 5.0) + 1e-6 * (w > 8.0)
-
-        for cumulative in (falling, below_zero, above_one):
-            spectrum = type("Spectrum", (), {"cumulative": staticmethod(cumulative)})()
-            monkeypatch.setattr(pulse_math, "cached_spectrum", lambda *args: spectrum)
+        # one table of a stacked second-stage query carries an excursion
+        # beyond accuracy, which still raises: an interior falling step (in
+        # the lattice entries), or G leaving the table's [0, total] (in the
+        # query): above a total of 1 - 1e-6, read as H < 0 in row 0 at the
+        # mirrored points, or above 1, which is H > 1 in row m-1
+        rise, flat = (0.0, 5.0, 0.5, 1.0), (5.0, 8.0, 1.0, 1.0)
+        falling = self._piecewise_table(1.0, [rise, flat, (8.0, 30.0, 1 - 1e-6, 1 - 1e-6)])
+        below_zero = self._piecewise_table(1.0 - 1e-6, [rise, (5.0, 30.0, 1.0, 1.0)])
+        above_one = self._piecewise_table(1.0, [rise, flat, (8.0, 30.0, 1 + 1e-6, 1 + 1e-6)])
+        real = pulse_math.cached_spectrum
+        alphas = np.array([0.3, 0.5, 0.9])
+        for name, table in [("falling", falling), ("below_zero", below_zero),
+                            ("above_one", above_one)]:
+            monkeypatch.setattr(pulse_math, "cached_spectrum",
+                                lambda m, beta, acc: table if beta == 0.7 else real(m, beta, acc))
             with pytest.raises(NumericFailure) as info:
-                infotheory_module._capacity_grid(4, 0.5, np.array([0.3, 0.5, 0.9]), [0.7], 1e-8)
-            assert info.value.achieved == pytest.approx(1e-6, rel=1e-9), cumulative.__name__
+                infotheory_module._capacity_grid(4, 0.5, alphas, [0.5, 0.7], 1e-8)
+            assert info.value.achieved == pytest.approx(1e-6, rel=1e-9), name
 
 
 class TestLatticeStats:
@@ -303,13 +347,14 @@ class TestLatticeStats:
     @pytest.mark.parametrize("beta", [0.1, 0.6, 1.2])
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 16, 32, 256])
     def test_second_stage(self, m, beta):
-        values = channel_module._second_lattice(m, [0.05, 0.5, 1.5], beta, 1e-8)
+        values = channel_module._second_lattice(m, [0.05, 0.5, 1.5], [beta], 1e-8)[0]
         self._assert_matches_dense(values, 0.0, 1.0)
 
     def test_stack_of_alphas(self):
         alphas = np.linspace(0.05, 1.5, 30)
         self._assert_matches_dense(channel_module._correct_lattice(16, alphas), -0.5, 0.5)
-        self._assert_matches_dense(channel_module._second_lattice(16, alphas, 0.7, 1e-8), 0.0, 1.0)
+        second = channel_module._second_lattice(16, alphas, [0.7], 1e-8)[0]
+        self._assert_matches_dense(second, 0.0, 1.0)
 
 
 class TestQser:

@@ -380,27 +380,31 @@ class TestOptimizePoint:
             assert calls["_second_lattice"] == 0
 
     def test_coarse_grid_queries_spectrum_once_per_beta_column(self, monkeypatch):
-        from tfqkd.pulse_math import TruncatedSpectrum
+        # every beta column's table is queried once, at all 30 alphas, in one
+        # stacked query per group of betas (4 at m = 16), not once per point
+        from tfqkd import pulse_math
 
-        queries, surfaces = [0], []
-        real_cumulative, real_surface = TruncatedSpectrum.cumulative, optimizer_module.c_surface
+        queries, surfaces = [], []
+        real_query, real_surface = pulse_math._stacked_cumulative, optimizer_module.c_surface
 
-        def cumulative(self, w):
-            queries[0] += 1
-            return real_cumulative(self, w)
+        def stacked(tables, w):
+            queries.append((tuple(t.beta for t in tables), w.shape))
+            return real_query(tables, w)
 
         def surface(*args, **kwargs):
-            before = queries[0]
+            before = len(queries)
             grid = real_surface(*args, **kwargs)
-            surfaces.append((grid.alpha_axis.size, grid.beta_axis.size, queries[0] - before))
+            surfaces.append((grid.alpha_axis.size, grid.beta_axis, queries[before:]))
             return grid
 
-        monkeypatch.setattr(TruncatedSpectrum, "cumulative", cumulative)
+        monkeypatch.setattr(pulse_math, "_stacked_cumulative", stacked)
         monkeypatch.setattr(optimizer_module, "c_surface", surface)
         optimize_point(16, 0.5)
-        n_alphas, n_betas, coarse_queries = surfaces[0]
-        assert (n_alphas, n_betas) == (30, 30)
-        assert coarse_queries == n_betas  # one per column, not one per point
+        n_alphas, beta_axis, coarse = surfaces[0]
+        assert (n_alphas, beta_axis.size) == (30, 30)
+        assert len(coarse) == 8
+        assert [b for betas, _ in coarse for b in betas] == list(beta_axis)
+        assert all(shape == (len(betas), 30, 16) for betas, shape in coarse)
 
     def test_rejects_bad_config(self):
         with pytest.raises(DomainError):

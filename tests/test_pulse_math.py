@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import factorial
 
 from tfqkd import pulse_math
 from tfqkd.channel import ProtocolParams, p_second_correct
@@ -18,6 +19,7 @@ from tfqkd.pulse_math import (
     _filter_cuts,
     _integrate_adaptive,
     _summed_density,
+    _phi_derivatives,
     _tail_coefficients,
     _tail_mass,
 )
@@ -375,6 +377,47 @@ class TestPolynomialQueries:
         assert np.allclose(sums, 1.0, rtol=0.0, atol=1e-8)
 
 
+class TestStackedQuery:
+    """One query of several tables equals one query per table."""
+
+    POINTS = np.array([-np.inf, -120.0, -44.0, -30.5, -30.0, -29.999, -12.5, -1e-3, 0.0, 1e-3,
+                       7.25, 29.999, 30.0, 30.5, 44.0, 120.0, np.inf])
+
+    @pytest.mark.parametrize("m", [2, 3, 16, 256])
+    def test_matches_per_table_cumulative(self, m):
+        # m = 2 has a one-column tail series (no cross lag); each table gets
+        # its own order of the points: negative, 0, inside 30, tail, +-inf
+        tables = [cached_spectrum(m, beta, 1e-8) for beta in (0.3, 0.7, 1.2)]
+        rng = np.random.default_rng(m)
+        w = np.stack([rng.permutation(self.POINTS) for _ in tables])
+        got = pulse_math._stacked_cumulative(tables, w)
+        expected = np.stack([table.cumulative(row) for table, row in zip(tables, w)])
+        assert np.abs(got - expected).max() <= 1e-15
+        assert np.array_equal(got[w == -np.inf], np.zeros(len(tables)))
+        assert np.array_equal(got[w == np.inf], [table.total_mass for table in tables])
+
+    def test_each_table_keeps_its_own_total(self):
+        # single filters of one bank carry different masses; each is clipped
+        # to its own [0, total_mass]
+        tables = [build_spectrum(f, 5, 0.7) for f in (2, 3)]
+        assert tables[0].total_mass < tables[1].total_mass
+        w = np.broadcast_to(self.POINTS, (2, self.POINTS.size))
+        got = pulse_math._stacked_cumulative(tables, w)
+        assert np.abs(got - [table.cumulative(self.POINTS) for table in tables]).max() <= 1e-15
+        assert list(got[:, -1]) == [table.total_mass for table in tables]
+
+    def test_values_do_not_depend_on_the_batch(self):
+        # the tail series is summed point by point, so a point's value is the
+        # same alone, in a batch and beside other tables
+        spec = cached_spectrum(16, 0.7, 1e-8)
+        w = np.concatenate([np.linspace(31.0, 300.0, 8), -np.geomspace(30.5, 500.0, 13)])
+        alone = np.array([spec.cumulative(x) for x in w])
+        assert np.array_equal(spec.cumulative(w), alone)
+        other = cached_spectrum(16, 1.1, 1e-8)
+        stacked = pulse_math._stacked_cumulative([other, spec], np.stack([w[::-1], w]))
+        assert np.array_equal(stacked[1], alone)
+
+
 class TestSpectrumBinMass:
     def test_full_line_gives_total(self):
         spec = build_spectrum(3, 4, 0.7)
@@ -420,13 +463,13 @@ class TestSpectrumBinMass:
                               masses.reshape(3, 3))
 
     def test_array_call_in_the_tails(self):
-        # beyond |w| = 30 the tail series sums its terms with a matrix
-        # product, whose rounding may depend on how many points are queried
+        # beyond |w| = 30 the tail series is summed point by point, so the
+        # batch and the scalar calls agree bit for bit there too
         spec = cached_spectrum(16, 0.7, 1e-8)
         w_lo = np.array([-58.0, -50.0, -38.0, 34.0, 40.0, 40.0])
         w_hi = np.array([-54.0, -42.0, -34.0, 38.0, 50.0, np.inf])
         expected = [spec.bin_mass(lo, hi) for lo, hi in zip(w_lo, w_hi)]
-        assert np.allclose(spec.bin_mass(w_lo, w_hi), expected, rtol=0.0, atol=1e-16)
+        assert np.array_equal(spec.bin_mass(w_lo, w_hi), expected)
 
     def test_array_call_window_outside_support(self):
         spec = build_spectrum(4, 4, 1e-4)
@@ -476,6 +519,28 @@ class TestTailSeries:
                 series = _tail_coefficients(np.array([x_lo, x_hi]))
                 near, far = _tail_mass(series, np.array([w_from, 2 * w_from]))
                 assert near == pytest.approx(mid + far, abs=5e-9)
+
+    @staticmethod
+    def _per_cut_series(cuts):
+        # reference: one convolution per repeated cut and per pair of cuts
+        c = _phi_derivatives(cuts[np.isfinite(cuts)], 10) * (-1j) ** np.arange(1, 11)
+        bounded = np.convolve(np.ones(cuts.size - 1, dtype=int), [1, 1])[np.isfinite(cuts)]
+        lag0 = sum(np.convolve(ck, np.conj(ck)).real for ck in np.repeat(c, bounded, axis=0))
+        cross = sum(2.0 * np.convolve(lo, np.conj(hi)) for lo, hi in zip(c[:-1], -c[1:]))
+        return lag0, cross
+
+    @pytest.mark.parametrize("m", [2, 3, 16, 17, 256])
+    @pytest.mark.parametrize("beta", [0.1, 0.7, 1.2])
+    def test_matrix_products_match_per_cut_convolutions(self, m, beta):
+        cuts = _filter_cuts(m, beta)
+        lag0, cross = self._per_cut_series(cuts)
+        series = _tail_coefficients(cuts)
+        n = np.arange(2, 21)
+        assert np.allclose(series[0][:, 0], lag0 / (n - 1) / np.sqrt(np.pi), rtol=1e-14, atol=0.0)
+        if m > 2:
+            lag = cuts[2] - cuts[1]
+            scaled = cross / np.sqrt(np.pi) / factorial(n - 1)
+            assert series[1] == pytest.approx(np.sum(scaled * (1j * lag) ** (n - 1)), rel=1e-13)
 
     def test_cross_terms_need_one_lag(self):
         # summed cross terms share one I_1, so windows of different lengths
