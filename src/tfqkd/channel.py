@@ -158,12 +158,11 @@ def _wrong_columns(m: int, betas) -> np.ndarray:
     return 0.5 * np.diff(erf(pulse_math._filter_cuts(m, betas)), axis=-1)
 
 
-def _second_lattice(m: int, alphas, betas, accuracy: float) -> np.ndarray:
-    """Second-stage cumulative H on the lattice at each of ``alphas`` per beta, one
-    stacked query of the betas' tables: (nb, k, 2m).  The points pair up as +-w
+def _second_lattice(m: int, alphas, tables) -> np.ndarray:
+    """Second-stage cumulative H on the lattice at each of ``alphas`` per summed
+    spectrum table, one stacked query: (nb, k, 2m).  The points pair up as +-w
     and H(-w) = total - H(w), so the m points w > 0 answer all 2m."""
     w = (2.0 / np.asarray(alphas, dtype=float))[:, None] * (np.arange(m) + 0.5)
-    tables = [pulse_math.cached_spectrum(m, beta, accuracy) for beta in betas]
     upper = pulse_math._stacked_cumulative(tables, np.broadcast_to(w, (len(tables),) + w.shape))
     total = np.array([table.total_mass for table in tables])[:, None, None]
     return np.concatenate([total - upper[..., ::-1], upper], axis=-1)
@@ -179,7 +178,8 @@ def p_second_correct(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY)
     :mod:`tfqkd.pulse_math`, answers every entry.  Bin bounds map to
     spectrum coordinates as ``w = 2*(b - c(a))/alpha``.
     """
-    values = _second_lattice(params.m, [params.alpha], [params.beta], accuracy)[0]
+    table = pulse_math.cached_spectrum(params.m, params.beta, accuracy)
+    values = _second_lattice(params.m, [params.alpha], [table])[0]
     return pulse_math._clip_within(_lattice_block(values, 0.0, 1.0)[0], 1.0, accuracy)
 
 

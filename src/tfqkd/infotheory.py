@@ -152,8 +152,9 @@ def _capacity_grid(m, epsilon, alphas, betas, accuracy: float):
     at a time: per chunk of alphas the alpha-only terms, per group of betas
     one ``erf`` call for the wrong-basis columns, one (k, nb, m, m) stack of
     mixed blocks and, in tiles of its own, one stacked query of the betas'
-    spectrum tables.  Only the attack-averaged block is formed
-    (:func:`_lattice_stats` reads the others), none at ``epsilon == 0``."""
+    spectrum tables, which one call fetches (and builds) for all betas.  Only
+    the attack-averaged block is formed (:func:`_lattice_stats` reads the
+    others), none at ``epsilon == 0``."""
     m = ProtocolParams(m, alphas[0], betas[0], epsilon).m  # validates m and epsilon
     shape = (len(alphas), len(betas))
     ab, ae, qs = np.empty(shape), np.zeros(shape), np.empty(shape)
@@ -178,11 +179,12 @@ def _capacity_grid(m, epsilon, alphas, betas, accuracy: float):
             pw = channel._wrong_columns(m, betas[j:j + group])[..., None]
             ab[rows, j:j + group], qs[rows, j:j + group] = _block_stats(
                 channel._mixed_block(pc, pc2, pw, epsilon))
+    tables = pulse_math.summed_spectra(m, betas, accuracy) if epsilon else []
     step, group = tile(8 * m)
-    for lo in range(0, len(alphas), step) if epsilon else ():
+    for lo in range(0, len(alphas), step) if tables else ():
         rows = slice(lo, lo + step)
         for j in range(0, len(betas), group):
-            second = channel._second_lattice(m, alphas[rows], betas[j:j + group], accuracy)
+            second = channel._second_lattice(m, alphas[rows], tables[j:j + group])
             info_second = _lattice_stats(second, 0.0, 1.0, accuracy)[0].T
             ae[rows, j:j + group] = epsilon * 0.5 * (info_pc[rows, None] + info_second)
     return np.maximum(ab - ae, 0.0), ab, ae, qs

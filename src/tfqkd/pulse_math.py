@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -132,7 +133,8 @@ def _phi_derivatives(x: np.ndarray, order: int) -> np.ndarray:
 
 def _tail_coefficients(cuts: np.ndarray):
     """Series coefficients of ``(1/sqrt(pi)) * integral_w^inf |F|**2``,
-    summed over the spectra of the windows between neighbouring ``cuts``.
+    summed over the spectra of the windows between neighbouring ``cuts``,
+    one series per row of ``cuts`` (..., k); the rows share which cuts are finite.
 
     Integration by parts expands F into Gaussian derivatives at the finite
     cuts, so ``|F|**2`` is a sum of ``exp(i*lag*w) * w**-n`` terms,
@@ -145,53 +147,55 @@ def _tail_coefficients(cuts: np.ndarray):
     its cross terms must share one lag (all interior filters have the same
     length).
 
-    Returns ``(coef, first, lag)``; ``coef[k]`` multiplies ``w**-(k+1)`` in
-    one column (lag 0) or three (lag 0, real and imaginary cross part).
+    Returns ``(coef, first, lag)`` with the leading shape of ``cuts``;
+    ``coef[..., k, :]`` multiplies ``w**-(k+1)`` in one column (lag 0) or
+    three (lag 0, real and imaginary cross part).
     """
     # per finite cut: c_k = phi^(k)(x) * (-i)**(k+1), k = 0..order-1, negated
     # where the cut is the upper edge of a window
     minus_i = (-1j) ** np.arange(1, _TAIL_ORDER + 1)
-    finite = np.isfinite(cuts)
-    c = _phi_derivatives(cuts[finite], _TAIL_ORDER) * minus_i
-    windows_bounded = np.convolve(np.ones(cuts.size - 1, dtype=int), [1, 1])  # 1 at ends, else 2
+    finite = np.isfinite(cuts.reshape(-1, cuts.shape[-1])[0])
+    c = _phi_derivatives(cuts[..., finite], _TAIL_ORDER) * minus_i  # (..., cut, k)
+    # windows each cut bounds: 1 at the ends, else 2
+    windows_bounded = np.convolve(np.ones(cuts.shape[-1] - 1, dtype=int), [1, 1])
     n = np.arange(2, 2 * _TAIL_ORDER + 1)
-    lag0 = np.zeros(n.size)
-    np.add.at(lag0, _ANTIDIAGONAL, ((c.T * windows_bounded[finite]) @ np.conj(c)).real)
+    lag0 = np.zeros(cuts.shape[:-1] + n.shape)
+    c_t = np.swapaxes(c, -1, -2)
+    np.add.at(lag0, (..., _ANTIDIAGONAL), ((c_t * windows_bounded[finite]) @ np.conj(c)).real)
     coef = lag0 / (n - 1) / SQRTPI
-    if c.shape[0] < 2:
-        return coef[:, None], 0.0, np.inf
-    lags = np.diff(cuts[finite])
-    if not np.allclose(lags, lags[0], rtol=1e-12, atol=0.0):
+    if c.shape[-2] < 2:
+        return coef[..., None], np.zeros(cuts.shape[:-1]), np.full(cuts.shape[:-1], np.inf)
+    lags = np.diff(cuts[..., finite], axis=-1)
+    if not np.allclose(lags, lags[..., :1], rtol=1e-12, atol=0.0):
         raise DomainError(f"windows of lengths {lags.min()} and {lags.max()} share no tail series")
-    lag = float(lags[0])
-    il = 1j * lag
-    cross = np.zeros(n.size, dtype=complex)
-    np.add.at(cross, _ANTIDIAGONAL, 2.0 * (c[:-1].T @ np.conj(-c[1:])))
-    scaled = cross / SQRTPI / _FACTORIAL[n - 1]  # c_n / (n-1)!
-    first = np.sum(scaled * il ** (n - 1))
-    unrolled = np.array([_FACTORIAL[j - 2] * np.sum(scaled[k:] * il ** (n[k:] - j))
-                         for k, j in enumerate(n)])
-    return np.column_stack([coef, unrolled.real, unrolled.imag]), first, lag
+    lag = lags[..., 0]
+    il = 1j * lag[..., None, None]
+    cross = np.zeros(cuts.shape[:-1] + n.shape, dtype=complex)
+    np.add.at(cross, (..., _ANTIDIAGONAL), 2.0 * (c_t[..., :-1] @ np.conj(-c[..., 1:, :])))
+    scaled = (cross / SQRTPI / _FACTORIAL[n - 1])[..., None]  # c_n / (n-1)!, a column
+    first = np.sum(scaled * il ** (n[:, None] - 1), axis=(-2, -1))
+    # term k is k! * sum over k' >= k of scaled[k'] * il ** (k' - k): one triangular product
+    unrolled = _FACTORIAL[n - 2] * (np.triu(il ** np.maximum(n - n[:, None], 0)) @ scaled)[..., 0]
+    return np.stack([coef, unrolled.real, unrolled.imag], axis=-1), first, lag
 
 
 def _tail_mass(series, w):
-    """Spectral mass above each ``w >= 30`` (and below ``-w``, by evenness): w is
-    1-d for one :func:`_tail_coefficients` series, (n, q) for n series stacked,
-    row i for series i.  Horner's rule in 1/w runs point by point, so no value
-    depends on the other points.  Truncation error is O(w ** -(order+1)),
-    below 1e-14 against adaptive quadrature at order 10 and ``w >= 30``."""
+    """Spectral mass above each ``w >= 30`` (and below ``-w``, by evenness) of
+    :func:`_tail_coefficients` series of leading shape s (``()`` for one), at
+    points ``w`` of shape s + (q,).  Horner's rule in 1/w runs point by point,
+    so no value depends on the other points.  Truncation error is
+    O(w ** -(order+1)), below 1e-14 against adaptive quadrature at order 10
+    and ``w >= 30``."""
     coef, first, lag = series
     w = np.asarray(w, dtype=float)
-    if w.ndim == 1:  # one series for every point
-        return _tail_mass((coef[None], np.array([first]), np.array([lag])), w[None])[0]
     x = 1.0 / w
-    sums = np.zeros(coef.shape[2:] + w.shape)
-    for column in coef.transpose(1, 2, 0)[::-1, ..., None]:  # (columns, n, 1), highest power first
+    sums = np.zeros(coef.shape[-1:] + w.shape)
+    for column in np.moveaxis(coef, (-2, -1), (0, 1))[::-1, ..., None]:  # highest power first
         sums += column
         sums *= x
-    if coef.shape[2] == 1:
+    if coef.shape[-1] == 1:
         return sums[0]
-    first, lag = first[:, None], lag[:, None]
+    first, lag = np.asarray(first)[..., None], np.asarray(lag)[..., None]
     si, ci = sici(lag * w)
     i_1 = -ci + 1j * (0.5 * np.pi - si)
     cross = first * i_1 + np.exp(1j * lag * w) * (sums[1] + 1j * sums[2])
@@ -332,6 +336,22 @@ class TruncatedSpectrum:
         return mass if mass.ndim else float(mass)
 
 
+@lru_cache(maxsize=64)
+def _stacked_index(tables: tuple) -> tuple:
+    """What a :func:`_stacked_cumulative` query of ``tables`` reads, memoised per
+    group (tables hash by identity).  Complex numbers sort by real, then
+    imaginary part: table i's panels are keyed (i, left edge), so one exact
+    searchsorted serves all tables."""
+    keys = np.concatenate([i + 1j * s._edges[:-1] for i, s in enumerate(tables)])
+    edges = np.concatenate([s._edges for s in tables])  # panel idx of table i: edges[idx + i]
+    coef = np.concatenate([s._coef for s in tables])
+    series = tuple(np.stack(part) for part in zip(*(s._tail for s in tables)))
+    total = np.array([s.total_mass for s in tables])[:, None]
+    for table in (keys, edges, coef, total, *series):
+        table.setflags(write=False)
+    return keys, edges, coef, series, total, min(s.accuracy for s in tables)
+
+
 def _stacked_cumulative(tables, w) -> np.ndarray:
     """G of ``tables[i]`` at every point of ``w[i]``, clipped to each table's
     ``[0, total_mass]`` as :meth:`TruncatedSpectrum.cumulative`: one panel
@@ -340,27 +360,20 @@ def _stacked_cumulative(tables, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if np.isnan(w).any():
         raise DomainError("spectrum queried at NaN")
+    keys, edges, coef, series, total, accuracy = _stacked_index(tuple(tables))
     flat = w.reshape(len(tables), -1)
-    total = np.array([s.total_mass for s in tables])[:, None]
     mag = np.abs(flat)
     g = np.repeat(total, flat.shape[1], axis=1)  # G(|w|) at |w| = inf
     inside = mag <= _TAIL_W_MIN
     table, ws = np.nonzero(inside)[0], mag[inside]
-    # complex numbers sort by real, then imaginary part: table i's panels
-    # are keyed (i, left edge), so one exact searchsorted serves all tables
-    keys = np.concatenate([i + 1j * s._edges[:-1] for i, s in enumerate(tables)])
     idx = np.searchsorted(keys, table + 1j * ws, side="right") - 1
-    edges = np.concatenate([s._edges for s in tables])  # panel idx of table i: edges[idx + i]
     a, b = edges[idx + table], edges[idx + table + 1]
     t = (2.0 * ws - a - b) / (b - a)
-    coef = np.concatenate([s._coef for s in tables])
     powers = np.vander(t, coef.shape[1], increasing=True)
     g[inside] = np.einsum("ij,ij->i", coef[idx], powers)
     tail = ~inside & np.isfinite(mag)
     if tail.any():
-        series = [np.stack(part) for part in zip(*(s._tail for s in tables))]
         g[tail] -= _tail_mass(series, np.where(tail, mag, _TAIL_W_MIN))[tail]
-    accuracy = min(s.accuracy for s in tables)
     return _clip_within(np.where(flat < 0.0, total - g, g), total, accuracy).reshape(w.shape)
 
 
@@ -427,50 +440,81 @@ def build_spectrum(
     m = _symbol_count(m)
     if f is not None and f not in range(1, m + 1):
         raise DomainError(f"filter index {f} outside 1..{m}")
-    if not 0.0 < beta < np.inf:
-        raise DomainError(f"beta must be finite and positive, got {beta}")
-    if not 0.0 < accuracy < np.inf:
-        raise DomainError(f"accuracy must be finite and positive, got {accuracy}")
+    _check_widths([beta], accuracy)
 
     cuts = _filter_cuts(m, beta) if window is None else np.array(window, dtype=float)
     if window is None and f is not None:
         cuts = cuts[f - 1:f + 1]
     if (window is not None and cuts.shape != (2,)) or not np.all(cuts[1:] > cuts[:-1]):
         raise DomainError(f"cuts must be strictly increasing and a window one pair, got {cuts}")
-
-    # a bin across w = 0 carries the error of both halves, so each half gets
-    # accuracy / 4 and the bin stays within accuracy / 2
-    edges, panels, nodes, error_bound = _integrate_adaptive(
-        lambda w: _summed_density(cuts, w), _seed_edges(np.diff(cuts).min()), 0.25 * accuracy)
-    series = _tail_coefficients(cuts)
-    total_exact = sum(0.5 * np.diff(erf(cuts)))
-    cum = np.concatenate([[0.0], np.cumsum(panels)])
-    # per panel: G(w) = polynomial in t, the constant term carrying the mass
-    # below the panel (half the total below w = 0, by evenness)
-    coef = (0.5 * np.diff(edges))[:, None] * (nodes @ _K15_ANTIDERIVATIVE.T)
-    coef[:, 0] += 0.5 * total_exact + cum[:-1]
-    total_numeric = 2.0 * float(cum[-1] + _tail_mass(series, edges[-1:])[0])
-
-    for table in (cuts, edges, coef):
-        table.setflags(write=False)
-    return TruncatedSpectrum(
-        cuts=cuts,
-        m=m,
-        beta=beta,
-        accuracy=accuracy,
-        total_mass=float(total_exact),
-        total_mass_numeric=total_numeric,
-        error_bound=error_bound,
-        n_panels=edges.size - 1,
-        _edges=edges,
-        _coef=coef,
-        _tail=series,
-    )
+    return _build_tables(cuts[None], m, [beta], accuracy)[0]
 
 
-@lru_cache(maxsize=1024)
+def _check_widths(betas, accuracy: float) -> None:
+    """:class:`DomainError` unless every beta and the accuracy are finite and positive."""
+    for name, value in [*(("beta", beta) for beta in betas), ("accuracy", accuracy)]:
+        if not 0.0 < value < np.inf:  # NaN fails too
+            raise DomainError(f"{name} must be finite and positive, got {value}")
+
+
+# A group's tail series are computed in passes of at most this many (table,
+# finite cut, order) entries: a few hundred kB of stacks for any m and group.
+_TAIL_PASS_ENTRIES = 1 << 14
+
+
+def _build_tables(cuts: np.ndarray, m: int, betas, accuracy: float) -> list[TruncatedSpectrum]:
+    """One table per row of ``cuts`` (n, k), rows alike in which cuts are finite:
+    the panel quadrature table by table, the tail series in passes over
+    groups of rows, every exact total from one ``erf`` call and the tail
+    beyond 30 of every numeric total from one :func:`_tail_mass` call."""
+    rows = max(1, _TAIL_PASS_ENTRIES // (cuts.shape[1] * _TAIL_ORDER))
+    passes = [_tail_coefficients(cuts[i:i + rows]) for i in range(0, len(cuts), rows)]
+    series = [np.concatenate(part) for part in zip(*passes)]
+    totals = np.cumsum(0.5 * np.diff(erf(cuts)), axis=1)[:, -1]  # added in window order
+    tails = _tail_mass(series, np.full((len(cuts), 1), _TAIL_W_MIN))[:, 0]
+    tables = []
+    for row, beta, total, tail, *row_series in zip(cuts, betas, totals, tails, *series):
+        # a bin across w = 0 carries the error of both halves, so each half
+        # gets accuracy / 4 and the bin stays within accuracy / 2
+        edges, panels, nodes, error_bound = _integrate_adaptive(
+            lambda w: _summed_density(row, w), _seed_edges(np.diff(row).min()), 0.25 * accuracy)
+        cum = np.concatenate([[0.0], np.cumsum(panels)])
+        # per panel: G(w) = polynomial in t, the constant term carrying the
+        # mass below the panel (half the total below w = 0, by evenness)
+        coef = (0.5 * np.diff(edges))[:, None] * (nodes @ _K15_ANTIDERIVATIVE.T)
+        coef[:, 0] += 0.5 * total + cum[:-1]
+        for table in (row, edges, coef):
+            table.setflags(write=False)
+        tables.append(TruncatedSpectrum(
+            cuts=row, m=m, beta=beta, accuracy=accuracy, total_mass=float(total),
+            total_mass_numeric=2.0 * float(cum[-1] + tail), error_bound=error_bound,
+            n_panels=edges.size - 1, _edges=edges, _coef=coef, _tail=tuple(row_series)))
+    return tables
+
+
+_TABLES: OrderedDict = OrderedDict()  # (m, beta, accuracy) -> summed table, least recent first
+
+
+def summed_spectra(m: int, betas, accuracy: float) -> list[TruncatedSpectrum]:
+    """The spectrum summed over all ``m`` filters at each of ``betas``, the tables
+    the eavesdropper's second stage queries.  One cache keeps the 1024 tables
+    used last; the betas it misses are built in one :func:`_build_tables`
+    call.  Spectra are immutable, so sharing is safe."""
+    m = _symbol_count(m)
+    _check_widths(betas, accuracy)
+    keys = [(m, float(beta), accuracy) for beta in betas]
+    missing = list(dict.fromkeys(key for key in keys if key not in _TABLES))
+    if missing:
+        widths = [key[1] for key in missing]
+        _TABLES.update(zip(missing, _build_tables(_filter_cuts(m, widths), m, widths, accuracy)))
+    tables = [_TABLES[key] for key in keys]
+    for key in keys:
+        _TABLES.move_to_end(key)
+    while len(_TABLES) > 1024:
+        _TABLES.popitem(last=False)
+    return tables
+
+
 def cached_spectrum(m: int, beta: float, accuracy: float) -> TruncatedSpectrum:
-    """Memoized :func:`build_spectrum` summed over all ``m`` filters, the one
-    table the eavesdropper's second stage queries; spectra are immutable so
-    sharing is safe."""
-    return build_spectrum(None, m, beta, accuracy=accuracy)
+    """The one-beta case of :func:`summed_spectra`."""
+    return summed_spectra(m, [beta], accuracy)[0]

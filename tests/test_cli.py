@@ -82,7 +82,7 @@ class TestSurface:
         def stalled(*args, **kwargs):
             raise NumericFailure("stalled", achieved=1e-6, target=1e-8)
 
-        monkeypatch.setattr(pulse_math_module, "cached_spectrum", stalled)
+        monkeypatch.setattr(pulse_math_module, "summed_spectra", stalled)
         out = tmp_path / "surface.csv"
         code = run_cli("surface", "--m", "4", "--eps", "0.5", "--out", str(out))
         assert code == 3

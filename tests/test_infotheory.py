@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -265,10 +266,12 @@ class TestCapacityGrid:
     @pytest.mark.parametrize("m,n_alphas", [(16, 70), (32, 20)])
     @pytest.mark.parametrize("eps", [0.0, 0.5])
     def test_chunk_size_leaves_grid_bitwise_unchanged(self, monkeypatch, m, n_alphas, eps):
-        # the default chunk holds 2^14 / m^2 alphas at eps > 0 (64 at m = 16,
-        # 16 at m = 32) and 2^14 / 4m at eps = 0 (256 and 128: one chunk
-        # here), so a chunk of 64m entries (16 alphas at eps = 0, 64 / m at
-        # eps > 0) also splits the eps = 0 grid into several chunks
+        # tiles hold (alpha, beta) pairs: at eps > 0 a tile of mixed blocks
+        # holds 2^14 / m^2 pairs (64 at m = 16, 16 at m = 32) and a
+        # second-stage query 2^11 / m pairs (128 and 64); at eps = 0 a tile
+        # holds 2^14 / 4m alphas (256 and 128: one tile here).  64m entries
+        # give tiles of 64 / m pairs, 8-pair second-stage queries and
+        # 16-alpha tiles at eps = 0; one entry gives one pair per tile
         alphas, betas = np.linspace(0.1, 1.4, n_alphas), np.array([0.4, 0.9])
         batched = infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8)
         runs = []
@@ -285,6 +288,22 @@ class TestCapacityGrid:
         # on warm tables allocates a few MB at most, whatever m is
         alphas, betas = np.linspace(0.05, 1.5, 30), np.linspace(0.05, 1.5, 30)
         infotheory_module._capacity_grid(m, 0.5, alphas, betas, 1e-8)  # warms the tables
+        tracemalloc.start()
+        try:
+            infotheory_module._capacity_grid(m, 0.5, alphas, betas, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 2 ** 20
+
+    @pytest.mark.parametrize("m,limit_mb", [(16, 1.5), (32, 1.5), (256, 6.0)])
+    def test_cold_peak_memory_is_bounded(self, monkeypatch, m, limit_mb):
+        # the same grid on an empty table cache also builds its 30 tables;
+        # with the quadrature run one table at a time the peak stays near
+        # the warm one (0.9 MB at m = 16 and 32, 5.0 MB at m = 256), where
+        # one density batch across the group's tables fails all three
+        alphas, betas = np.linspace(0.05, 1.5, 30), np.linspace(0.05, 1.5, 30)
+        monkeypatch.setattr(pulse_math, "_TABLES", OrderedDict())
         tracemalloc.start()
         try:
             infotheory_module._capacity_grid(m, 0.5, alphas, betas, 1e-8)
@@ -315,12 +334,12 @@ class TestCapacityGrid:
         falling = self._piecewise_table(1.0, [rise, flat, (8.0, 30.0, 1 - 1e-6, 1 - 1e-6)])
         below_zero = self._piecewise_table(1.0 - 1e-6, [rise, (5.0, 30.0, 1.0, 1.0)])
         above_one = self._piecewise_table(1.0, [rise, flat, (8.0, 30.0, 1 + 1e-6, 1 + 1e-6)])
-        real = pulse_math.cached_spectrum
+        real = pulse_math.summed_spectra
         alphas = np.array([0.3, 0.5, 0.9])
         for name, table in [("falling", falling), ("below_zero", below_zero),
                             ("above_one", above_one)]:
-            monkeypatch.setattr(pulse_math, "cached_spectrum",
-                                lambda m, beta, acc: table if beta == 0.7 else real(m, beta, acc))
+            monkeypatch.setattr(pulse_math, "summed_spectra", lambda m, betas, acc: [
+                table if beta == 0.7 else real(m, [beta], acc)[0] for beta in betas])
             with pytest.raises(NumericFailure) as info:
                 infotheory_module._capacity_grid(4, 0.5, alphas, [0.5, 0.7], 1e-8)
             assert info.value.achieved == pytest.approx(1e-6, rel=1e-9), name
@@ -347,13 +366,15 @@ class TestLatticeStats:
     @pytest.mark.parametrize("beta", [0.1, 0.6, 1.2])
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 16, 32, 256])
     def test_second_stage(self, m, beta):
-        values = channel_module._second_lattice(m, [0.05, 0.5, 1.5], [beta], 1e-8)[0]
+        tables = pulse_math.summed_spectra(m, [beta], 1e-8)
+        values = channel_module._second_lattice(m, [0.05, 0.5, 1.5], tables)[0]
         self._assert_matches_dense(values, 0.0, 1.0)
 
     def test_stack_of_alphas(self):
         alphas = np.linspace(0.05, 1.5, 30)
         self._assert_matches_dense(channel_module._correct_lattice(16, alphas), -0.5, 0.5)
-        second = channel_module._second_lattice(16, alphas, [0.7], 1e-8)[0]
+        tables = pulse_math.summed_spectra(16, [0.7], 1e-8)
+        second = channel_module._second_lattice(16, alphas, tables)[0]
         self._assert_matches_dense(second, 0.0, 1.0)
 
 

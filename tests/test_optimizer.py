@@ -406,6 +406,38 @@ class TestOptimizePoint:
         assert [b for betas, _ in coarse for b in betas] == list(beta_axis)
         assert all(shape == (len(betas), 30, 16) for betas, shape in coarse)
 
+    def test_cold_run_builds_two_groups_and_indexes_each_group_once(self, monkeypatch):
+        # cold tables: the coarse grid builds the 30 tables of its beta axis
+        # in one call, the report its one table in another; the memoised
+        # stacked index misses once per group of tables (8 coarse-grid
+        # tiles, the refined rows' 30 tables, the report's table), so every
+        # refined row after the first reuses it
+        from collections import OrderedDict
+        from functools import lru_cache
+
+        from tfqkd import pulse_math
+
+        builds, rows = [], []
+        real_build, real_surface = pulse_math._build_tables, optimizer_module.c_surface
+
+        def build(cuts, *args):
+            builds.append(len(cuts))
+            return real_build(cuts, *args)
+
+        def surface(m, eps, alphas, betas, *args):
+            rows.append(len(alphas))
+            return real_surface(m, eps, alphas, betas, *args)
+
+        index = lru_cache(maxsize=64)(pulse_math._stacked_index.__wrapped__)
+        monkeypatch.setattr(pulse_math, "_TABLES", OrderedDict())
+        monkeypatch.setattr(pulse_math, "_build_tables", build)
+        monkeypatch.setattr(pulse_math, "_stacked_index", index)
+        monkeypatch.setattr(optimizer_module, "c_surface", surface)
+        optimize_point(16, 0.5)
+        assert builds == [30, 1]
+        assert rows[0] == 30 and rows.count(1) == len(rows) - 1 >= 5
+        assert (index.cache_info().misses, index.cache_info().hits) == (10, len(rows) - 2)
+
     def test_rejects_bad_config(self):
         with pytest.raises(DomainError):
             OptimizerConfig(scheme="random")

@@ -1,3 +1,4 @@
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import factorial
+from scipy.special import erf, factorial
 
 from tfqkd import pulse_math
 from tfqkd.channel import ProtocolParams, p_second_correct
@@ -541,6 +542,11 @@ class TestTailSeries:
             lag = cuts[2] - cuts[1]
             scaled = cross / np.sqrt(np.pi) / factorial(n - 1)
             assert series[1] == pytest.approx(np.sum(scaled * (1j * lag) ** (n - 1)), rel=1e-13)
+            # the recurrence unrolled term by term: (j-2)! * sum_{n >= j} scaled_n * (i lag)**(n-j)
+            unrolled = np.array([factorial(j - 2) * np.sum(scaled[k:] * (1j * lag) ** (n[k:] - j))
+                                 for k, j in enumerate(n)])
+            assert np.allclose(series[0][:, 1] + 1j * series[0][:, 2], unrolled,
+                               rtol=1e-13, atol=0.0)
 
     def test_cross_terms_need_one_lag(self):
         # summed cross terms share one I_1, so windows of different lengths
@@ -549,6 +555,105 @@ class TestTailSeries:
             _tail_coefficients(np.array([-1.0, 0.0, 2.0]))
         coef, _, lag = _tail_coefficients(np.array([-np.inf, 0.0, np.inf]))
         assert coef.shape[1] == 1 and lag == np.inf
+
+    def test_rows_of_a_group_need_one_lag_each(self):
+        # each row is one table: rows may differ in lag, but a row whose
+        # windows disagree raises, wherever it sits in the group
+        rows = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.5, 0.0, 1.5]])
+        coef, first, lag = _tail_coefficients(rows)
+        assert coef.shape == (3, 19, 3) and list(lag) == [1.0, 2.0, 1.5]
+        for i, row in enumerate(rows):
+            one = _tail_coefficients(row)
+            assert np.array_equal(coef[i], one[0]) and first[i] == one[1] and lag[i] == one[2]
+        for position in range(3):
+            bad = rows.copy()
+            bad[position, 2] = 2.5
+            with pytest.raises(DomainError, match="share no tail series"):
+                _tail_coefficients(bad)
+
+
+class TestGroupBuild:
+    """summed_spectra builds every missing table of a group of betas in one
+    pass; each table equals the one built for its beta alone."""
+
+    POINTS = np.concatenate([np.linspace(-80.0, 80.0, 641), [-np.inf, np.inf]])
+
+    @staticmethod
+    def _counting_builds(monkeypatch):
+        # an empty table cache, and the row count of every group build
+        monkeypatch.setattr(pulse_math, "_TABLES", OrderedDict())
+        builds, real = [], pulse_math._build_tables
+
+        def counting(cuts, *args):
+            builds.append(len(cuts))
+            return real(cuts, *args)
+
+        monkeypatch.setattr(pulse_math, "_build_tables", counting)
+        return builds
+
+    @pytest.mark.parametrize("m", [2, 3, 16, 32, 256, 1024])
+    def test_group_equals_one_build_per_beta(self, m, monkeypatch):
+        builds = self._counting_builds(monkeypatch)
+        cached = pulse_math.summed_spectra(m, [0.7], 1e-8)[0]
+        betas = [0.3, 0.7, 1.2, 0.3, 0.05, 1.2]  # cached, missing and repeated betas
+        group = pulse_math.summed_spectra(m, betas, 1e-8)
+        assert builds == [1, 3]
+        assert group[1] is cached and group[3] is group[0] and group[5] is group[2]
+        for beta, table in zip(betas, group):
+            alone = build_spectrum(None, m, beta)
+            assert table.beta == beta and np.array_equal(table.cuts, alone.cuts)
+            assert np.array_equal(table._edges, alone._edges)
+            assert np.array_equal(table._coef, alone._coef)
+            difference = table.cumulative(self.POINTS) - alone.cumulative(self.POINTS)
+            assert np.abs(difference).max() <= 1e-13
+            # the group's one erf call adds each row's windows in order, as sum() does
+            assert table.total_mass == alone.total_mass == sum(0.5 * np.diff(erf(table.cuts)))
+            assert table.total_mass_numeric == pytest.approx(alone.total_mass_numeric,
+                                                             rel=0.0, abs=1e-15)
+            assert table.error_bound == alone.error_bound
+
+    def test_tail_series_run_in_capped_passes(self, monkeypatch):
+        # a pass stacks at most _TAIL_PASS_ENTRIES (table, cut, order)
+        # entries, so one table a pass at m = 1024, and the passes leave
+        # every table bitwise unchanged
+        passes, real = [], pulse_math._tail_coefficients
+        monkeypatch.setattr(pulse_math, "_tail_coefficients",
+                            lambda cuts: passes.append(cuts.shape) or real(cuts))
+        betas = np.linspace(0.05, 1.5, 7)
+        whole = pulse_math._build_tables(_filter_cuts(32, betas), 32, betas, 1e-8)
+        pulse_math._build_tables(_filter_cuts(1024, betas[:3]), 1024, betas[:3], 1e-8)
+        assert passes == [(7, 33)] + [(1, 1025)] * 3
+        monkeypatch.setattr(pulse_math, "_TAIL_PASS_ENTRIES", 1)
+        one_per_pass = pulse_math._build_tables(_filter_cuts(32, betas), 32, betas, 1e-8)
+        assert passes[4:] == [(1, 33)] * 7
+        for a, b in zip(whole, one_per_pass):
+            assert all(np.array_equal(x, y) for x, y in zip(a._tail, b._tail))
+            assert np.array_equal(a._coef, b._coef)
+            assert a.total_mass_numeric == b.total_mass_numeric
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, np.inf])
+    def test_bad_beta_anywhere_raises_before_building(self, bad, monkeypatch):
+        builds = self._counting_builds(monkeypatch)
+        for position in range(3):
+            betas = [0.4, 0.8, 1.3]
+            betas[position] = bad
+            with pytest.raises(DomainError):
+                pulse_math.summed_spectra(16, betas, 1e-8)
+        assert builds == [] and not pulse_math._TABLES
+
+    def test_cache_keeps_the_last_1024_tables(self, monkeypatch):
+        # stand-in tables: the cache only stores and returns them
+        builds = []
+        monkeypatch.setattr(pulse_math, "_TABLES", OrderedDict())
+        monkeypatch.setattr(pulse_math, "_build_tables", lambda cuts, m, betas, accuracy: (
+            builds.append(len(cuts)) or [object() for _ in betas]))
+        first = pulse_math.summed_spectra(2, [0.5], 1e-8)[0]
+        pulse_math.summed_spectra(2, np.linspace(1.0, 2.0, 1023), 1e-8)
+        assert pulse_math.summed_spectra(2, [0.5], 1e-8)[0] is first  # refreshed as the latest
+        pulse_math.summed_spectra(2, [3.0], 1e-8)  # evicts the least recent: beta = 1.0
+        assert len(pulse_math._TABLES) == 1024 and (2, 1.0, 1e-8) not in pulse_math._TABLES
+        assert cached_spectrum(2, 0.5, 1e-8) is first
+        assert builds == [1, 1023, 1]
 
 
 def _window(f, m, beta):
