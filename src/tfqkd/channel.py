@@ -111,19 +111,44 @@ def is_column_stochastic(matrix: np.ndarray, tol: float = 1e-9) -> bool:
 # Single-basis matrices
 # ---------------------------------------------------------------------------
 
-def _lattice_block(values: np.ndarray, at_neg_inf: float, at_pos_inf: float) -> np.ndarray:
-    """m x m blocks ``P[..., r, a] = F(r - a + 1/2) - F(r - a - 1/2)`` of cumulatives F.
-
-    Every bin bound minus every symbol center is one of the 2m half-integers
-    ``k + 1/2``, k = -m..m-1, so ``values[..., :]`` holds F there; the outer
-    bins reach past the lattice, so row 0 subtracts F(-inf) and row m-1 takes F(+inf).
-    """
+def _lattice_entries(values: np.ndarray, rows, cols, at_neg_inf: float, at_pos_inf: float):
+    """Entries ``P[..., r, a] = F(r - a + 1/2) - F(r - a - 1/2)`` of the m x m blocks of cumulatives
+    F at broadcasting index arrays ``rows``, ``cols``: a bin bound minus a symbol center is one of
+    the 2m half-integers ``k + 1/2``, k = -m..m-1, where ``values[..., :]`` holds F; the outer
+    bins reach past the lattice, so row 0 subtracts F(-inf) and row m-1 takes F(+inf)."""
     m = values.shape[-1] // 2
-    idx = np.arange(m)[:, None] - np.arange(m)[None, :] + m
-    upper, lower = np.take(values, idx, axis=-1), np.take(values, idx - 1, axis=-1)
-    upper[..., -1, :], lower[..., 0, :] = at_pos_inf, at_neg_inf
-    upper -= lower
-    return upper
+    upper = np.where(rows == m - 1, at_pos_inf, np.take(values, rows - cols + m, axis=-1))
+    return upper - np.where(rows == 0, at_neg_inf, np.take(values, rows - cols + m - 1, axis=-1))
+
+
+def _lattice_block(values: np.ndarray, at_neg_inf: float, at_pos_inf: float) -> np.ndarray:
+    rows = np.arange(values.shape[-1] // 2)
+    return _lattice_entries(values, rows[:, None], rows, at_neg_inf, at_pos_inf)
+
+
+def _window_widths(cdf: np.ndarray) -> np.ndarray:
+    """``min(4b + 1, m)`` per :func:`p_correct` block of a (k, 2m) stack, b its farthest nonzero
+    ``|r - a|``: an entry off the diagonal is nonzero only next to a value ``|F| < 1/2``."""
+    m = cdf.shape[-1] // 2
+    reach = np.minimum(np.abs(np.arange(-m, m) + 0.5) + 0.5, m - 1)  # farthest |r - a| it feeds
+    return np.minimum(4 * (reach * (np.abs(cdf) < 0.5)).max(-1).astype(int) + 1, m)
+
+
+def _correct_windows(cdf: np.ndarray, width: int):
+    """Entries per column, diagonal's flat positions and windows of :func:`p_correct` and its
+    square: per row ``width`` columns around the diagonal, shifted inside [0, m), then (if
+    ``width < m``) zeros for the entries off them.  With ``width = 4b + 1 < m`` the first and
+    last 2b + 1 rows read the corner blocks, which hold all their terms."""
+    m, k, edge = cdf.shape[-1] // 2, len(cdf), (width + 1) // 2
+    rows, corner, extra = np.arange(m), np.arange(width), int(width < m)
+    shift = np.array([0, m - width])[:, None, None]  # the top and bottom corner blocks
+    corners = _lattice_entries(cdf, corner[:, None] + shift, corner + shift, -0.5, 0.5)
+    # row r's window: top row r, top row 2b (the Toeplitz rows) or bottom row r - m + width
+    source = np.where(rows < m - edge, np.minimum(rows, edge - 1), rows - m + 2 * width)
+    diagonal = rows * (width + extra) + source % width  # where the corner row has its diagonal
+    pc, pc2 = (np.concatenate([np.take(x.reshape(k, -1, width), source, 1), np.zeros((k, m, extra))], -1)
+               for x in (corners, corners @ corners))
+    return np.array([1.0] * width + [m - width] * extra), diagonal, pc, pc2
 
 
 def _correct_lattice(m: int, alphas) -> np.ndarray:

@@ -41,8 +41,6 @@ EXIT_NUMERIC = 3
 
 def _fmt(x) -> str:
     """Format a number with 9 significant digits (locale-independent)."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return format(float(x), ".9g")
 
 
@@ -158,12 +156,11 @@ def _optimizer_config(args) -> OptimizerConfig:
 def cmd_surface(args) -> int:
     grid = c_surface(args.m, args.eps, args.alpha, args.beta, args.accuracy)
     names = ("alpha", "beta", "capacity", "i_ab", "i_ae", "qser")
-    columns = [getattr(grid, name) for name in names[2:]]
-    rows = [(alpha, beta, *(c[i, j] for c in columns))
-            for i, alpha in enumerate(grid.alpha_axis) for j, beta in enumerate(grid.beta_axis)]
-    if args.format == "csv":
-        lines = [",".join(names)] + [",".join(map(_fmt, row)) for row in rows]
-        _emit(args.out, "\n".join(lines) + "\n")
+    rows = np.stack([*np.meshgrid(grid.alpha_axis, grid.beta_axis, indexing="ij"),
+                     *(getattr(grid, name) for name in names[2:])], -1).reshape(-1, 6).tolist()
+    if args.format == "csv":  # '%.9g' formats a Python float as _fmt does
+        lines = [("%.9g," * 5 + "%.9g\n") % tuple(row) for row in rows]
+        _emit(args.out, ",".join(names) + "\n" + "".join(lines))
     else:
         points = [dict(zip(names, map(_round9, row))) for row in rows]
         payload = {"m": args.m, "eps": _round9(args.eps), "points": points}

@@ -58,15 +58,16 @@ def _checked(matrix, prior) -> tuple[np.ndarray, np.ndarray]:
     return matrix, prior
 
 
-def _mutual_info(matrix: np.ndarray, prior: np.ndarray, received: np.ndarray):
-    """Mutual information (bits) of each channel of a (..., r, s) stack."""
+def _mutual_info(matrix: np.ndarray, prior: np.ndarray, received: np.ndarray, counts=1.0):
+    """Mutual information (bits) of each channel of a (..., r, s) stack, in which
+    column s stands for ``counts[s]`` equal columns."""
     joint = matrix * prior
     mask = joint > _ZERO_CLAMP
     # marginals are positive wherever some joint entry in the row is; the
     # other entries stay 0
     terms = np.divide(matrix, received[..., None], out=np.zeros(joint.shape), where=mask)
     np.log2(terms, out=terms, where=mask)
-    np.multiply(terms, joint, out=terms, where=mask)
+    np.multiply(terms, np.multiply(joint, counts, out=joint), out=terms, where=mask)
     return terms.sum(axis=(-2, -1))
 
 
@@ -141,46 +142,53 @@ def _lattice_stats(values: np.ndarray, at_neg_inf: float, at_pos_inf: float,
     return info, 1.0 - trace / m
 
 
-# A tile of alphas x betas stacks at most this many entries: m * m per pair
-# in the mixed blocks (4m per alpha at epsilon == 0), about 8 per point of the
-# second stage's query (m points per pair); so memory stays flat for any m.
+def _window_stats(counts, diagonal, pc, pc2, pw, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(k, nb) information and QSER of ``channel._mixed_block(pc, pc @ pc, pw, eps)`` from
+    :func:`channel._correct_windows`: off the window row r holds ``eps * (0.5 * pw[r])``."""
+    m = pc.shape[-2]
+    mixed = channel._mixed_block(pc[:, None], pc2[:, None], pw[..., None], eps)
+    received = channel._mixed_block(pc.sum(-1)[:, None], pc2.sum(-1)[:, None], m * pw, eps) / m
+    trace = np.take(mixed.reshape(mixed.shape[:2] + (-1,)), diagonal, axis=-1).sum(-1)
+    return _mutual_info(mixed, 1.0 / m, received, counts), 1.0 - trace / m
+
+
+# A tile of alphas x betas stacks at most this many entries: m * min(W + 1, m) per pair
+# in the mixed blocks' windows, 4m per alpha in the lattice terms, about 8 per point
+# of the second stage's query (m points per pair); so memory stays flat for any m.
 _CHUNK_ENTRIES = 1 << 14
 
 
 def _capacity_grid(m, epsilon, alphas, betas, accuracy: float):
-    """``(capacity, i_ab, i_ae, qser)`` arrays over ``alphas x betas``, a tile
-    at a time: per chunk of alphas the alpha-only terms, per group of betas
-    one ``erf`` call for the wrong-basis columns, one (k, nb, m, m) stack of
-    mixed blocks and, in tiles of its own, one stacked query of the betas'
-    spectrum tables, which one call fetches (and builds) for all betas.  Only
-    the attack-averaged block is formed (:func:`_lattice_stats` reads the
-    others), none at ``epsilon == 0``."""
+    """``(capacity, i_ab, i_ae, qser)`` arrays over ``alphas x betas``, a tile at a time: per chunk
+    of alphas the lattice terms; at ``epsilon > 0``, per tile of alphas of one window width and
+    group of betas the mixed blocks' windows (:func:`_window_stats`; no m x m array unless the
+    width is m) and, in tiles of its own, one stacked query of all the betas' spectrum tables."""
     m = ProtocolParams(m, alphas[0], betas[0], epsilon).m  # validates m and epsilon
     shape = (len(alphas), len(betas))
-    ab, ae, qs = np.empty(shape), np.zeros(shape), np.empty(shape)
-    info_pc = np.empty(len(alphas))
+    ab, ae, qs, info_pc = np.empty(shape), np.zeros(shape), np.empty(shape), np.empty(len(alphas))
 
-    def tile(per_pair: int) -> tuple[int, int]:  # (alphas, betas) per tile, all alphas if they fit
-        step = min(len(alphas), max(1, _CHUNK_ENTRIES // per_pair))
+    def tile(n_alphas: int, per_pair: int) -> tuple[int, int]:  # (alphas, betas) per tile
+        step = min(n_alphas, max(1, _CHUNK_ENTRIES // per_pair))
         return step, max(1, _CHUNK_ENTRIES // per_pair // step)
 
-    step, group = tile(m * m if epsilon else 4 * m)
+    cdf = channel._correct_lattice(m, alphas)
+    step = tile(len(alphas), 4 * m)[0]
     for lo in range(0, len(alphas), step):
         rows = slice(lo, lo + step)
-        cdf = channel._correct_lattice(m, alphas[rows])
-        info_pc[rows], qser_pc = _lattice_stats(cdf, -0.5, 0.5, accuracy)
-        if epsilon == 0.0:
-            ab[rows], qs[rows] = info_pc[rows, None], qser_pc[:, None]
-            continue
-        pc = channel._lattice_block(cdf, -0.5, 0.5)
-        pc, pc2 = pc[:, None], (pc @ pc)[:, None]
-        for j in range(0, len(betas), group):
-            # no stack outlives its statement, which bounds peak memory
-            pw = channel._wrong_columns(m, betas[j:j + group])[..., None]
-            ab[rows, j:j + group], qs[rows, j:j + group] = _block_stats(
-                channel._mixed_block(pc, pc2, pw, epsilon))
+        info_pc[rows], qser_pc = _lattice_stats(cdf[rows], -0.5, 0.5, accuracy)
+        ab[rows], qs[rows] = info_pc[rows, None], qser_pc[:, None]
+    if epsilon:
+        widths, pw = channel._window_widths(cdf), channel._wrong_columns(m, betas)
+    for width in sorted(set(widths.tolist())) if epsilon else ():
+        family = np.flatnonzero(widths == width)  # one width, so one sum order per pair
+        step, group = tile(len(family), m * min(width + 1, m))
+        for rows in (family[lo:lo + step] for lo in range(0, len(family), step)):
+            windows = channel._correct_windows(cdf[rows], width)
+            for j in range(0, len(betas), group):
+                ab[rows, j:j + group], qs[rows, j:j + group] = _window_stats(
+                    *windows, pw[j:j + group], epsilon)
     tables = pulse_math.summed_spectra(m, betas, accuracy) if epsilon else []
-    step, group = tile(8 * m)
+    step, group = tile(len(alphas), 8 * m)
     for lo in range(0, len(alphas), step) if tables else ():
         rows = slice(lo, lo + step)
         for j in range(0, len(betas), group):

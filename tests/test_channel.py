@@ -148,6 +148,40 @@ class TestPCorrect:
                 expected = 0.5 * (e_hi - e_lo)
                 assert np.array_equal(p_correct(ProtocolParams(m, alpha, 0.7)), expected)
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 16, 37, 256])
+    def test_window_width_covers_farthest_nonzero_entry(self, m):
+        # b, read from the lattice values, is the dense block's farthest
+        # nonzero |r - a|, from a lone diagonal to alphas where none saturate
+        alphas = np.concatenate([np.linspace(0.001, 3.0, 120), [10.0, 200.0, 1e4]])
+        cdf = channel_module._correct_lattice(m, alphas)
+        offsets = np.abs(np.arange(m)[:, None] - np.arange(m))
+        band = np.array([(offsets * (block != 0.0)).max()
+                         for block in channel_module._lattice_block(cdf, -0.5, 0.5)])
+        assert np.array_equal(channel_module._window_widths(cdf), np.minimum(4 * band + 1, m))
+
+    @pytest.mark.parametrize("m,alpha,width", [(2, 0.05, 1), (2, 0.5, 2), (3, 0.5, 3), (16, 0.05, 1),
+                                               (16, 0.5, 5), (16, 2.95, 16), (64, 1.5, 17)])
+    def test_windows_hold_every_nonzero_entry(self, m, alpha, width):
+        # each row's window of p_correct and of its square, scattered back to
+        # its columns, gives the dense matrices: no nonzero entry lies outside
+        cdf = channel_module._correct_lattice(m, [alpha, alpha])
+        assert np.all(channel_module._window_widths(cdf) == width)
+        counts, diagonal, pc, pc2 = channel_module._correct_windows(cdf, width)
+        # one more column, of zeros, stands for the m - width entries off each window
+        extra = int(width < m)
+        assert pc.shape == pc2.shape == (2, m, width + extra)
+        assert np.array_equal(counts, [1.0] * width + [m - width] * extra)
+        assert np.all(pc[..., width:] == 0.0) and np.all(pc2[..., width:] == 0.0)
+        rows = np.arange(m)[:, None]
+        cols = np.clip(rows - (width - 1) // 2, 0, m - width) + np.arange(width)
+        dense = p_correct(ProtocolParams(m, alpha, 0.7))
+        for window, full in ((pc, dense), (pc2, dense @ dense)):
+            scattered = np.zeros((m, m))
+            np.put_along_axis(scattered, cols, window[0, :, :width], axis=-1)
+            assert np.array_equal(scattered == 0.0, full == 0.0)
+            assert scattered == pytest.approx(full, rel=0.0, abs=1e-15)
+            assert np.array_equal(window[0].ravel()[diagonal], np.diag(scattered))
+
 
 class TestPWrong:
     def test_m2_is_half(self):

@@ -252,8 +252,10 @@ class TestCapacityGrid:
     @pytest.mark.parametrize("eps", [0.0, 0.25, 0.5, 1.0])
     @pytest.mark.parametrize("m", [2, 3, 4, 16, 32])
     def test_matches_per_point_reference(self, monkeypatch, m, eps):
-        # three alphas per chunk: the seven-alpha axis spans three chunks,
-        # the last one partial
+        # 3 m^2 entries: a tile of mixed-block windows of width W holds
+        # 3m / (W + 1) pairs (two at W = m), a chunk of lattice terms 3m / 4
+        # alphas and a second-stage query 3m / 8 pairs, so the 7 x 3 grid
+        # spans several tiles of each kind, some of them partial
         monkeypatch.setattr(infotheory_module, "_CHUNK_ENTRIES", 3 * m * m)
         alphas, betas = np.linspace(0.15, 1.35, 7), np.array([0.3, 0.7, 1.2])
         grid = infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8)
@@ -266,12 +268,13 @@ class TestCapacityGrid:
     @pytest.mark.parametrize("m,n_alphas", [(16, 70), (32, 20)])
     @pytest.mark.parametrize("eps", [0.0, 0.5])
     def test_chunk_size_leaves_grid_bitwise_unchanged(self, monkeypatch, m, n_alphas, eps):
-        # tiles hold (alpha, beta) pairs: at eps > 0 a tile of mixed blocks
-        # holds 2^14 / m^2 pairs (64 at m = 16, 16 at m = 32) and a
-        # second-stage query 2^11 / m pairs (128 and 64); at eps = 0 a tile
-        # holds 2^14 / 4m alphas (256 and 128: one tile here).  64m entries
-        # give tiles of 64 / m pairs, 8-pair second-stage queries and
-        # 16-alpha tiles at eps = 0; one entry gives one pair per tile
+        # tiles hold (alpha, beta) pairs of alphas of one window width W (1
+        # to 16 at m = 16, 1 to 17 at m = 32): at eps > 0 a tile of mixed-block
+        # windows holds 2^14 / m(W + 1) pairs (60 at m = 16 and W = 16) and a
+        # second-stage query 2^11 / m pairs (128 and 64); a chunk of lattice
+        # terms holds 2^14 / 4m alphas (256 and 128: one chunk here).  64m
+        # entries give window tiles of 64 / (W + 1) pairs, 8-pair second-stage
+        # queries and 16-alpha chunks; one entry gives one pair per tile
         alphas, betas = np.linspace(0.1, 1.4, n_alphas), np.array([0.4, 0.9])
         batched = infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8)
         runs = []
@@ -295,6 +298,39 @@ class TestCapacityGrid:
         finally:
             tracemalloc.stop()
         assert peak < limit_mb * 2 ** 20
+
+    def test_forms_no_m_by_m_block(self):
+        # at m = 1024 one m x m float block is 8 MiB; the windows of width
+        # 4b + 1 hold (k, m, W) stacks, so a warm 3 x 3 grid stays below it
+        alphas, betas = np.array([0.5, 1.5, 2.95]), np.array([0.1, 0.7, 1.4])
+        pulse_math.summed_spectra(1024, betas, 1e-8)
+        infotheory_module._capacity_grid(1024, 0.5, alphas, betas, 1e-8)  # warms the index
+        tracemalloc.start()
+        try:
+            infotheory_module._capacity_grid(1024, 0.5, alphas, betas, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024 * 8
+
+    @pytest.mark.parametrize("m", [2, 3, 16, 256, 1024])
+    def test_windows_match_dense_mixed_block(self, m):
+        # the band-plus-rank-one reading of the mixed block against the dense
+        # one; W = m at m = 2, 3 and at alpha 2.95 for m = 16, and beta 0.01
+        # leaves pw[r] = 0 on the outer rows for m >= 3
+        alphas, betas = np.array([0.05, 0.5, 1.5, 2.95]), np.array([0.01, 0.3, 1.2])
+        if m <= 16:
+            assert channel_module._window_widths(channel_module._correct_lattice(m, alphas))[-1] == m
+        pw = channel_module._wrong_columns(m, betas)
+        assert (pw[0] == 0.0).any() == (m >= 3)
+        for eps in (0.25, 0.5, 1.0):
+            _, ab, _, qs = infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8)
+            for i, alpha in enumerate(alphas):
+                pc = p_correct(ProtocolParams(m, alpha, 0.5))
+                blocks = channel_module._mixed_block(pc, pc @ pc, pw[:, :, None], eps)
+                info, qser = infotheory_module._block_stats(blocks)
+                assert ab[i] == pytest.approx(info, rel=0.0, abs=1e-12), (eps, alpha)
+                assert qs[i] == pytest.approx(qser, rel=0.0, abs=1e-12), (eps, alpha)
 
     @pytest.mark.parametrize("m,limit_mb", [(16, 1.5), (32, 1.5), (256, 6.0)])
     def test_cold_peak_memory_is_bounded(self, monkeypatch, m, limit_mb):

@@ -17,6 +17,8 @@ REFERENCES = {
     "optimize-m64": ("optimize --m 64 --eps 0.5", "tests/data/optimize-m64-eps0.5.json"),
     "optimize-m128": ("optimize --m 128 --eps 0.25", "tests/data/optimize-m128-eps0.25.json"),
     "optimize-m256": ("optimize --m 256 --eps 0.5", "tests/data/optimize-m256-eps0.5.json"),
+    "surface-m64-eps1": ("surface --m 64 --eps 1 --alpha 0.05:2.95:0.29 --beta 0.1:1.5:0.35 "
+                         "--format json", "tests/data/surface-m64-eps1.json"),
     "surface-warm": ("surface --m 32 --eps 0.5 --alpha 0.30:0.70:0.02 --beta 0.50:0.90:0.02",
                      "bench/references/surface-warm.csv"),
     "keyrate-plain": ("keyrate --m 256 --eps 0 --rep-rate-hz 1e8",
