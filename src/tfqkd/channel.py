@@ -10,14 +10,13 @@ discards basis mismatches.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
 
 from . import pulse_math
-from .errors import DomainError
+from .errors import DomainError, _check_count, _check_positive
 from .pulse_math import DEFAULT_ACCURACY
 
 __all__ = [
@@ -52,11 +51,8 @@ class ProtocolParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "m", pulse_math._symbol_count(self.m))
-        if not 0.0 < self.alpha < math.inf:
-            raise DomainError(f"alpha must be finite and positive, got {self.alpha}")
-        if not 0.0 < self.beta < math.inf:
-            raise DomainError(f"beta must be finite and positive, got {self.beta}")
+        object.__setattr__(self, "m", _check_count("m", self.m, 2))
+        _check_positive(("alpha", self.alpha), ("beta", self.beta))
         if not 0.0 <= self.epsilon <= 1.0:
             raise DomainError(f"epsilon must lie in [0, 1], got {self.epsilon}")
 
@@ -87,7 +83,7 @@ class BinLayout:
 
 def make_layout(m: int) -> BinLayout:
     """Centers ``i - (m+1)/2`` and unit-pitch bins, outer bins unbounded."""
-    m = pulse_math._symbol_count(m)
+    m = _check_count("m", m, 2)
     idx = np.arange(1, m + 1, dtype=float)
     centers = idx - 0.5 * (m + 1)
     lower = idx - 0.5 * m - 1.0

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that raise them."""
+
+import math
+import numbers
+
+__all__ = ["DomainError", "NumericFailure"]
 
 
 class DomainError(ValueError):
@@ -16,3 +21,20 @@ class NumericFailure(RuntimeError):
         super().__init__(message)
         self.achieved = achieved
         self.target = target
+
+
+def _check_positive(*named) -> None:
+    """:class:`DomainError` for the first ``(name, value)`` pair, in order,
+    whose value is not finite and positive (NaN is not)."""
+    for name, value in named:
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_count(name: str, value, least: int) -> int:
+    """``value`` as an int, or :class:`DomainError` unless it is an integer >= ``least``
+    (2.0 counts as 2; NaN, infinities, None and strings do not)."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value % 1 == 0
+            and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)

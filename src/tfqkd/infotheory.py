@@ -81,21 +81,17 @@ def mutual_info_single(matrix: np.ndarray, prior: np.ndarray) -> float:
     return float(_mutual_info(matrix, prior, matrix @ prior))
 
 
-def mutual_info_dual(matrix: np.ndarray, prior: np.ndarray | None = None) -> float:
-    """Mutual information of the two-basis alphabet, minus the one bit that
-    only identifies the basis.
+def mutual_info_dual(matrix: np.ndarray) -> float:
+    """Mutual information of the two-basis alphabet under a uniform prior,
+    minus the one bit that only identifies the basis.
 
-    For the block-diagonal matrices produced by :mod:`tfqkd.channel` with a
-    uniform prior this equals the mean of the two blocks' single-basis
-    mutual informations.
+    For the block-diagonal matrices produced by :mod:`tfqkd.channel` this
+    equals the mean of the two blocks' single-basis mutual informations.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
+    n = np.shape(matrix)[0]
     if n % 2:
         raise DomainError(f"dual-basis matrix must have even size, got {n}")
-    if prior is None:
-        prior = np.full(n, 1.0 / n)
-    return mutual_info_single(matrix, prior) - 1.0
+    return mutual_info_single(matrix, np.full(n, 1.0 / n)) - 1.0
 
 
 # Sifting makes every dual-basis matrix block-diagonal, so with a uniform

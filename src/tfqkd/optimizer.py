@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import erf
 
 from .channel import ProtocolParams, make_layout
-from .errors import DomainError, NumericFailure
+from .errors import DomainError, NumericFailure, _check_positive
 from .infotheory import CapacityReport, _capacity_grid, capacity
 from .pulse_math import DEFAULT_ACCURACY
 
@@ -67,10 +67,7 @@ class OptimizerConfig:
             raise DomainError(f"unknown scheme {self.scheme!r}")
         if self.u_variant not in ("per-term", "whole-sum"):
             raise DomainError(f"unknown u variant {self.u_variant!r}")
-        for name in ("tol", "coarse_step", "accuracy"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise DomainError(f"{name} must be finite and positive, got {value}")
+        _check_positive(("tol", self.tol), ("coarse_step", self.coarse_step), ("accuracy", self.accuracy))
         for name in ("alpha_box", "beta_box"):
             lo, hi = getattr(self, name)
             if not 0.0 < lo < hi < math.inf:

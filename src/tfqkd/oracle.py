@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .channel import ProtocolParams, make_layout
-from .errors import DomainError, NumericFailure
+from .errors import DomainError, NumericFailure, _check_count, _check_positive
 
 __all__ = [
     "McConfig",
@@ -46,8 +46,7 @@ class McConfig:
     params: ProtocolParams
 
     def __post_init__(self):
-        if self.photons < 1:
-            raise DomainError(f"photons must be >= 1, got {self.photons}")
+        object.__setattr__(self, "photons", _check_count("photons", self.photons, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +130,11 @@ def run_mc(config: McConfig) -> EmpiricalMatrix:
 # Statistical comparison
 # ---------------------------------------------------------------------------
 
+# verdict thresholds of compare_empirical, with no correction for the number of tests
+_Z_MAX = 4.0
+_P_MIN = 1e-3
+
+
 @dataclass(frozen=True, eq=False)
 class ComparisonVerdict:
     passed: bool
@@ -140,13 +144,9 @@ class ComparisonVerdict:
     notes: tuple
 
 
-def compare_empirical(
-    emp: EmpiricalMatrix,
-    analytic: np.ndarray,
-    z_max: float = 4.0,
-    p_min: float = 1e-3,
-) -> ComparisonVerdict:
-    """Per-entry binomial z-scores plus a per-column chi-square test.
+def compare_empirical(emp: EmpiricalMatrix, analytic: np.ndarray) -> ComparisonVerdict:
+    """Per-entry binomial z-scores plus a per-column chi-square test; the run
+    passes when no |z| exceeds ``_Z_MAX`` and no p-value is below ``_P_MIN``.
 
     Cells with expected count below 5 are pooled before the chi-square;
     columns with no counts are flagged rather than tested.
@@ -210,7 +210,7 @@ def compare_empirical(
 
     max_abs_z = float(np.abs(z).max()) if z.size else 0.0
     tested = pvalues[np.isfinite(pvalues)]
-    passed = bool(max_abs_z <= z_max and (tested.size == 0 or tested.min() >= p_min))
+    passed = bool(max_abs_z <= _Z_MAX and (tested.size == 0 or tested.min() >= _P_MIN))
     z.setflags(write=False)
     pvalues.setflags(write=False)
     return ComparisonVerdict(
@@ -338,12 +338,7 @@ def dft_spectrum_oracle(
     layout = make_layout(m)
     if f not in range(1, layout.m + 1):
         raise DomainError(f"filter index {f} outside 1..{m}")
-    if not 0.0 < beta < np.inf:
-        raise DomainError(f"beta must be finite and positive, got {beta}")
-    if not 0.0 < grid_step < np.inf:
-        raise DomainError(f"grid_step must be finite and positive, got {grid_step}")
-    if not 0.0 < grid_span < np.inf:
-        raise DomainError(f"grid_span must be finite and positive, got {grid_span}")
+    _check_positive(("beta", beta), ("grid_step", grid_step), ("grid_span", grid_span))
     scale = 0.5 * beta * m
     b_lo, b_up = layout.lower[int(f) - 1], layout.upper[int(f) - 1]
     x_lo = -_X_SUPPORT if np.isneginf(b_lo) else max(b_lo / scale, -_X_SUPPORT)

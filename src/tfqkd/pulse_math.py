@@ -17,8 +17,6 @@ finite-interval integral, never by integrating out to infinity.
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -26,7 +24,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erf, factorial, sici, wofz
 
-from .errors import DomainError, NumericFailure
+from .errors import DomainError, NumericFailure, _check_count, _check_positive
+
+__all__ = [
+    "DEFAULT_ACCURACY",
+    "TruncatedSpectrum",
+    "build_spectrum",
+    "density_bin_mass",
+    "truncated_pulse_fourier",
+]
 
 SQRT2 = np.sqrt(2.0)
 SQRTPI = np.sqrt(np.pi)
@@ -43,14 +49,6 @@ _FACTORIAL = factorial(np.arange(2 * _TAIL_ORDER))  # k! for k < 2 * order
 _ANTIDIAGONAL = np.add.outer(np.arange(_TAIL_ORDER), np.arange(_TAIL_ORDER))
 
 
-def _symbol_count(m) -> int:
-    """``m`` as an int, or :class:`DomainError` unless it is an integer >= 2
-    (2.0 counts as 2; NaN, infinities, None and strings do not)."""
-    if not (isinstance(m, numbers.Real) and math.isfinite(m) and m % 1 == 0 and m >= 2):
-        raise DomainError(f"m must be an integer >= 2, got {m!r}")
-    return int(m)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian densities and exact bin masses
 # ---------------------------------------------------------------------------
@@ -61,15 +59,14 @@ def density_bin_mass(width: float, center: float, lo: float, hi: float) -> float
     The density has 1/e half-width ``width`` (i.e. it is a normal density
     with standard deviation ``width/sqrt(2)``), so the closed form is
     ``0.5*(erf((hi-center)/width) - erf((lo-center)/width))``.  Infinite
-    bounds are allowed and map to ``erf = +-1``.
+    bounds are allowed: ``erf(+-inf)`` is exactly ``+-1``.
     """
-    if not width > 0.0:
-        raise DomainError(f"width must be positive, got {width}")
-    if lo > hi:
-        raise DomainError(f"empty interval: lo={lo} > hi={hi}")
-    elo = -1.0 if np.isneginf(lo) else erf((lo - center) / width)
-    ehi = 1.0 if np.isposinf(hi) else erf((hi - center) / width)
-    return 0.5 * (ehi - elo)
+    _check_positive(("width", width))
+    if not np.isfinite(center):
+        raise DomainError(f"center must be finite, got {center}")
+    if not lo <= hi:  # also rejects NaN
+        raise DomainError(f"empty interval: lo={lo}, hi={hi}")
+    return 0.5 * (erf((hi - center) / width) - erf((lo - center) / width))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +412,6 @@ def build_spectrum(
     m: int,
     beta: float,
     accuracy: float = DEFAULT_ACCURACY,
-    window: tuple[float, float] | None = None,
 ) -> TruncatedSpectrum:
     """Construct the cumulative spectrum of the pulse truncated by filter ``f``,
     or summed over all ``m`` filters when ``f`` is None.
@@ -432,29 +428,15 @@ def build_spectrum(
         unit pitch; the pulse has 1/e half-width ``beta*m/2``).
     accuracy : float
         Absolute tolerance for any single bin mass queried later.
-    window : (float, float), optional
-        Override of the truncation window in normalized amplitude
-        coordinates; a test hook (``(-inf, inf)`` gives the untruncated
-        reference spectrum ``exp(-w**2)/sqrt(pi)``).
     """
-    m = _symbol_count(m)
+    m = _check_count("m", m, 2)
     if f is not None and f not in range(1, m + 1):
         raise DomainError(f"filter index {f} outside 1..{m}")
-    _check_widths([beta], accuracy)
-
-    cuts = _filter_cuts(m, beta) if window is None else np.array(window, dtype=float)
-    if window is None and f is not None:
+    _check_positive(("beta", beta), ("accuracy", accuracy))
+    cuts = _filter_cuts(m, beta)
+    if f is not None:
         cuts = cuts[f - 1:f + 1]
-    if (window is not None and cuts.shape != (2,)) or not np.all(cuts[1:] > cuts[:-1]):
-        raise DomainError(f"cuts must be strictly increasing and a window one pair, got {cuts}")
     return _build_tables(cuts[None], m, [beta], accuracy)[0]
-
-
-def _check_widths(betas, accuracy: float) -> None:
-    """:class:`DomainError` unless every beta and the accuracy are finite and positive."""
-    for name, value in [*(("beta", beta) for beta in betas), ("accuracy", accuracy)]:
-        if not 0.0 < value < np.inf:  # NaN fails too
-            raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
 # A group's tail series are computed in passes of at most this many (table,
@@ -500,8 +482,8 @@ def summed_spectra(m: int, betas, accuracy: float) -> list[TruncatedSpectrum]:
     the eavesdropper's second stage queries.  One cache keeps the 1024 tables
     used last; the betas it misses are built in one :func:`_build_tables`
     call.  Spectra are immutable, so sharing is safe."""
-    m = _symbol_count(m)
-    _check_widths(betas, accuracy)
+    m = _check_count("m", m, 2)
+    _check_positive(*(("beta", beta) for beta in betas), ("accuracy", accuracy))
     keys = [(m, float(beta), accuracy) for beta in betas]
     missing = list(dict.fromkeys(key for key in keys if key not in _TABLES))
     if missing:

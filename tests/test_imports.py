@@ -28,3 +28,32 @@ def test_cli_import_loads_no_heavy_scipy_subpackage():
                          check=True, timeout=120)
     base, after = json.loads(out.stdout)
     assert after == base
+
+
+PUBLIC_NAMES = [
+    "BinLayout", "CapacityReport", "ComparisonVerdict", "DEFAULT_ACCURACY", "DftSpectrum",
+    "DomainError", "EmpiricalMatrix", "McConfig", "NumericFailure", "OptimizationResult",
+    "OptimizerConfig", "ProtocolParams", "SurfaceGrid", "SweepEntry", "TruncatedSpectrum",
+    "attack_matrix", "bob_matrix", "build_spectrum", "c_surface", "capacity", "compare_empirical",
+    "density_bin_mass", "dft_spectrum_oracle", "eve_matrix", "is_column_stochastic", "key_rate",
+    "make_layout", "minimize_beta", "mixed_bob_matrix", "mutual_info_dual", "mutual_info_single",
+    "optimize_point", "p_correct", "p_second_correct", "p_wrong", "run_mc", "sweep",
+    "truncated_pulse_fourier", "u_functional",
+]
+MODULES = [tfqkd.channel, tfqkd.errors, tfqkd.infotheory, tfqkd.optimizer, tfqkd.oracle,
+           tfqkd.pulse_math]
+
+
+def test_package_publishes_the_pinned_names_in_order():
+    assert tfqkd.__all__ == PUBLIC_NAMES
+
+
+def test_each_public_name_is_the_object_of_the_module_that_lists_it():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(tfqkd, name) is getattr(module, name), (module.__name__, name)
+
+
+def test_no_name_is_listed_by_two_modules():
+    listed = [name for module in MODULES for name in module.__all__]
+    assert sorted(listed) == sorted(set(listed)) == PUBLIC_NAMES

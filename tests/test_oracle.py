@@ -58,6 +58,16 @@ class TestRunMc:
         with pytest.raises(DomainError):
             McConfig(photons=0, seed=1, params=ProtocolParams(2, 1.0, 0.7))
 
+    @pytest.mark.parametrize("photons", [2.5, np.nan, np.inf, 0, -1])
+    def test_rejects_photon_counts_that_are_not_integers_from_one(self, photons):
+        # run_mc samples a whole number of photons, at least one
+        with pytest.raises(DomainError, match="photons must be an integer >= 1"):
+            McConfig(photons=photons, seed=1, params=ProtocolParams(2, 1.0, 0.7))
+
+    def test_integral_float_photon_count_counts_as_int(self):
+        photons = McConfig(photons=2.0, seed=1, params=ProtocolParams(2, 1.0, 0.7)).photons
+        assert photons == 2 and type(photons) is int
+
     def test_convergence_with_photon_count(self):
         params = ProtocolParams(4, 0.5, 0.7, 0.5)
         analytic = mixed_bob_matrix(params)

@@ -12,6 +12,7 @@ from tfqkd import pulse_math
 from tfqkd.channel import ProtocolParams, p_second_correct
 from tfqkd.errors import DomainError, NumericFailure
 from tfqkd.pulse_math import (
+    DEFAULT_ACCURACY,
     TruncatedSpectrum,
     build_spectrum,
     cached_spectrum,
@@ -26,6 +27,11 @@ from tfqkd.pulse_math import (
 )
 
 ERF1 = 0.8427007929497148
+
+
+def _untruncated_spectrum():
+    """The table of one window over the whole line: the spectrum ``exp(-w**2)/sqrt(pi)``."""
+    return pulse_math._build_tables(np.array([[-np.inf, np.inf]]), 2, [0.7], DEFAULT_ACCURACY)[0]
 
 
 def _spectral_density(x_lo, x_hi, w):
@@ -60,6 +66,15 @@ class TestDensityBinMass:
             density_bin_mass(-0.3, 0.0, -1.0, 1.0)
         with pytest.raises(DomainError):
             density_bin_mass(1.0, 0.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("width,center,lo,hi", [
+        (1.0, 0.0, np.nan, 1.0), (1.0, 0.0, 0.0, np.nan), (np.inf, 0.0, 0.0, 1.0),
+        (1.0, np.nan, 0.0, 1.0), (1.0, np.inf, -np.inf, np.inf),
+    ], ids=["nan-lo", "nan-hi", "inf-width", "nan-center", "inf-center"])
+    def test_rejects_nan_bounds_and_infinite_width_or_center(self, width, center, lo, hi):
+        # NaN fails every comparison, and an infinite width or center leaves no density
+        with pytest.raises(DomainError):
+            density_bin_mass(width, center, lo, hi)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -141,7 +156,7 @@ class TestBuildSpectrum:
         assert spec.total_mass_numeric == pytest.approx(expected, abs=1e-8)
 
     def test_untruncated_window_hook(self):
-        spec = build_spectrum(1, 2, 0.7, window=(-np.inf, np.inf))
+        spec = _untruncated_spectrum()
         assert spec.total_mass == pytest.approx(1.0, abs=1e-14)
         w = np.linspace(-4.0, 4.0, 41)
         assert np.allclose(spec.density(w), np.exp(-w * w) / np.sqrt(np.pi), atol=1e-12)
@@ -206,17 +221,6 @@ class TestBuildSpectrum:
             build_spectrum(1, 4, 0.7, accuracy=0.0)
         with pytest.raises(DomainError):
             build_spectrum(None, 4, 0.7, accuracy=np.inf)
-        with pytest.raises(DomainError):
-            build_spectrum(1, 4, 0.7, window=(0.5, 0.5))
-
-    @pytest.mark.parametrize("window", [(np.nan, 1.0), (0.0, np.nan), (np.inf, np.inf),
-                                        (1.0,), (0.0, 1.0, 2.0)],
-                             ids=["nan-lo", "nan-hi", "inf-inf", "one-cut", "three-cuts"])
-    def test_rejects_bad_window(self, window):
-        # NaN fails every comparison, so only a strict order check stops it;
-        # its NaN density would keep the quadrature refining without end
-        with pytest.raises(DomainError):
-            build_spectrum(1, 2, 0.7, window=window)
 
     @pytest.mark.parametrize("f,m,beta", [
         (None, 2.5, 0.7), (None, np.nan, 0.7), (None, 1, 0.7), (1.5, 4, 0.7),
@@ -336,7 +340,7 @@ class TestPolynomialQueries:
         # the untruncated spectrum has G = 1 far above the core, and G(-w) is
         # read as 1 - G(w); a table raised by a shift puts G(20) above 1 and
         # G(-20) below 0 by the shift
-        spec = build_spectrum(1, 2, 0.7, window=(-np.inf, np.inf))
+        spec = _untruncated_spectrum()
         w = np.array([-20.0, 20.0])
         assert np.allclose(spec.cumulative(w), [0.0, 1.0], rtol=0.0, atol=1e-15)
         coef = spec._coef.copy()
