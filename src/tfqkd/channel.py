@@ -95,12 +95,12 @@ def make_layout(m: int) -> BinLayout:
     return BinLayout(m=m, centers=centers, lower=lower, upper=upper)
 
 
-def is_column_stochastic(matrix: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when entries lie in [0, 1] and every column sums to 1 within tol."""
+def is_column_stochastic(matrix: np.ndarray) -> bool:
+    """True when entries lie in [0, 1] and every column sums to 1, both within 1e-9."""
     matrix = np.asarray(matrix)
-    if matrix.min() < -tol or matrix.max() > 1.0 + tol:
+    if matrix.min() < -1e-9 or matrix.max() > 1.0 + 1e-9:
         return False
-    return bool(np.allclose(matrix.sum(axis=0), 1.0, rtol=0.0, atol=tol))
+    return bool(np.allclose(matrix.sum(axis=0), 1.0, rtol=0.0, atol=1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ def _second_lattice(m: int, alphas, tables) -> np.ndarray:
     return np.concatenate([total - upper[..., ::-1], upper], axis=-1)
 
 
-def p_second_correct(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> np.ndarray:
+def p_second_correct(params: ProtocolParams) -> np.ndarray:
     """Conjugate-basis receiver behind the wrong-basis filter bank.
 
     The sent pulse is first truncated by each of the ``m`` wrong-basis
@@ -197,11 +197,12 @@ def p_second_correct(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY)
     the receiver's bin masses are summed over all filter outputs.  So one
     cumulative H of the spectra summed over the filter bank, built in
     :mod:`tfqkd.pulse_math`, answers every entry.  Bin bounds map to
-    spectrum coordinates as ``w = 2*(b - c(a))/alpha``.
+    spectrum coordinates as ``w = 2*(b - c(a))/alpha``.  The spectrum is
+    built to ``DEFAULT_ACCURACY``, and entries are clipped to [0, 1] within it.
     """
-    table = pulse_math.cached_spectrum(params.m, params.beta, accuracy)
+    table = pulse_math.cached_spectrum(params.m, params.beta, DEFAULT_ACCURACY)
     values = _second_lattice(params.m, [params.alpha], [table])[0]
-    return pulse_math._clip_within(_lattice_block(values, 0.0, 1.0)[0], 1.0, accuracy)
+    return pulse_math._clip_within(_lattice_block(values, 0.0, 1.0)[0], 1.0, DEFAULT_ACCURACY)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +228,7 @@ def bob_matrix(params: ProtocolParams) -> np.ndarray:
     return _block_diag(p_correct(params))
 
 
-def eve_matrix(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> np.ndarray:
+def eve_matrix(params: ProtocolParams) -> np.ndarray:
     """Eavesdropper's post-sifting channel.
 
     Her first (time-basis) filter matches the sender half the time, giving
@@ -236,7 +237,7 @@ def eve_matrix(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> np
     pulse.  Independent of the intercepted fraction: this matrix is
     conditional on an interception happening.
     """
-    return _block_diag(p_correct(params), p_second_correct(params, accuracy))
+    return _block_diag(p_correct(params), p_second_correct(params))
 
 
 def attack_matrix(params: ProtocolParams) -> np.ndarray:

@@ -12,7 +12,7 @@ capacity-maximizing conjugate width instead is available for comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -88,7 +88,7 @@ class SurfaceGrid:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Optimal widths for one (m, epsilon) pair plus the search evidence.
+    """Optimal widths for one (m, epsilon) pair and the capacity report there.
 
     ``c_opt`` is the capacity at ``(alpha_opt, beta_opt)``.  It equals
     ``stage1_capacity`` in the nested scheme and may sit below it in the
@@ -105,7 +105,6 @@ class OptimizationResult:
     scheme: str
     u_variant: str
     stage1_capacity: float
-    trace: tuple = field(repr=False, default=())
 
 
 @dataclass(frozen=True)
@@ -313,27 +312,20 @@ def optimize_point(
     """
     alpha_axis = _axis(config.alpha_box, config.coarse_step)
     beta_axis = _axis(config.beta_box, config.coarse_step)
-    trace: list[tuple[float, float, float]] = []
     coarse = dict(zip(alpha_axis, c_surface(m, epsilon, alpha_axis, beta_axis, config.accuracy).capacity))
 
-    @cache
     def row(alpha: float) -> np.ndarray:
         # capacity over the beta grid at this alpha, off the coarse grid if it is on it
-        caps = coarse.get(alpha)
-        if caps is None:
-            caps = c_surface(m, epsilon, [alpha], beta_axis, config.accuracy).capacity[0]
-        trace.extend((alpha, b, c) for b, c in zip(beta_axis, caps))
-        return caps
-
-    def point(alpha: float, beta: float) -> float:
-        c = capacity(ProtocolParams(m, alpha, beta, epsilon), config.accuracy).capacity
-        trace.append((alpha, beta, c))
-        return c
+        if alpha in coarse:
+            return coarse[alpha]
+        return c_surface(m, epsilon, [alpha], beta_axis, config.accuracy).capacity[0]
 
     @cache
     def best_beta(alpha: float) -> tuple[float, float]:
         # capacity-maximizing beta at this alpha, and its capacity
-        beta, neg_best = _refine_min(lambda b: -point(alpha, b), beta_axis, -row(alpha), config.tol)
+        beta, neg_best = _refine_min(
+            lambda b: -capacity(ProtocolParams(m, alpha, b, epsilon), config.accuracy).capacity,
+            beta_axis, -row(alpha), config.tol)
         return beta, -neg_best
 
     def row_max(alpha: float) -> float:
@@ -370,7 +362,6 @@ def optimize_point(
         scheme=config.scheme,
         u_variant=config.u_variant,
         stage1_capacity=float(stage1_c),
-        trace=tuple(trace),
     )
 
 

@@ -387,34 +387,34 @@ def _clip_within(values: np.ndarray, upper, accuracy: float) -> np.ndarray:
 def _filter_cuts(m: int, beta: float) -> np.ndarray:
     """Sorted cuts of the filter bank in normalized amplitude coordinates
     (2*b/(beta*m)): -inf, the m - 1 inner bin bounds, +inf.  Filter ``f``
-    is the window ``cuts[f-1:f+1]``.  An array of betas gives one row each."""
-    inner = (np.arange(1, m) - 0.5 * m) / (0.5 * np.asarray(beta, dtype=float)[..., None] * m)
+    is the window ``cuts[f-1:f+1]``.  An array of betas gives one row each.
+    ``beta * m`` below 1e-12 raises :class:`DomainError`: the cut spacing
+    2/(beta*m) would overflow the tail series' powers of it, or the cuts."""
+    beta = np.asarray(beta, dtype=float)
+    if np.any(beta * m < 1e-12):
+        raise DomainError(f"beta * m must be at least 1e-12, got beta = {beta.min()} at m = {m}")
+    inner = (np.arange(1, m) - 0.5 * m) / (0.5 * beta[..., None] * m)
     edge = np.full(inner.shape[:-1] + (1,), np.inf)
     return np.concatenate([-edge, inner, edge], axis=-1)
 
 
 def _seed_edges(length: float) -> np.ndarray:
     # Panels must resolve both the Gaussian core of g and the interference
-    # ripple whose period is 2*pi / (window length).
-    if np.isfinite(length):
-        period = 2.0 * np.pi / max(length, 1e-9)
-        h = min(1.0, period / 4.0)
-    else:
-        h = 1.0
+    # ripple whose period is 2*pi / (window length).  A window longer than
+    # 17.5 has an end beyond |x| = 8.75, where phi < 1e-17, so its ripple is
+    # below 1e-34 and it is seeded as untruncated.
+    h = 1.0
+    if length <= 17.5:
+        h = min(1.0, 2.0 * np.pi / max(length, 1e-9) / 4.0)
     right = [*np.arange(0.0, 10.0, h), 10.0]
     while right[-1] < _TAIL_W_MIN:
         right.append(min(right[-1] * 1.4, _TAIL_W_MIN))
     return np.asarray(right)
 
 
-def build_spectrum(
-    f: int | None,
-    m: int,
-    beta: float,
-    accuracy: float = DEFAULT_ACCURACY,
-) -> TruncatedSpectrum:
+def build_spectrum(f: int | None, m: int, beta: float) -> TruncatedSpectrum:
     """Construct the cumulative spectrum of the pulse truncated by filter ``f``,
-    or summed over all ``m`` filters when ``f`` is None.
+    or summed over all ``m`` filters when ``f`` is None, to ``DEFAULT_ACCURACY``.
 
     Parameters
     ----------
@@ -426,17 +426,15 @@ def build_spectrum(
     beta : float
         Normalized width of the pulse being truncated (the filter bank has
         unit pitch; the pulse has 1/e half-width ``beta*m/2``).
-    accuracy : float
-        Absolute tolerance for any single bin mass queried later.
     """
     m = _check_count("m", m, 2)
     if f is not None and f not in range(1, m + 1):
         raise DomainError(f"filter index {f} outside 1..{m}")
-    _check_positive(("beta", beta), ("accuracy", accuracy))
+    _check_positive(("beta", beta))
     cuts = _filter_cuts(m, beta)
     if f is not None:
         cuts = cuts[f - 1:f + 1]
-    return _build_tables(cuts[None], m, [beta], accuracy)[0]
+    return _build_tables(cuts[None], m, [beta], DEFAULT_ACCURACY)[0]
 
 
 # A group's tail series are computed in passes of at most this many (table,

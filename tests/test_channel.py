@@ -72,6 +72,13 @@ def test_integral_float_m_counts_as_int():
         assert m == 2 and type(m) is int
 
 
+@pytest.mark.parametrize("entry", [-1e-6, 1.0 + 1e-6])
+def test_column_stochastic_needs_entries_in_unit_interval(entry):
+    # both columns sum to 1; only the entry range fails, beyond the fixed 1e-9
+    assert not is_column_stochastic(np.array([[entry, 0.5], [1.0 - entry, 0.5]]))
+    assert is_column_stochastic(np.array([[entry * 1e-4, 0.5], [1.0 - entry * 1e-4, 0.5]]))
+
+
 class TestMakeLayout:
     def test_m4(self):
         lay = make_layout(4)
@@ -121,7 +128,7 @@ class TestPCorrect:
 
     @pytest.mark.parametrize("m,alpha", [(2, 0.3), (4, 1.0), (8, 1.5), (16, 0.05)])
     def test_column_stochastic(self, m, alpha):
-        assert is_column_stochastic(p_correct(ProtocolParams(m, alpha, 0.7)), tol=1e-9)
+        assert is_column_stochastic(p_correct(ProtocolParams(m, alpha, 0.7)))
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_mirror_symmetry(self, m):
@@ -205,7 +212,7 @@ class TestPWrong:
     @pytest.mark.parametrize("m,beta", [(2, 0.3), (4, 0.7), (8, 1.2)])
     def test_column_stochastic_and_mirror(self, m, beta):
         P = p_wrong(ProtocolParams(m, 0.5, beta))
-        assert is_column_stochastic(P, tol=1e-9)
+        assert is_column_stochastic(P)
         assert np.allclose(P, P[::-1, ::-1], atol=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3, 16])
@@ -291,7 +298,7 @@ class TestDualBasisMatrices:
         assert np.array_equal(B[4:, 4:], pc)
         assert np.all(B[:4, 4:] == 0.0)
         assert np.all(B[4:, :4] == 0.0)
-        assert is_column_stochastic(B, tol=1e-9)
+        assert is_column_stochastic(B)
 
     def test_bob_narrow_limit_is_identity(self):
         B = bob_matrix(ProtocolParams(4, 1e-4, 0.7))
@@ -320,7 +327,7 @@ class TestDualBasisMatrices:
 
     def test_attack_column_sums(self):
         A = attack_matrix(ProtocolParams(4, 0.7, 0.9))
-        assert is_column_stochastic(A, tol=1e-9)
+        assert is_column_stochastic(A)
 
     def test_attack_narrow_limit(self):
         params = ProtocolParams(4, 1e-4, 0.7)
@@ -340,6 +347,6 @@ class TestDualBasisMatrices:
     @pytest.mark.parametrize("eps", [0.0, 0.3, 0.9, 1.0])
     def test_mixed_column_stochastic(self, eps):
         M = mixed_bob_matrix(ProtocolParams(4, 0.5, 0.7, eps))
-        assert is_column_stochastic(M, tol=1e-9)
+        assert is_column_stochastic(M)
         assert np.all(M[:4, 4:] == 0.0)
         assert np.all(M[4:, :4] == 0.0)

@@ -430,6 +430,17 @@ class TestUsage:
     def test_no_command(self):
         assert run_cli() == 2
 
+    def test_failed_rename_exits_2_and_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        out = tmp_path / "out.json"
+        code = run_cli("optimize", "--m", "2", "--eps", "0", "--step", "0.25", "--out", str(out))
+        assert code == 2
+        assert "cannot replace" in assert_usage_error(capsys)
+        assert list(tmp_path.iterdir()) == []  # neither the output nor a .tfqkd-* temp file
+
     def test_unwritable_output_path(self, tmp_path):
         out = tmp_path / "missing" / "deep" / "out.json"
         code = run_cli("optimize", "--m", "2", "--eps", "0", "--step", "0.25",

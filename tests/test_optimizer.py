@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -314,12 +315,8 @@ class TestOptimizePoint:
     def test_refinement_never_below_grid(self):
         config = OptimizerConfig(coarse_step=0.1)
         res = optimize_point(4, 0.5, config)
-        alpha_axis = set(np.round(0.05 + 0.1 * np.arange(15), 12)) | {0.05}
-        grid_vals = [
-            c for (a, b, c) in res.trace
-            if round(a, 12) in alpha_axis and round(b, 12) in alpha_axis
-        ]
-        assert res.stage1_capacity >= max(grid_vals) - 1e-12
+        axis = 0.05 + 0.1 * np.arange(15)  # both boxes at step 0.1
+        assert res.stage1_capacity >= c_surface(4, 0.5, axis, axis).capacity.max() - 1e-12
 
     def test_result_recomputes_consistently(self):
         from tfqkd.channel import ProtocolParams
@@ -340,16 +337,30 @@ class TestOptimizePoint:
     def test_deterministic(self):
         a = optimize_point(4, 0.25)
         b = optimize_point(4, 0.25)
-        assert (a.alpha_opt, a.beta_opt, a.c_opt, a.u_min) == (
-            b.alpha_opt, b.beta_opt, b.c_opt, b.u_min
-        )
-        assert a.trace == b.trace
+        # every field, the capacity report's too
+        assert [getattr(a, f.name) for f in fields(a)] == [getattr(b, f.name) for f in fields(b)]
 
-    def test_nested_scheme_keeps_capacity_optimum(self):
+    def test_nested_scheme_keeps_capacity_optimum(self, monkeypatch):
+        # every capacity the search evaluates, on grids and at single points
+        seen = []
+        real_surface, real_capacity = optimizer_module.c_surface, optimizer_module.capacity
+
+        def surface(*args, **kwargs):
+            grid = real_surface(*args, **kwargs)
+            seen.extend(grid.capacity.ravel())
+            return grid
+
+        def point(*args, **kwargs):
+            report = real_capacity(*args, **kwargs)
+            seen.append(report.capacity)
+            return report
+
+        monkeypatch.setattr(optimizer_module, "c_surface", surface)
+        monkeypatch.setattr(optimizer_module, "capacity", point)
         config = OptimizerConfig(scheme="nested", coarse_step=0.1)
         res = optimize_point(4, 0.5, config)
-        grid_vals = [c for (_, _, c) in res.trace]
-        assert res.c_opt >= max(grid_vals) - 1e-12
+        assert len(seen) > 15 * 15
+        assert res.c_opt >= max(seen) - 1e-12
         assert res.c_opt == pytest.approx(res.stage1_capacity, abs=1e-12)
         assert res.scheme == "nested"
 
@@ -370,10 +381,18 @@ class TestOptimizePoint:
 
             return wrapper
 
+        alphas = set()  # every alpha of a capacity row
+        real_surface = optimizer_module.c_surface
+
+        def surface(m, eps, alpha_axis, *args):
+            alphas.update(np.atleast_1d(alpha_axis))
+            return real_surface(m, eps, alpha_axis, *args)
+
         for name in calls:
             monkeypatch.setattr(channel_module, name, counting(name))
-        res = optimize_point(m, eps, config)
-        assert 0 < calls["_correct_lattice"] <= len({a for (a, _, _) in res.trace}) + 1
+        monkeypatch.setattr(optimizer_module, "c_surface", surface)
+        optimize_point(m, eps, config)
+        assert 0 < calls["_correct_lattice"] <= len(alphas) + 1
         # dense blocks only for the attack-averaged channel, one per chunk of alphas
         assert calls["_lattice_block"] <= (calls["_correct_lattice"] if eps else 0)
         if eps == 0.0:
@@ -441,6 +460,8 @@ class TestOptimizePoint:
     def test_rejects_bad_config(self):
         with pytest.raises(DomainError):
             OptimizerConfig(scheme="random")
+        with pytest.raises(DomainError, match="u variant"):
+            OptimizerConfig(u_variant="bogus")
         with pytest.raises(DomainError):
             OptimizerConfig(alpha_box=(1.0, 0.5))
 

@@ -130,6 +130,32 @@ class TestCompareEmpirical:
         assert not verdict.passed
         assert np.isinf(verdict.max_abs_z)
 
+    def test_certain_cell_short_of_its_column_fails(self):
+        # analytic 1.0 on the diagonal: a photon outside it leaves the certain
+        # cell short of the column total (z = -inf) and lands in an impossible one
+        from tfqkd.oracle import EmpiricalMatrix
+
+        counts = np.diag([10, 10, 10, 10]).astype(np.int64)
+        counts[1, 0] = 1
+        emp = EmpiricalMatrix(counts=counts, column_totals=counts.sum(axis=0))
+        verdict = compare_empirical(emp, np.eye(4))
+        assert not verdict.passed
+        assert verdict.z_scores[0, 0] == -np.inf and verdict.z_scores[1, 0] == np.inf
+        assert verdict.z_scores[1, 1] == 0.0
+
+    def test_column_pooled_to_one_cell_is_low_power(self):
+        # 3 photons per column: every expected count is below 5, so each column
+        # pools into a single cell and has no chi-square
+        from tfqkd.oracle import EmpiricalMatrix
+
+        analytic = mixed_bob_matrix(ProtocolParams(4, 0.5, 0.7, 0.5))
+        counts = 3 * np.eye(8, dtype=np.int64)
+        verdict = compare_empirical(EmpiricalMatrix(counts=counts, column_totals=counts.sum(axis=0)),
+                                    analytic)
+        assert np.isnan(verdict.chi2_pvalues).all()
+        assert "8 columns too thin for a chi-square (low power)" in verdict.notes
+        assert verdict.passed
+
     def test_dimension_mismatch(self):
         analytic = mixed_bob_matrix(ProtocolParams(2, 1.0, 0.7, 0.0))
         emp = self._fake_counts(mixed_bob_matrix(ProtocolParams(4, 0.5, 0.7, 0.0)), 1000)

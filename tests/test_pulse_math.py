@@ -1,3 +1,4 @@
+import time
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -217,10 +218,11 @@ class TestBuildSpectrum:
             build_spectrum(5, 4, 0.7)
         with pytest.raises(DomainError):
             build_spectrum(1, 4, -0.1)
+        # build_spectrum reads DEFAULT_ACCURACY; the cached tables take any accuracy
         with pytest.raises(DomainError):
-            build_spectrum(1, 4, 0.7, accuracy=0.0)
+            pulse_math.summed_spectra(4, [0.7], 0.0)
         with pytest.raises(DomainError):
-            build_spectrum(None, 4, 0.7, accuracy=np.inf)
+            pulse_math.summed_spectra(4, [0.7], np.inf)
 
     @pytest.mark.parametrize("f,m,beta", [
         (None, 2.5, 0.7), (None, np.nan, 0.7), (None, 1, 0.7), (1.5, 4, 0.7),
@@ -229,6 +231,26 @@ class TestBuildSpectrum:
     def test_rejects_impossible_arguments(self, f, m, beta):
         with pytest.raises(DomainError):
             build_spectrum(f, m, beta)
+
+    @pytest.mark.parametrize("beta", [1e-310, 1e-300])
+    def test_beta_too_small_for_the_cuts_raises(self, beta):
+        # 1e-310 overflowed the cuts, 1e-300 the Gaussian derivatives at them
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="beta \\* m"):
+            build_spectrum(None, 4, beta)
+        with pytest.raises(DomainError, match="beta \\* m"):
+            pulse_math.summed_spectra(4, [beta], DEFAULT_ACCURACY)
+        assert time.perf_counter() - start < 1.0
+
+    def test_long_windows_are_seeded_as_untruncated(self):
+        # at m = 16, beta = 1e-6 the interior windows are 1.25e5 long; seeded at
+        # a quarter of their ripple period the table needed ~1e6 panels
+        start = time.perf_counter()
+        spec = build_spectrum(None, 16, 1e-6)
+        assert time.perf_counter() - start < 1.0
+        assert spec.n_panels == build_spectrum(1, 2, 0.7).n_panels  # the untruncated seeds
+        assert np.isfinite(spec._coef).all() and np.isfinite(spec.cumulative([0.5, 45.0])).all()
+        assert spec.total_mass_numeric == pytest.approx(spec.total_mass, abs=1e-8)
 
 
 class TestPolynomialQueries:
@@ -259,6 +281,15 @@ class TestPolynomialQueries:
             for w, g in zip(ws, got):
                 assert g == pytest.approx(
                     self._quad_cumulative(spec, _filter_cuts(m, beta)[f - 1:f + 1], w), abs=1e-9)
+
+    @pytest.mark.parametrize("f", [None, 2, 3])
+    def test_windows_longer_than_17_5_against_quadrature(self, f):
+        # beta * m = 0.08: the interior windows are 25 long, seeded as untruncated
+        m, beta = 4, 0.02
+        spec = build_spectrum(f, m, beta)
+        cuts = _filter_cuts(m, beta) if f is None else _filter_cuts(m, beta)[f - 1:f + 1]
+        for w in (-12.0, -0.3, 0.7, 4.5, 29.5, 31.5):
+            assert spec.cumulative(w) == pytest.approx(self._quad_cumulative(spec, cuts, w), abs=1e-9)
 
     @pytest.mark.parametrize("m,beta", [(4, 0.7), (5, 1.2), (16, 0.3), (32, 0.5)])
     def test_mirrored_filter_matches_independent_build(self, m, beta):

@@ -14,6 +14,8 @@ REFERENCES = {
                      "--seed 42", "tests/data/validate-m16-seed42.json"),
     "sweep-acceptance": ("sweep --m 2,4,8,16,32 --eps 0,0.25,0.5,0.75",
                          "tests/data/sweep-acceptance.csv"),
+    "sweep-large-m": ("sweep --m 64,128,256,512,1024 --eps 0,0.25,0.5",
+                      "tests/data/sweep-large-m.csv"),
     "optimize-m64": ("optimize --m 64 --eps 0.5", "tests/data/optimize-m64-eps0.5.json"),
     "optimize-m128": ("optimize --m 128 --eps 0.25", "tests/data/optimize-m128-eps0.25.json"),
     "optimize-m256": ("optimize --m 256 --eps 0.5", "tests/data/optimize-m256-eps0.5.json"),
