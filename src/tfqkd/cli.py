@@ -29,7 +29,7 @@ from . import pulse_math
 from .channel import ProtocolParams, make_layout, mixed_bob_matrix
 from .errors import DomainError, NumericFailure
 from .infotheory import key_rate
-from .optimizer import OptimizerConfig, c_surface, optimize_point, sweep
+from .optimizer import OptimizerConfig, _axis, c_surface, optimize_point, sweep
 from .oracle import McConfig, compare_empirical, dft_spectrum_oracle, run_mc
 from .pulse_math import DEFAULT_ACCURACY
 
@@ -56,19 +56,14 @@ def parse_range(text: str) -> np.ndarray:
     lo, hi, step = (float(p) for p in parts)
     if not (0.0 < step < math.inf and -math.inf < lo <= hi < math.inf):
         raise DomainError(f"range needs finite lo <= hi and step > 0, got {text!r}")
-    n = int(math.floor((hi - lo) / step + 0.5))
-    vals = lo + step * np.arange(n + 1)
-    return vals[vals <= hi + 0.5 * step]
+    return _axis((lo, hi), step, 0.5 * step)
 
 
 def parse_box(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise DomainError(f"box must be lo:hi, got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"box bounds must be finite, got {text!r}")
-    return lo, hi
+    return float(parts[0]), float(parts[1])  # OptimizerConfig checks the bounds
 
 
 def _atomic_write(path: str, data: str):

@@ -233,8 +233,8 @@ def u_functional(
 # ---------------------------------------------------------------------------
 
 def _refine_min(fn, axis: np.ndarray, values: np.ndarray, tol: float):
-    """Grid minimum of ``values`` (``fn`` on ``axis``) refined by golden
-    section to ``tol`` between its grid neighbours; returns ``(argument,
+    """Grid minimum of ``values`` (``fn`` on ``axis``) refined by golden section to
+    ``tol``, or float spacing, between its grid neighbours; returns ``(argument,
     value)`` of the least evaluation, preferring the smaller argument on
     exact ties.  The grid point and its neighbours seed the evaluations, so
     a one-point axis never calls ``fn``."""
@@ -255,7 +255,7 @@ def _refine_min(fn, axis: np.ndarray, values: np.ndarray, tol: float):
     a, b = axis[i_lo], axis[i_hi]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    while (b - a) > tol:
+    while (b - a) > tol and a < c < d < b:  # a few ulps wide, the bracket stops shrinking
         if f(c) <= f(d):
             b, d = d, c
             c = b - _INVPHI * (b - a)
@@ -266,11 +266,14 @@ def _refine_min(fn, axis: np.ndarray, values: np.ndarray, tol: float):
     return float(best), evals[best]
 
 
-def _axis(box: tuple[float, float], step: float) -> np.ndarray:
-    lo, hi = box
-    n = int(math.floor((hi - lo) / step + 0.5))
-    axis = lo + step * np.arange(n + 1)
-    return axis[axis <= hi + 1e-12]
+def _axis(box: tuple[float, float], step: float, slack: float = 1e-12) -> np.ndarray:
+    """Points ``lo + step * k`` of ``box`` up to ``hi + slack``; :class:`DomainError` if too many."""
+    (lo, hi), step = map(float, box), float(step)
+    try:
+        axis = lo + step * np.arange(math.floor((hi - lo) / step + 0.5) + 1)
+    except (OverflowError, ValueError, MemoryError):  # a count that is infinite or can't be allocated
+        raise DomainError(f"grid {lo}:{hi} at step {step} has too many points") from None
+    return axis[axis <= hi + slack]
 
 
 # ---------------------------------------------------------------------------

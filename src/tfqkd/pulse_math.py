@@ -110,9 +110,9 @@ def truncated_pulse_fourier(x_lo: float, x_hi: float, w):
 
 def _summed_density(cuts: np.ndarray, w):
     """Sum of the spectral densities ``|F(w)|**2 / sqrt(pi)`` of the windows
-    between neighbouring ``cuts``, added in window order."""
+    between neighbouring ``cuts``, added in window order for one point as for many."""
     spectra = 0.5 * np.diff(_erf_exp_half(cuts, np.asarray(w, dtype=float)), axis=0)
-    return ((spectra.real * spectra.real + spectra.imag * spectra.imag) / SQRTPI).sum(axis=0)
+    return np.cumsum((spectra.real * spectra.real + spectra.imag * spectra.imag) / SQRTPI, axis=0)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +388,13 @@ def _filter_cuts(m: int, beta: float) -> np.ndarray:
     """Sorted cuts of the filter bank in normalized amplitude coordinates
     (2*b/(beta*m)): -inf, the m - 1 inner bin bounds, +inf.  Filter ``f``
     is the window ``cuts[f-1:f+1]``.  An array of betas gives one row each.
-    ``beta * m`` below 1e-12 raises :class:`DomainError`: the cut spacing
-    2/(beta*m) would overflow the tail series' powers of it, or the cuts."""
+    ``beta * m`` below 1e-12 or not finite raises :class:`DomainError`: the cut
+    spacing 2/(beta*m) would overflow the tail series' powers of it, or the cuts."""
     beta = np.asarray(beta, dtype=float)
-    if np.any(beta * m < 1e-12):
-        raise DomainError(f"beta * m must be at least 1e-12, got beta = {beta.min()} at m = {m}")
+    with np.errstate(over="ignore"):
+        ok = (beta * m >= 1e-12) & (beta * m < np.inf)  # NaN fails both
+    if not ok.all():
+        raise DomainError(f"beta * m must be finite and at least 1e-12, got beta = {beta[~ok][0]} at m = {m}")
     inner = (np.arange(1, m) - 0.5 * m) / (0.5 * beta[..., None] * m)
     edge = np.full(inner.shape[:-1] + (1,), np.inf)
     return np.concatenate([-edge, inner, edge], axis=-1)
@@ -479,9 +481,8 @@ def summed_spectra(m: int, betas, accuracy: float) -> list[TruncatedSpectrum]:
     """The spectrum summed over all ``m`` filters at each of ``betas``, the tables
     the eavesdropper's second stage queries.  One cache keeps the 1024 tables
     used last; the betas it misses are built in one :func:`_build_tables`
-    call.  Spectra are immutable, so sharing is safe."""
-    m = _check_count("m", m, 2)
-    _check_positive(*(("beta", beta) for beta in betas), ("accuracy", accuracy))
+    call.  Spectra are immutable, so sharing is safe.  Callers pass a checked
+    ``m`` and ``accuracy``; :func:`_filter_cuts` rejects the betas."""
     keys = [(m, float(beta), accuracy) for beta in betas]
     missing = list(dict.fromkeys(key for key in keys if key not in _TABLES))
     if missing:

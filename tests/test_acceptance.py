@@ -4,9 +4,11 @@ The heavy sweep is computed once and shared between the criteria that draw
 on the same (m, epsilon) points.  Stated runtime budgets are asserted.
 """
 
+import csv
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,3 +280,26 @@ def test_criterion_8_invariant_suite(tmp_path):
     ok = all(checks) and elapsed < 300.0
     _verdict(8, ok, f"{sum(checks)}/{len(checks)} invariants hold "
                     f"(CLI determinism: {deterministic}), {elapsed:.0f}s")
+
+
+def test_large_m_capacity_law():
+    """The paper's "key rate rises with m" beyond the acceptance sweep, read from the
+    stored stdout of ``sweep --m 64,128,256,512,1024 --eps 0,0.25,0.5`` (test_references
+    pins that file to the live CLI): at each eps, C rises strictly in m; at eps = 0 it
+    meets criterion 1's 0.99 log2(m); each doubling of m adds 1 - eps bits within 0.02."""
+    path = Path(__file__).resolve().parent / "data" / "sweep-large-m.csv"
+    rows = list(csv.DictReader(path.read_text().splitlines()))
+    assert all(row["status"] == "ok" for row in rows)
+    ms = (64, 128, 256, 512, 1024)
+    failures = []
+    for eps in (0.0, 0.25, 0.5):
+        caps = {int(r["m"]): float(r["capacity"]) for r in rows if float(r["eps"]) == eps}
+        assert sorted(caps) == list(ms)
+        for lo, hi in zip(ms, ms[1:]):
+            step = caps[hi] - caps[lo]
+            if not (step > 0.0 and abs(step - (1.0 - eps)) <= 0.02):
+                failures.append(f"eps={eps}: C({hi}) - C({lo}) = {step:.4f}, not 1 - eps within 0.02")
+        if eps == 0.0:
+            failures += [f"eps=0, m={m}: C={c:.4f} < 0.99 log2(m)"
+                         for m, c in caps.items() if c < 0.99 * math.log2(m)]
+    assert not failures, "; ".join(failures)

@@ -1,12 +1,17 @@
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tfqkd.cli import main, parse_box, parse_range
 from tfqkd.errors import DomainError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args):
@@ -403,7 +408,7 @@ class TestUsage:
         (("surface", "--beta", "0.1:0.5:nan"), "step > 0"),
         (("surface", "--alpha", "1.0:0.1:0.1"), "lo <= hi"),
         (("surface", "--beta", "0.1:0.5"), "lo:hi:step"),
-        (("optimize", "--alpha-box", "0.1:inf"), "must be finite"),
+        (("optimize", "--alpha-box", "0.1:inf"), "0 < lo < hi < inf"),
         (("optimize", "--beta-box", "0.2:0.9:0.1"), "lo:hi"),
         (("optimize", "--step", "inf"), "coarse_step must be finite"),
     ], ids=["alpha-inf", "beta-nan-step", "alpha-reversed", "beta-two-parts",
@@ -411,6 +416,31 @@ class TestUsage:
     def test_bad_range_names_reason(self, argv, reason, capsys):
         assert run_cli(*argv, "--m", "4", "--eps", "0") == 2
         assert reason in assert_usage_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ("surface", "--alpha", "0:1e308:1e-300"),
+        ("surface", "--alpha", "0:1:1e-15"),
+        ("optimize", "--step", "1e-300"),
+        ("optimize", "--alpha-box", "0.05:1e308"),
+    ], ids=["range-overflow", "range-too-large-to-allocate", "step-beyond-numpy-size",
+            "alpha-box-overflow"])
+    def test_grid_with_too_many_points_exits_2(self, argv, capsys):
+        # the point count is infinite or cannot be allocated: a usage error, no traceback
+        assert run_cli(argv[0], "--m", "4", "--eps", "0.5", *argv[1:]) == 2
+        assert "too many points" in assert_usage_error(capsys)
+
+    def test_sweep_with_too_many_points_records_failures(self, capsys):
+        assert run_cli("sweep", "--m", "2,4", "--eps", "0.5", "--step", "1e-300") == 3
+        assert capsys.readouterr().out.splitlines()[1:] == ["2,0.5,,,,,failed", "4,0.5,,,,,failed"]
+
+    def test_tol_below_float_spacing_ends(self, capsys):
+        # in a subprocess with a timeout, so that a search that never ends fails
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "tfqkd.cli", "optimize", "--m", "4", "--eps", "0",
+                               "--tol", "1e-300"], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert run_cli("optimize", "--m", "4", "--eps", "0", "--tol", "1e-15") == 0
+        assert proc.stdout == capsys.readouterr().out
 
     @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
     def test_out_file_mode_follows_umask(self, tmp_path):

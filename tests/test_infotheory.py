@@ -25,6 +25,7 @@ from tfqkd.infotheory import (
     mutual_info_dual,
     mutual_info_single,
 )
+from tfqkd.optimizer import c_surface
 
 MI_BSC = 0.6025969807153304  # 1 - H2(q) at q = 0.5*(1 - erf(1))
 Q2 = 0.07864960352514261
@@ -231,6 +232,22 @@ class TestCapacity:
         rep = capacity(ProtocolParams(2, 1.0, 0.7, 0.9))
         assert rep.i_ab < rep.i_ae
         assert rep.capacity == 0.0
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    @pytest.mark.parametrize("accuracy", [math.nan, 0.0, math.inf, -1.0])
+    def test_rejects_impossible_accuracy(self, eps, accuracy):
+        # the grid checks accuracy itself, also at eps = 0 where no table is read
+        with pytest.raises(DomainError, match="accuracy must be finite and positive"):
+            capacity(ProtocolParams(4, 0.5, 0.7, eps), accuracy)
+        with pytest.raises(DomainError, match="accuracy must be finite and positive"):
+            c_surface(4, eps, [0.5], [0.7], accuracy)
+
+    def test_beta_m_near_the_largest_float(self):
+        # just below the filter bank's bound the value is stable; past it, DomainError
+        assert capacity(ProtocolParams(4, 0.5, 4e307, 0.5)).capacity == pytest.approx(
+            capacity(ProtocolParams(4, 0.5, 1e300, 0.5)).capacity, abs=1e-12)
+        with pytest.raises(DomainError, match="beta \\* m must be finite"):
+            capacity(ProtocolParams(16, 0.5, 4e307, 0.5))
 
     @pytest.mark.parametrize("eps", [0.0, 0.25, 0.75])
     def test_bounds(self, eps):

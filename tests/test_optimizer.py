@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +15,13 @@ from scipy.optimize import brentq
 import tfqkd.channel as channel_module
 import tfqkd.optimizer as optimizer_module
 from tfqkd.channel import ProtocolParams, make_layout
+from tfqkd.cli import parse_range
 from tfqkd.errors import DomainError, NumericFailure
 from tfqkd.infotheory import capacity
 from tfqkd.optimizer import (
+    _INVPHI,
     OptimizerConfig,
+    _axis,
     c_surface,
     minimize_beta,
     optimize_point,
@@ -23,6 +30,8 @@ from tfqkd.optimizer import (
     _refine_min,
 )
 from tfqkd.pulse_math import density_bin_mass
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _u_per_term_quadrature(m, alpha, beta):
@@ -248,6 +257,60 @@ class TestRefineMin:
     def test_non_finite_fn_value_raises(self):
         with pytest.raises(NumericFailure):
             _refine_min(lambda x: math.nan, self.axis, np.array([1.0, 0.0, 1.0]), 1e-3)
+
+    def test_tol_below_float_spacing_ends(self):
+        # a bracket a few ulps wide stops shrinking; the search must stop with it.
+        # A subprocess with a timeout, so that a regression fails instead of hanging
+        code = (
+            "import numpy as np\n"
+            "from tfqkd.optimizer import OptimizerConfig, _refine_min, minimize_beta, optimize_point\n"
+            "x, v = _refine_min(lambda x: (x - 0.3) ** 2, np.array([0.0, 0.5, 1.0]),\n"
+            "                   np.array([0.09, 0.04, 0.49]), 1e-300)\n"
+            "assert abs(x - 0.3) < 1e-7, x\n"
+            "for tol in (1e-17, 1e-300):\n"
+            "    minimize_beta(4, 0.5, OptimizerConfig(tol=tol))\n"
+            "    optimize_point(4, 0.0, OptimizerConfig(tol=tol))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_normal_tol_takes_the_same_steps(self):
+        # the strict-inside test never stops a search whose bracket is wider than tol
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return (x - 0.37) ** 2
+        axis = np.linspace(0.0, 1.0, 11)
+        x, _ = _refine_min(fn, axis, (axis - 0.37) ** 2, 1e-6)
+        width = 0.2 * _INVPHI ** (len(calls) - 1)
+        assert abs(x - 0.37) < 1e-6 and 1e-6 * _INVPHI < width <= 1e-6
+
+
+class TestAxis:
+    def test_cli_range_is_the_same_builder(self):
+        assert np.array_equal(parse_range("0.05:1.5:0.05"), _axis((0.05, 1.5), 0.05, 0.025))
+        assert np.array_equal(_axis((0.05, 1.5), 0.05), _axis((0.05, 1.5), 0.05, 0.025))
+        assert _axis((0.1, 0.33), 0.1).size == 3 and _axis((0.1, 0.36), 0.1, 0.05).size == 4
+
+    @pytest.mark.parametrize("box,step", [
+        ((0.0, 1e308), 1e-300), ((0.0, 1.0), 1e-15), ((0.05, 1.5), 1e-300), ((0.05, 1e308), 0.05),
+    ], ids=["overflow", "too-large-to-allocate", "beyond-numpy-size", "huge-box"])
+    def test_too_many_points_is_a_domain_error(self, box, step):
+        with pytest.raises(DomainError, match="too many points"):
+            _axis(box, step)
+
+    @pytest.mark.parametrize("config", [
+        OptimizerConfig(coarse_step=1e-300), OptimizerConfig(alpha_box=(0.05, 1e308)),
+        OptimizerConfig(beta_box=(0.05, 1e308)),
+    ], ids=["step", "alpha-box", "beta-box"])
+    def test_optimizer_grid_with_too_many_points(self, config):
+        with pytest.raises(DomainError, match="too many points"):
+            optimize_point(4, 0.5, config)
+        entry, = sweep([4], [0.5], config)
+        assert entry.status == "failed" and "too many points" in entry.error
 
 
 class TestCSurface:

@@ -1,3 +1,4 @@
+import sys
 import time
 from collections import OrderedDict
 from dataclasses import replace
@@ -218,11 +219,6 @@ class TestBuildSpectrum:
             build_spectrum(5, 4, 0.7)
         with pytest.raises(DomainError):
             build_spectrum(1, 4, -0.1)
-        # build_spectrum reads DEFAULT_ACCURACY; the cached tables take any accuracy
-        with pytest.raises(DomainError):
-            pulse_math.summed_spectra(4, [0.7], 0.0)
-        with pytest.raises(DomainError):
-            pulse_math.summed_spectra(4, [0.7], np.inf)
 
     @pytest.mark.parametrize("f,m,beta", [
         (None, 2.5, 0.7), (None, np.nan, 0.7), (None, 1, 0.7), (1.5, 4, 0.7),
@@ -241,6 +237,19 @@ class TestBuildSpectrum:
         with pytest.raises(DomainError, match="beta \\* m"):
             pulse_math.summed_spectra(4, [beta], DEFAULT_ACCURACY)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("m,beta", [
+        (4, np.nan), (4, -0.7), (4, 0.0), (4, np.inf), (4, 1e308), (16, 4e307),
+        (3, sys.float_info.max / 3),
+    ], ids=["nan", "negative", "zero", "inf", "overflow-m4", "overflow-m16", "overflow-by-rounding"])
+    def test_filter_bank_rejects_every_impossible_beta(self, m, beta):
+        # summed_spectra checks no beta of its own: the filter bank rejects a NaN,
+        # non-positive, infinite or overflowing beta * m (max / 3 rounds up, so 3
+        # times it overflows), with no overflow warning
+        with pytest.raises(DomainError):
+            build_spectrum(None, m, beta)
+        with pytest.raises(DomainError, match="beta \\* m must be finite and at least 1e-12"):
+            pulse_math.summed_spectra(m, [0.7, beta], DEFAULT_ACCURACY)
 
     def test_long_windows_are_seeded_as_untruncated(self):
         # at m = 16, beta = 1e-6 the interior windows are 1.25e5 long; seeded at
@@ -452,6 +461,15 @@ class TestStackedQuery:
         other = cached_spectrum(16, 1.1, 1e-8)
         stacked = pulse_math._stacked_cumulative([other, spec], np.stack([w[::-1], w]))
         assert np.array_equal(stacked[1], alone)
+
+    def test_density_does_not_depend_on_the_batch(self):
+        # the windows are added in one order for a single point as for many
+        spec = cached_spectrum(32, 0.7, 1e-8)
+        w = np.linspace(-20.0, 20.0, 401)
+        batch = spec.density(w)
+        assert np.array_equal([spec.density(x) for x in w], batch)
+        assert np.array_equal([spec.density(w[i:i + 1])[0] for i in range(w.size)], batch)
+        assert np.array_equal(spec.density(w[::2]), batch[::2])
 
 
 class TestSpectrumBinMass:
