@@ -150,7 +150,8 @@ def _correct_windows(cdf: np.ndarray, width: int):
 def _correct_lattice(m: int, alphas) -> np.ndarray:
     """Symbol-pulse cumulative ``erf / 2`` on the lattice at each of ``alphas``: (k, 2m)."""
     sigma = 0.5 * np.asarray(alphas, dtype=float)[:, None]
-    return 0.5 * erf((np.arange(-m, m) + 0.5) / sigma)
+    with np.errstate(over="ignore", divide="ignore"):  # sigma near 0: erf(+-inf) = +-1 is the limit
+        return 0.5 * erf((np.arange(-m, m) + 0.5) / sigma)
 
 
 def p_correct(params: ProtocolParams) -> np.ndarray:
@@ -183,7 +184,8 @@ def _second_lattice(m: int, alphas, tables) -> np.ndarray:
     """Second-stage cumulative H on the lattice at each of ``alphas`` per summed
     spectrum table, one stacked query: (nb, k, 2m).  The points pair up as +-w
     and H(-w) = total - H(w), so the m points w > 0 answer all 2m."""
-    w = (2.0 / np.asarray(alphas, dtype=float))[:, None] * (np.arange(m) + 0.5)
+    with np.errstate(over="ignore"):  # alpha near 0: H(inf) = total is the limit
+        w = (2.0 / np.asarray(alphas, dtype=float))[:, None] * (np.arange(m) + 0.5)
     upper = pulse_math._stacked_cumulative(tables, np.broadcast_to(w, (len(tables),) + w.shape))
     total = np.array([table.total_mass for table in tables])[:, None, None]
     return np.concatenate([total - upper[..., ::-1], upper], axis=-1)

@@ -21,7 +21,7 @@ from scipy.special import erf
 from .channel import ProtocolParams, make_layout
 from .errors import DomainError, NumericFailure, _check_positive
 from .infotheory import CapacityReport, _capacity_grid, capacity
-from .pulse_math import DEFAULT_ACCURACY
+from .pulse_math import DEFAULT_ACCURACY, _check_beta_m
 
 __all__ = [
     "OptimizerConfig",
@@ -151,9 +151,12 @@ def _term_crossings(centers: np.ndarray, w_sym: float, w_con: float) -> np.ndarr
     if a == 0.0:
         return 0.5 * centers[:, None]
     b = 2.0 * (centers / (w_sym * w_sym))
-    c = -centers * centers / (w_sym * w_sym) - math.log(w_sym / w_con)
+    c = -centers * centers / (w_sym * w_sym) - (math.log(w_sym / w_con) if w_sym / w_con else -math.inf)
     q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-    return np.sort(np.column_stack([q / a, c / q]), axis=1)
+    roots = np.sort(np.column_stack([q / a, c / q]), axis=1)
+    if not np.isfinite(roots).all():
+        raise DomainError(f"overlap crossings leave the float range at widths {w_sym} and {w_con}")
+    return roots
 
 
 def _piecewise_l1(cuts: np.ndarray, centers: np.ndarray, w_sym: float, w_con: float) -> float:
@@ -175,6 +178,7 @@ def _piecewise_l1(cuts: np.ndarray, centers: np.ndarray, w_sym: float, w_con: fl
     return float(total)
 
 
+@np.errstate(all="ignore")  # at extreme widths the arithmetic gives inf or NaN, refused as such
 def u_functional(
     m: int,
     alpha: float,
@@ -188,11 +192,13 @@ def u_functional(
     outside the sum and is bounded above by the per-term value.  Both reduce
     to error-function expressions between sign changes of the density
     difference, summed by one shared evaluator.  The ``per-term`` crossings
-    are closed-form; the ``whole-sum`` ones are bisected to 1e-10.
+    are closed-form; the ``whole-sum`` ones are bisected to 1e-10.  Widths
+    whose arithmetic leaves the float range raise :class:`DomainError`.
     """
     params = ProtocolParams(m, alpha, beta)  # validates the inputs
+    _check_beta_m(m, beta)  # the filter bank's bounds on beta * m
     centers = make_layout(m).centers
-    w_sym, w_con = params.symbol_sigma, params.conjugate_sigma
+    w_sym, w_con = np.float64(params.symbol_sigma), np.float64(params.conjugate_sigma)  # so x / 0 is inf
     if variant == "per-term":
         return _piecewise_l1(_term_crossings(centers, w_sym, w_con), centers[:, None, None],
                              w_sym, w_con)
@@ -216,6 +222,8 @@ def u_functional(
     reach = 0.5 * m + 5.4 * max(w_sym, w_con)
     n_pts = int(min(max(4001, 40.0 * reach / min(w_sym, w_con)), 400_001))
     grid = np.linspace(-reach, reach, n_pts)
+    if not np.isfinite((grid[1] - grid[0]) / 1e-10):  # the bisection below counts its halvings
+        raise DomainError(f"overlap scan over +-{reach} leaves the float range")
     negative = np.signbit(diff(grid))
     flips = np.nonzero(np.diff(negative))[0]
 

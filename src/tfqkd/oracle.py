@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .channel import ProtocolParams, make_layout
-from .errors import DomainError, NumericFailure, _check_count, _check_positive
+from .errors import DomainError, _check_count, _check_positive
 
 __all__ = [
     "McConfig",
@@ -170,9 +170,7 @@ def compare_empirical(emp: EmpiricalMatrix, analytic: np.ndarray) -> ComparisonV
     if impossible.any():
         z[impossible] = np.inf
         notes.append(f"{int(impossible.sum())} counts observed in zero-probability cells")
-    certain = (analytic == 1.0) & (emp.counts < totals[None, :])
-    if certain.any():
-        z[certain] = -np.inf
+    z[(analytic == 1.0) & (emp.counts < totals[None, :])] = -np.inf  # a certain cell fell short
 
     pvalues = np.full(n_cols, np.nan)
     low_power = 0
@@ -184,20 +182,10 @@ def compare_empirical(emp: EmpiricalMatrix, analytic: np.ndarray) -> ComparisonV
         expected = analytic[:, c] * n
         observed = emp.counts[:, c].astype(float)
         keep = expected >= 5.0
-        exp_cells = list(expected[keep])
-        obs_cells = list(observed[keep])
-        if not keep.all():
-            exp_cells.append(expected[~keep].sum())
-            obs_cells.append(observed[~keep].sum())
-        if len(exp_cells) < 2:
-            low_power += 1
-            continue
-        exp_arr = np.asarray(exp_cells)
-        obs_arr = np.asarray(obs_cells)
-        if exp_arr[-1] < 1.0:  # merge a starving pooled cell into its neighbor
-            exp_arr[-2] += exp_arr[-1]
-            obs_arr[-2] += obs_arr[-1]
-            exp_arr, obs_arr = exp_arr[:-1], obs_arr[:-1]
+        # the kept cells, then the pooled thin cells (an empty pool expects 0)
+        exp_arr, obs_arr = (np.append(x[keep], x[~keep].sum()) for x in (expected, observed))
+        if exp_arr.size > 1 and exp_arr[-1] < 1.0:  # a starving pool joins its neighbour
+            exp_arr, obs_arr = (np.append(x[:-2], x[-2] + x[-1]) for x in (exp_arr, obs_arr))
         dof = exp_arr.size - 1
         if dof < 1:
             low_power += 1
@@ -209,8 +197,7 @@ def compare_empirical(emp: EmpiricalMatrix, analytic: np.ndarray) -> ComparisonV
         notes.append(f"{low_power} columns too thin for a chi-square (low power)")
 
     max_abs_z = float(np.abs(z).max()) if z.size else 0.0
-    tested = pvalues[np.isfinite(pvalues)]
-    passed = bool(max_abs_z <= _Z_MAX and (tested.size == 0 or tested.min() >= _P_MIN))
+    passed = bool(max_abs_z <= _Z_MAX and not (pvalues < _P_MIN).any())  # NaN: not tested
     z.setflags(write=False)
     pvalues.setflags(write=False)
     return ComparisonVerdict(
@@ -267,17 +254,12 @@ class DftSpectrum:
     total_mass: float
     w_tail_estimate: float
 
-    def _transform(self, w_points: np.ndarray) -> np.ndarray:
-        phi_w = np.exp(-0.5 * self.x_grid**2) / np.sqrt(2.0 * np.pi) * self.x_weights
-        out = np.empty(w_points.size, dtype=complex)
-        for start in range(0, w_points.size, 256):
-            chunk = w_points[start:start + 256]
-            out[start:start + 256] = np.exp(-1j * np.outer(chunk, self.x_grid)) @ phi_w
-        return out
-
     def density(self, w) -> np.ndarray:
         w = np.atleast_1d(np.asarray(w, dtype=float))
-        f = self._transform(w)
+        phi_w = np.exp(-0.5 * self.x_grid**2) / np.sqrt(2.0 * np.pi) * self.x_weights
+        f = np.empty(w.size, dtype=complex)
+        for start in range(0, w.size, 256):  # the transform in chunks of 256 points
+            f[start:start + 256] = np.exp(-1j * np.outer(w[start:start + 256], self.x_grid)) @ phi_w
         return (f.real**2 + f.imag**2) / _SQRTPI
 
     def bin_mass(self, w_lo, w_hi):
@@ -325,15 +307,12 @@ def dft_spectrum_oracle(
     beta: float,
     grid_step: float = 0.005,
     grid_span: float = 16.0,
-    tail_tol: float | None = None,
 ) -> DftSpectrum:
     """Tabulate the spectrum of the filter-``f`` truncated pulse by direct
     summation of the transform on a dense grid.
 
     ``grid_step`` is the step of the w sub-grids; the x-grid step is at most
-    ``min(grid_step, 0.3 / grid_span)``.  Raises a refusal when the estimated
-    spectral mass beyond ``grid_span`` exceeds ``tail_tol`` (so outer-bin
-    remainders would be untrustworthy at that tolerance).
+    ``min(grid_step, 0.3 / grid_span)``.
     """
     layout = make_layout(m)
     if f not in range(1, layout.m + 1):
@@ -358,14 +337,6 @@ def dft_spectrum_oracle(
     phi_lo = np.exp(-0.5 * x_lo**2) / np.sqrt(2.0 * np.pi)
     phi_hi = np.exp(-0.5 * x_hi**2) / np.sqrt(2.0 * np.pi)
     w_tail = float((phi_lo**2 + phi_hi**2) / (_SQRTPI * grid_span)) if x_grid.size else 0.0
-
-    if tail_tol is not None and w_tail > tail_tol:
-        raise NumericFailure(
-            f"spectral mass ~{w_tail:.3e} beyond span {grid_span} exceeds {tail_tol:.1e}; "
-            "increase grid_span",
-            achieved=w_tail,
-            target=tail_tol,
-        )
 
     x_grid.setflags(write=False)
     x_weights.setflags(write=False)

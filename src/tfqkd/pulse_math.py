@@ -145,8 +145,9 @@ def _tail_coefficients(cuts: np.ndarray):
     length).
 
     Returns ``(coef, first, lag)`` with the leading shape of ``cuts``;
-    ``coef[..., k, :]`` multiplies ``w**-(k+1)`` in one column (lag 0) or
-    three (lag 0, real and imaginary cross part).
+    ``coef[..., k, :]`` multiplies ``w**-(k+1)`` in three columns (lag 0, real
+    and imaginary cross part); one finite cut has no cross terms, so its cross
+    columns and ``first`` are 0, at a placeholder lag of 1 that keeps ``sici`` finite.
     """
     # per finite cut: c_k = phi^(k)(x) * (-i)**(k+1), k = 0..order-1, negated
     # where the cut is the upper edge of a window
@@ -160,12 +161,10 @@ def _tail_coefficients(cuts: np.ndarray):
     c_t = np.swapaxes(c, -1, -2)
     np.add.at(lag0, (..., _ANTIDIAGONAL), ((c_t * windows_bounded[finite]) @ np.conj(c)).real)
     coef = lag0 / (n - 1) / SQRTPI
-    if c.shape[-2] < 2:
-        return coef[..., None], np.zeros(cuts.shape[:-1]), np.full(cuts.shape[:-1], np.inf)
     lags = np.diff(cuts[..., finite], axis=-1)
     if not np.allclose(lags, lags[..., :1], rtol=1e-12, atol=0.0):
         raise DomainError(f"windows of lengths {lags.min()} and {lags.max()} share no tail series")
-    lag = lags[..., 0]
+    lag = lags[..., 0] if lags.shape[-1] else np.ones(cuts.shape[:-1])
     il = 1j * lag[..., None, None]
     cross = np.zeros(cuts.shape[:-1] + n.shape, dtype=complex)
     np.add.at(cross, (..., _ANTIDIAGONAL), 2.0 * (c_t[..., :-1] @ np.conj(-c[..., 1:, :])))
@@ -190,8 +189,6 @@ def _tail_mass(series, w):
     for column in np.moveaxis(coef, (-2, -1), (0, 1))[::-1, ..., None]:  # highest power first
         sums += column
         sums *= x
-    if coef.shape[-1] == 1:
-        return sums[0]
     first, lag = np.asarray(first)[..., None], np.asarray(lag)[..., None]
     si, ci = sici(lag * w)
     i_1 = -ci + 1j * (0.5 * np.pi - si)
@@ -352,8 +349,7 @@ def _stacked_index(tables: tuple) -> tuple:
 def _stacked_cumulative(tables, w) -> np.ndarray:
     """G of ``tables[i]`` at every point of ``w[i]``, clipped to each table's
     ``[0, total_mass]`` as :meth:`TruncatedSpectrum.cumulative`: one panel
-    lookup and, beyond 30, one :func:`_tail_mass` call for all tables, whose
-    series must therefore share one form."""
+    lookup and, beyond 30, one :func:`_tail_mass` call for all tables."""
     w = np.asarray(w, dtype=float)
     if np.isnan(w).any():
         raise DomainError("spectrum queried at NaN")
@@ -384,18 +380,22 @@ def _clip_within(values: np.ndarray, upper, accuracy: float) -> np.ndarray:
     return np.clip(values, 0.0, upper)
 
 
-def _filter_cuts(m: int, beta: float) -> np.ndarray:
-    """Sorted cuts of the filter bank in normalized amplitude coordinates
-    (2*b/(beta*m)): -inf, the m - 1 inner bin bounds, +inf.  Filter ``f``
-    is the window ``cuts[f-1:f+1]``.  An array of betas gives one row each.
-    ``beta * m`` below 1e-12 or not finite raises :class:`DomainError`: the cut
-    spacing 2/(beta*m) would overflow the tail series' powers of it, or the cuts."""
+def _check_beta_m(m: int, beta) -> np.ndarray:
+    """``beta`` as an array; :class:`DomainError` unless each ``beta * m`` is finite and at least
+    1e-12, as the filter-bank cut spacing 2/(beta*m) and the tail series' powers of it need."""
     beta = np.asarray(beta, dtype=float)
     with np.errstate(over="ignore"):
         ok = (beta * m >= 1e-12) & (beta * m < np.inf)  # NaN fails both
     if not ok.all():
         raise DomainError(f"beta * m must be finite and at least 1e-12, got beta = {beta[~ok][0]} at m = {m}")
-    inner = (np.arange(1, m) - 0.5 * m) / (0.5 * beta[..., None] * m)
+    return beta
+
+
+def _filter_cuts(m: int, beta: float) -> np.ndarray:
+    """Sorted cuts of the filter bank in normalized amplitude coordinates
+    (2*b/(beta*m)): -inf, the m - 1 inner bin bounds, +inf.  Filter ``f``
+    is the window ``cuts[f-1:f+1]``.  An array of betas gives one row each."""
+    inner = (np.arange(1, m) - 0.5 * m) / (0.5 * _check_beta_m(m, beta)[..., None] * m)
     edge = np.full(inner.shape[:-1] + (1,), np.inf)
     return np.concatenate([-edge, inner, edge], axis=-1)
 

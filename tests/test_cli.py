@@ -429,6 +429,23 @@ class TestUsage:
         assert run_cli(argv[0], "--m", "4", "--eps", "0.5", *argv[1:]) == 2
         assert "too many points" in assert_usage_error(capsys)
 
+    @pytest.mark.parametrize("argv,reason", [
+        (("--alpha-box", "1e-200:0.05", "--step", "0.01"), "float range"),
+        (("--beta-box", "1e-310:0.05"), "beta * m must be finite"),
+        (("--beta-box", "1e-310:0.05", "--u-variant", "whole-sum"), "beta * m must be finite"),
+    ], ids=["alpha-past-float-range", "beta-m-below-bound", "beta-m-below-bound-whole-sum"])
+    def test_overlap_widths_past_float_range_exit_2(self, argv, reason, capsys):
+        # at eps = 0 only stage 2's overlap functional reads these widths
+        assert run_cli("optimize", "--m", "4", "--eps", "0", *argv) == 2
+        assert reason in assert_usage_error(capsys)
+
+    def test_subnormal_alpha_surface_gives_the_limit(self, capsys):
+        assert run_cli("surface", "--m", "4", "--eps", "0.5", "--alpha", "1e-310:1e-310:1",
+                       "--beta", "0.5:0.5:1") == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == "1e-310,0.5,0.0567386819,1.05673868,1,0.1875"
+        assert captured.err == ""
+
     def test_sweep_with_too_many_points_records_failures(self, capsys):
         assert run_cli("sweep", "--m", "2,4", "--eps", "0.5", "--step", "1e-300") == 3
         assert capsys.readouterr().out.splitlines()[1:] == ["2,0.5,,,,,failed", "4,0.5,,,,,failed"]

@@ -181,6 +181,34 @@ class TestUFunctional:
         with pytest.raises(DomainError):
             u_functional(4, 0.5, 0.7, "median")
 
+    @pytest.mark.parametrize("variant", ["per-term", "whole-sum"])
+    @pytest.mark.parametrize("m,beta", [(4, 1e308), (4, 1e-310), (16, 4e307)])
+    def test_beta_m_outside_the_filter_bank_bounds(self, m, beta, variant):
+        # the overlap shares the capacity path's beta * m bounds: overflowing or below 1e-12
+        with pytest.raises(DomainError, match="beta \\* m must be finite"):
+            u_functional(m, 0.5, beta, variant)
+
+    @pytest.mark.parametrize("variant,alpha", [("per-term", 1e-200), ("per-term", 5e-324),
+                                               ("whole-sum", 1e308), ("whole-sum", 1.7e308)])
+    def test_width_past_float_range_is_a_domain_error(self, variant, alpha):
+        with pytest.raises(DomainError, match="float range"):
+            u_functional(4, alpha, 0.5, variant)
+
+    @pytest.mark.parametrize("variant", ["per-term", "whole-sum"])
+    @pytest.mark.parametrize("m", [2, 4, 16])
+    def test_every_accepted_width_gives_a_value_or_domain_error(self, m, variant):
+        # warnings are errors in this suite, so no call may warn either; at
+        # alpha = 1e-20 and beta = max / 64 the width ratio underflows to 0
+        extremes = [5e-324, 1e-310, 1e-200, 1e-20, 0.5, 1e100, 1e300, sys.float_info.max / 64,
+                    sys.float_info.max]
+        for alpha in extremes:
+            for beta in extremes:
+                try:
+                    u = u_functional(m, alpha, beta, variant)
+                except DomainError:
+                    continue
+                assert math.isfinite(u) and 0.0 <= u <= 2.0 * m + 1e-9
+
 
 class TestMinimizeBeta:
     def test_matches_dense_grid(self):
@@ -353,6 +381,16 @@ class TestCSurface:
                 rep = capacity(params)
                 for name in ("capacity", "i_ab", "i_ae", "qser"):
                     assert getattr(grid, name)[i, j] == pytest.approx(getattr(rep, name), abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+    def test_alpha_near_zero_gives_the_limit(self, eps):
+        # below ~1e-308 the lattice points overflow to inf, where the cumulatives
+        # take their limits: the value of any alpha small enough, with no warning
+        limit = capacity(ProtocolParams(4, 1e-300, 0.5, eps)).capacity
+        for alpha in (1e-310, 5e-324):
+            assert capacity(ProtocolParams(4, alpha, 0.5, eps)).capacity == limit
+        grid = c_surface(4, eps, [5e-324, 1e-310, 1e-300], [0.5, 0.7]).capacity
+        assert np.all(grid == grid[2])
 
     def test_alpha_dependence_dwarfs_beta_dependence(self):
         grid = c_surface(4, 0.5, np.arange(0.1, 1.5001, 0.1), np.arange(0.5, 1.0001, 0.1))

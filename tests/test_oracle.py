@@ -7,7 +7,7 @@ from tfqkd.channel import (
     make_layout,
     mixed_bob_matrix,
 )
-from tfqkd.errors import DomainError, NumericFailure
+from tfqkd.errors import DomainError
 from tfqkd.oracle import (
     McConfig,
     compare_empirical,
@@ -194,6 +194,39 @@ class TestChiSquarePvalues:
                     checked += 1
         assert checked == 4 * sum((2, 3, 5, 8, 16, 32))
 
+    @pytest.mark.parametrize("thin, dof", [
+        ((0.0015, 0.0005), 4),  # the pooled cell expects 2 counts and is kept
+        ((0.0003, 0.0002), 3),  # it expects 0.5, so it joins the last kept cell
+    ])
+    def test_pooled_cells_equal_scipy_stats_bitwise(self, thin, dof):
+        # four cells expect >= 5 counts and two fewer, in a different row per
+        # column; the thin cells pool into one cell after the kept ones
+        from scipy.stats import chi2
+
+        from tfqkd.oracle import EmpiricalMatrix
+
+        rng = np.random.default_rng(11)
+        base = np.array([0.4, 0.3, 0.2, 0.1 - sum(thin), *thin])
+        analytic = np.column_stack([np.roll(base, c) for c in range(6)])
+        for draw in range(8):
+            counts = np.column_stack([rng.multinomial(1000, col) for col in analytic.T])
+            emp = EmpiricalMatrix(counts=counts, column_totals=counts.sum(axis=0))
+            verdict = compare_empirical(emp, analytic)
+            assert not any("low power" in note for note in verdict.notes)
+            for c in range(6):
+                expected = analytic[:, c] * emp.column_totals[c]
+                observed = counts[:, c].astype(float)
+                keep = expected >= 5.0
+                assert keep.sum() == 4
+                exp = np.append(expected[keep], expected[~keep].sum())
+                obs = np.append(observed[keep], observed[~keep].sum())
+                if exp[-1] < 1.0:
+                    exp = np.append(exp[:-2], exp[-2] + exp[-1])
+                    obs = np.append(obs[:-2], obs[-2] + obs[-1])
+                assert exp.size == dof + 1
+                stat = float(((obs - exp) ** 2 / exp).sum())
+                assert verdict.chi2_pvalues[c] == chi2.sf(stat, dof)
+
 
 class TestDftSpectrumOracle:
     def test_untruncated_pointwise(self):
@@ -233,10 +266,6 @@ class TestDftSpectrumOracle:
         oracle = dft_spectrum_oracle(2, 4, 0.7, grid_step=0.01, grid_span=4.0)
         with pytest.raises(DomainError):
             oracle.bin_mass(3.0, 6.0)
-
-    def test_refuses_insufficient_span_for_tail(self):
-        with pytest.raises(NumericFailure):
-            dft_spectrum_oracle(2, 4, 0.7, grid_step=0.01, grid_span=4.0, tail_tol=1e-9)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(DomainError):
@@ -329,13 +358,13 @@ class TestDftArrayQueries:
         from tfqkd.oracle import DftSpectrum
 
         calls = []
-        transform = DftSpectrum._transform
+        density = DftSpectrum.density
 
-        def counted(self, w_points):
-            calls.append(w_points.size)
-            return transform(self, w_points)
+        def counted(self, w):
+            calls.append(np.size(w))
+            return density(self, w)
 
-        monkeypatch.setattr(DftSpectrum, "_transform", counted)
+        monkeypatch.setattr(DftSpectrum, "density", counted)
         cli_main(["validate", "--m", "16", "--alpha", "0.5", "--beta", "0.7", "--eps", "0.5",
                   "--photons", "10000", "--seed", "42"])
         capsys.readouterr()

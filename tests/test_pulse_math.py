@@ -603,11 +603,14 @@ class TestTailSeries:
 
     def test_cross_terms_need_one_lag(self):
         # summed cross terms share one I_1, so windows of different lengths
-        # cannot be summed; half-line windows have no cross terms
+        # cannot be summed; half-line windows have no cross terms, so their
+        # series has the same three columns with the cross ones zero
         with pytest.raises(DomainError):
             _tail_coefficients(np.array([-1.0, 0.0, 2.0]))
-        coef, _, lag = _tail_coefficients(np.array([-np.inf, 0.0, np.inf]))
-        assert coef.shape[1] == 1 and lag == np.inf
+        for cuts in ([-np.inf, 0.0, np.inf], [-np.inf, 0.7], [-0.7, np.inf]):
+            coef, first, lag = _tail_coefficients(np.array(cuts))
+            assert coef.shape == (19, 3) and np.any(coef[:, 0] != 0.0)
+            assert np.all(coef[:, 1:] == 0.0) and first == 0.0 and np.isfinite(lag)
 
     def test_rows_of_a_group_need_one_lag_each(self):
         # each row is one table: rows may differ in lag, but a row whose
