@@ -140,36 +140,30 @@ def c_surface(m, epsilon, alpha_axis, beta_axis, accuracy: float = DEFAULT_ACCUR
 # Overlap functional
 # ---------------------------------------------------------------------------
 
-def _term_crossings(centers: np.ndarray, w_sym: float, w_con: float) -> np.ndarray:
-    """Crossings of each shifted symbol density with the centered conjugate
-    density, one row per center: the two roots of ``log rho_sym = log
-    rho_con``, a quadratic in t, or its one root ``c/2`` where the widths
-    are equal (``a == 0``, also for widths an ulp apart).  The roots are
-    ``q/a`` and ``c/q`` with ``q = -(b + sign(b) sqrt(disc))/2``: the
-    textbook ``(-b + sqrt(disc))/2a`` cancels as ``a`` goes to 0."""
-    a = 1.0 / (w_con * w_con) - 1.0 / (w_sym * w_sym)
-    if a == 0.0:
-        return 0.5 * centers[:, None]
-    b = 2.0 * (centers / (w_sym * w_sym))
-    c = -centers * centers / (w_sym * w_sym) - (math.log(w_sym / w_con) if w_sym / w_con else -math.inf)
-    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-    roots = np.sort(np.column_stack([q / a, c / q]), axis=1)
-    if not np.isfinite(roots).all():
+def _term_crossings(centers: np.ndarray, w_sym: float, w_con: float) -> tuple[np.ndarray, np.ndarray]:
+    """Crossings of each shifted symbol density with the centered conjugate one,
+    as :func:`_piecewise_l1` cuts (a row per center ``c``): the offsets ``d = t - c``
+    are the roots ``q/A`` and ``C/q`` of ``A d**2 + B d + C``, ``q = -(B/2 + sign(B)
+    sqrt(disc))``, with ``A`` 0 just where ``log(w_sym/w_con)`` is (``q/A`` is then a
+    crossing at infinity) and ``disc = (c/(w_sym w_con))**2 - A log(w_sym/w_con) >= 0``."""
+    a, log_ratio = (1.0 - (w_sym / w_con) ** 2) / (w_sym * w_sym), np.log(w_sym / w_con)
+    half_b, const = -centers / (w_con * w_con), log_ratio - centers * centers / (w_con * w_con)
+    q = -(half_b + np.copysign(np.sqrt((centers / (w_sym * w_con)) ** 2 - a * log_ratio), half_b))
+    q[(q == 0.0) & (const == 0.0)] = 1.0  # coinciding densities (c = 0, equal widths): cuts 0 and +inf
+    d = np.sort(np.column_stack([q / a, const / q]), axis=1)
+    if np.isnan(d).any():
         raise DomainError(f"overlap crossings leave the float range at widths {w_sym} and {w_con}")
-    return roots
+    return (d / w_sym)[..., None], (centers[:, None] + d) / w_con
 
 
-def _piecewise_l1(cuts: np.ndarray, centers: np.ndarray, w_sym: float, w_con: float) -> float:
-    """Sum over the pieces between ``cuts`` (sorted on the last axis) of
-    |comb mass - n * conjugate mass|, where the comb holds the ``n`` symbol
-    densities at ``centers`` (last axis) and the conjugate sits at 0.
-
-    Between crossings the difference keeps one sign, so each piece is an
-    exact difference of cumulative masses: one erf per (cut, center) and per
-    cut of the conjugate density, the infinite cuts at erf = -1 and +1.
-    """
-    n = centers.shape[-1]
-    scaled = np.concatenate([(cuts[..., None] - centers) / w_sym, cuts[..., None] / w_con], axis=-1)
+def _piecewise_l1(sym: np.ndarray, con: np.ndarray) -> float:
+    """Sum of |comb mass - n * conjugate mass| over the pieces between sorted
+    cuts, given as offsets from the ``n`` symbol centers in symbol widths (``sym``,
+    last axis) and from the conjugate center 0 in conjugate widths (``con``).  The
+    difference keeps one sign per piece, so each is an exact difference of cumulative
+    masses: one erf per (cut, center) and per cut of the conjugate, +-1 at infinite cuts."""
+    n = sym.shape[-1]
+    scaled = np.concatenate([sym, con[..., None]], axis=-1)
     edge = np.ones(scaled.shape[:-2] + (1, n + 1))
     mass = 0.5 * np.diff(np.concatenate([-edge, erf(scaled), edge], axis=-2), axis=-2)
     total = np.abs(mass[..., :n].sum(axis=-1) - n * mass[..., n]).sum()
@@ -191,17 +185,17 @@ def u_functional(
     to the centered conjugate pulse; ``whole-sum`` takes the absolute value
     outside the sum and is bounded above by the per-term value.  Both reduce
     to error-function expressions between sign changes of the density
-    difference, summed by one shared evaluator.  The ``per-term`` crossings
-    are closed-form; the ``whole-sum`` ones are bisected to 1e-10.  Widths
-    whose arithmetic leaves the float range raise :class:`DomainError`.
+    difference, summed by one shared evaluator: closed-form ``per-term``
+    crossings, ``whole-sum`` ones bisected to 1e-10 from a scan that raises
+    :class:`NumericFailure` if its capped step can miss them.  Widths whose
+    arithmetic leaves the float range raise :class:`DomainError`.
     """
     params = ProtocolParams(m, alpha, beta)  # validates the inputs
     _check_beta_m(m, beta)  # the filter bank's bounds on beta * m
     centers = make_layout(m).centers
     w_sym, w_con = np.float64(params.symbol_sigma), np.float64(params.conjugate_sigma)  # so x / 0 is inf
     if variant == "per-term":
-        return _piecewise_l1(_term_crossings(centers, w_sym, w_con), centers[:, None, None],
-                             w_sym, w_con)
+        return _piecewise_l1(*_term_crossings(centers, w_sym, w_con))
     if variant != "whole-sum":
         raise DomainError(f"unknown u variant {variant!r}")
 
@@ -217,13 +211,18 @@ def u_functional(
         comb[near] = np.exp(z, out=np.zeros_like(z), where=z > -746.0).sum(axis=1)
         return comb / (w_sym * sqrt_pi) - m * np.exp(-((t / w_con) ** 2)) / (w_con * sqrt_pi)
 
-    # locate every sign change of the difference; the scan step resolves the
-    # narrower of the two density widths
-    reach = 0.5 * m + 5.4 * max(w_sym, w_con)
-    n_pts = int(min(max(4001, 40.0 * reach / min(w_sym, w_con)), 400_001))
+    # locate every sign change of the difference on a grid whose step resolves the narrower width;
+    # a capped step wider than the region where the narrower density tops the wider one's peak
+    # (one symbol against m conjugates, or m conjugates against at most m symbols) is refused
+    w_n, w_w = sorted((w_sym, w_con))
+    reach = 0.5 * m + 5.4 * w_w
+    n_pts = int(min(max(4001, 40.0 * reach / w_n), 400_001))
     grid = np.linspace(-reach, reach, n_pts)
     if not np.isfinite((grid[1] - grid[0]) / 1e-10):  # the bisection below counts its halvings
         raise DomainError(f"overlap scan over +-{reach} leaves the float range")
+    region = 2.0 * w_n * np.sqrt(np.log(w_w) - np.log(w_n * (m if w_sym < w_con else 1)))
+    if n_pts == 400_001 and not grid[1] - grid[0] <= region:
+        raise NumericFailure(f"overlap scan step {grid[1] - grid[0]:.3g} can step over the narrower density")
     negative = np.signbit(diff(grid))
     flips = np.nonzero(np.diff(negative))[0]
 
@@ -233,7 +232,8 @@ def u_functional(
         mid = 0.5 * (lo + hi)
         left = np.signbit(diff(mid)) == negative[flips]
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
-    return _piecewise_l1(0.5 * (lo + hi), centers, w_sym, w_con)
+    cuts = 0.5 * (lo + hi)
+    return _piecewise_l1(np.subtract.outer(cuts, centers) / w_sym, cuts / w_con)
 
 
 # ---------------------------------------------------------------------------

@@ -139,10 +139,27 @@ class TestUFunctional:
                 assert u_functional(m, alpha, beta) == pytest.approx(equal, rel=0.0, abs=1e-9)
 
     def test_non_finite_crossing_raises(self):
-        centers = make_layout(4).centers
+        # the per-term shapes: two cuts per center, scaled by the symbol and the conjugate width
         with pytest.raises(NumericFailure):
-            optimizer_module._piecewise_l1(np.full((4, 2), np.nan), centers[:, None, None],
-                                           0.25, 0.5)
+            optimizer_module._piecewise_l1(np.full((4, 2, 1), np.nan), np.full((4, 2), np.nan))
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-20])
+    def test_per_term_narrow_symbols_reach_the_limit(self, alpha):
+        # each symbol density lies inside the much wider conjugate one, so the
+        # overlap tends to 2m; the crossings' discriminant cancels nowhere
+        assert u_functional(4, alpha, 0.5) == pytest.approx(8.0, rel=0.0, abs=1e-9)
+
+    def test_per_term_squared_widths_past_float_range_raise(self):
+        # both squared widths overflow, so the quadratic's coefficients vanish
+        with pytest.raises(DomainError, match="float range"):
+            u_functional(4, 1e160, 2.5e299)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-5, 1e-200])
+    def test_whole_sum_refuses_a_scan_coarser_than_the_narrow_region(self, alpha):
+        # the capped scan steps over the narrow symbol densities (values 0.0 and
+        # 3.99996 at 1e-6 and 1e-5, where the overlap is about 8)
+        with pytest.raises(NumericFailure, match="scan step"):
+            u_functional(4, alpha, 0.5, "whole-sum")
 
     def test_bounds(self):
         for m, alpha, beta in [(2, 0.1, 0.1), (4, 1.5, 1.5), (8, 0.7, 0.05)]:
@@ -198,7 +215,8 @@ class TestUFunctional:
     @pytest.mark.parametrize("m", [2, 4, 16])
     def test_every_accepted_width_gives_a_value_or_domain_error(self, m, variant):
         # warnings are errors in this suite, so no call may warn either; at
-        # alpha = 1e-20 and beta = max / 64 the width ratio underflows to 0
+        # alpha = 1e-20 and beta = max / 64 the width ratio underflows to 0;
+        # a whole-sum scan whose capped step can miss the narrower density is refused
         extremes = [5e-324, 1e-310, 1e-200, 1e-20, 0.5, 1e100, 1e300, sys.float_info.max / 64,
                     sys.float_info.max]
         for alpha in extremes:
@@ -206,6 +224,9 @@ class TestUFunctional:
                 try:
                     u = u_functional(m, alpha, beta, variant)
                 except DomainError:
+                    continue
+                except NumericFailure as exc:
+                    assert variant == "whole-sum" and "scan step" in str(exc)
                     continue
                 assert math.isfinite(u) and 0.0 <= u <= 2.0 * m + 1e-9
 
