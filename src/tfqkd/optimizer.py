@@ -141,19 +141,20 @@ def c_surface(m, epsilon, alpha_axis, beta_axis, accuracy: float = DEFAULT_ACCUR
 # ---------------------------------------------------------------------------
 
 def _term_crossings(centers: np.ndarray, w_sym: float, w_con: float) -> tuple[np.ndarray, np.ndarray]:
-    """Crossings of each shifted symbol density with the centered conjugate one,
-    as :func:`_piecewise_l1` cuts (a row per center ``c``): the offsets ``d = t - c``
-    are the roots ``q/A`` and ``C/q`` of ``A d**2 + B d + C``, ``q = -(B/2 + sign(B)
-    sqrt(disc))``, with ``A`` 0 just where ``log(w_sym/w_con)`` is (``q/A`` is then a
-    crossing at infinity) and ``disc = (c/(w_sym w_con))**2 - A log(w_sym/w_con) >= 0``."""
-    a, log_ratio = (1.0 - (w_sym / w_con) ** 2) / (w_sym * w_sym), np.log(w_sym / w_con)
-    half_b, const = -centers / (w_con * w_con), log_ratio - centers * centers / (w_con * w_con)
-    q = -(half_b + np.copysign(np.sqrt((centers / (w_sym * w_con)) ** 2 - a * log_ratio), half_b))
+    """Crossings of each shifted symbol density with the centered conjugate one, as :func:`_piecewise_l1`
+    cuts (a row per center ``c``).  With ``u = c/w_con``, ``r = w_sym/w_con`` and ``s = 1 + r``, the offsets
+    ``d = (t - c)/w_sym`` are the roots ``q/A``, ``C/q`` of ``A d**2 + 2B d + C``: ``A = 1 - r``, ``B = -u r/s``,
+    ``C = (log r - u**2)/s``, ``q = -(B + sign(B) sqrt((u/s)**2 - (A/s) log r))``, the discriminant's terms
+    never negative and ``A`` 0 just where ``log r`` is (``q/A`` is then a crossing at infinity)."""
+    u, r = centers / w_con, w_sym / w_con
+    a, s, log_r = 1.0 - r, 1.0 + r, np.log(r)
+    half_b, const = -u * (r / s), (log_r - u * u) / s
+    q = -(half_b + np.copysign(np.sqrt((u / s) ** 2 - a / s * log_r), half_b))
     q[(q == 0.0) & (const == 0.0)] = 1.0  # coinciding densities (c = 0, equal widths): cuts 0 and +inf
     d = np.sort(np.column_stack([q / a, const / q]), axis=1)
-    if np.isnan(d).any():
+    if np.isnan(d).any() or not np.isfinite(1.0 / (w_sym * w_sym)):  # as documented, also below 7.5e-155
         raise DomainError(f"overlap crossings leave the float range at widths {w_sym} and {w_con}")
-    return (d / w_sym)[..., None], (centers[:, None] + d) / w_con
+    return d[..., None], u[:, None] + r * d
 
 
 def _piecewise_l1(sym: np.ndarray, con: np.ndarray) -> float:
@@ -185,10 +186,9 @@ def u_functional(
     to the centered conjugate pulse; ``whole-sum`` takes the absolute value
     outside the sum and is bounded above by the per-term value.  Both reduce
     to error-function expressions between sign changes of the density
-    difference, summed by one shared evaluator: closed-form ``per-term``
-    crossings, ``whole-sum`` ones bisected to 1e-10 from a scan that raises
-    :class:`NumericFailure` if its capped step can miss them.  Widths whose
-    arithmetic leaves the float range raise :class:`DomainError`.
+    difference, summed by one shared evaluator: closed-form ``per-term`` crossings, ``whole-sum``
+    ones bisected to 1e-10 from a scan that raises :class:`NumericFailure` if its capped step can
+    miss them.  Widths whose arithmetic leaves the float range raise :class:`DomainError`.
     """
     params = ProtocolParams(m, alpha, beta)  # validates the inputs
     _check_beta_m(m, beta)  # the filter bank's bounds on beta * m
@@ -211,16 +211,16 @@ def u_functional(
         comb[near] = np.exp(z, out=np.zeros_like(z), where=z > -746.0).sum(axis=1)
         return comb / (w_sym * sqrt_pi) - m * np.exp(-((t / w_con) ** 2)) / (w_con * sqrt_pi)
 
-    # locate every sign change of the difference on a grid whose step resolves the narrower width;
-    # a capped step wider than the region where the narrower density tops the wider one's peak
-    # (one symbol against m conjugates, or m conjugates against at most m symbols) is refused
+    # locate every sign change of the difference on a grid whose step resolves the narrower width; a capped
+    # step wider than both the narrower density's width 2 w_n and the region where it tops the wider one's
+    # peak (one symbol against m conjugates, or m conjugates against at most m symbols) is refused
     w_n, w_w = sorted((w_sym, w_con))
     reach = 0.5 * m + 5.4 * w_w
     n_pts = int(min(max(4001, 40.0 * reach / w_n), 400_001))
     grid = np.linspace(-reach, reach, n_pts)
     if not np.isfinite((grid[1] - grid[0]) / 1e-10):  # the bisection below counts its halvings
         raise DomainError(f"overlap scan over +-{reach} leaves the float range")
-    region = 2.0 * w_n * np.sqrt(np.log(w_w) - np.log(w_n * (m if w_sym < w_con else 1)))
+    region = 2.0 * w_n * np.sqrt(np.fmax(1.0, np.log(w_w) - np.log(w_n * (m if w_sym < w_con else 1))))
     if n_pts == 400_001 and not grid[1] - grid[0] <= region:
         raise NumericFailure(f"overlap scan step {grid[1] - grid[0]:.3g} can step over the narrower density")
     negative = np.signbit(diff(grid))

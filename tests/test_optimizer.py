@@ -143,16 +143,21 @@ class TestUFunctional:
         with pytest.raises(NumericFailure):
             optimizer_module._piecewise_l1(np.full((4, 2, 1), np.nan), np.full((4, 2), np.nan))
 
-    @pytest.mark.parametrize("alpha", [1e-12, 1e-20])
-    def test_per_term_narrow_symbols_reach_the_limit(self, alpha):
-        # each symbol density lies inside the much wider conjugate one, so the
-        # overlap tends to 2m; the crossings' discriminant cancels nowhere
-        assert u_functional(4, alpha, 0.5) == pytest.approx(8.0, rel=0.0, abs=1e-9)
+    @pytest.mark.parametrize("m,alpha,beta", [(4, 1e-12, 0.5), (4, 1e-20, 0.5), (4, 1e160, 2.5e299),
+                                              (4, 2e160, 5e9), (3, 1e-149, 1e-12 / 3), (2, 1e-71, 2.5e11)])
+    def test_per_term_widths_far_apart_reach_the_limit(self, m, alpha, beta):
+        # one density lies inside the much wider other, so the overlap tends to 2m;
+        # the discriminant cancels nowhere, and no width is squared, so widths whose
+        # squares (or product) leave the float range give it too
+        assert u_functional(m, alpha, beta) == pytest.approx(2.0 * m, rel=0.0, abs=1e-9)
 
-    def test_per_term_squared_widths_past_float_range_raise(self):
-        # both squared widths overflow, so the quadratic's coefficients vanish
-        with pytest.raises(DomainError, match="float range"):
-            u_functional(4, 1e160, 2.5e299)
+    @pytest.mark.parametrize("scale", [1e160, 1e163, 1e300])
+    @pytest.mark.parametrize("m", [2, 3, 16])
+    def test_per_term_depends_on_the_width_ratio_once_both_dwarf_the_centers(self, m, scale):
+        # symbol width 20 times the conjugate one, both far wider than the layout
+        expected = u_functional(m, 2e12, 1e12 / (10 * m))
+        assert u_functional(m, 2.0 * scale, scale / (10 * m)) == pytest.approx(expected, rel=0.0,
+                                                                                 abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [1e-6, 1e-5, 1e-200])
     def test_whole_sum_refuses_a_scan_coarser_than_the_narrow_region(self, alpha):
@@ -160,6 +165,11 @@ class TestUFunctional:
         # 3.99996 at 1e-6 and 1e-5, where the overlap is about 8)
         with pytest.raises(NumericFailure, match="scan step"):
             u_functional(4, alpha, 0.5, "whole-sum")
+
+    def test_whole_sum_scan_finer_than_the_narrower_width_gives_a_value(self):
+        # no symbol tops 16 conjugates (beta < alpha), but the capped step is a
+        # fifth of the symbol width; all densities lie apart, so U is 2m
+        assert u_functional(16, 4e-4, 2e-4, "whole-sum") == pytest.approx(32.0, rel=0.0, abs=1e-9)
 
     def test_bounds(self):
         for m, alpha, beta in [(2, 0.1, 0.1), (4, 1.5, 1.5), (8, 0.7, 0.05)]:
@@ -211,24 +221,33 @@ class TestUFunctional:
         with pytest.raises(DomainError, match="float range"):
             u_functional(4, alpha, 0.5, variant)
 
+    EXTREMES = [5e-324, 1e-310, 1e-200, 1e-20, 0.5, 1e100, 1e300, sys.float_info.max / 64,
+                sys.float_info.max]
+    # (alpha, beta) of EXTREMES whose whole-sum scan is capped too coarse for the narrower density
+    SCAN_REFUSED = {(a, b) for a in (5e-324, 1e-310, 1e-200, 1e-20) for b in (0.5, 1e100, 1e300)} | {
+        (0.5, 1e100), (0.5, 1e300), (1e100, 0.5), (1e100, 1e300), (1e300, 0.5), (1e300, 1e100)}
+
     @pytest.mark.parametrize("variant", ["per-term", "whole-sum"])
     @pytest.mark.parametrize("m", [2, 4, 16])
     def test_every_accepted_width_gives_a_value_or_domain_error(self, m, variant):
         # warnings are errors in this suite, so no call may warn either; at
         # alpha = 1e-20 and beta = max / 64 the width ratio underflows to 0;
-        # a whole-sum scan whose capped step can miss the narrower density is refused
-        extremes = [5e-324, 1e-310, 1e-200, 1e-20, 0.5, 1e100, 1e300, sys.float_info.max / 64,
-                    sys.float_info.max]
-        for alpha in extremes:
-            for beta in extremes:
+        # the listed whole-sum scans are refused (next test)
+        for alpha in self.EXTREMES:
+            for beta in self.EXTREMES:
+                if variant == "whole-sum" and (alpha, beta) in self.SCAN_REFUSED:
+                    continue
                 try:
                     u = u_functional(m, alpha, beta, variant)
                 except DomainError:
                     continue
-                except NumericFailure as exc:
-                    assert variant == "whole-sum" and "scan step" in str(exc)
-                    continue
                 assert math.isfinite(u) and 0.0 <= u <= 2.0 * m + 1e-9
+
+    @pytest.mark.parametrize("m", [2, 4, 16])
+    def test_whole_sum_refuses_the_listed_extreme_scans(self, m):
+        for alpha, beta in self.SCAN_REFUSED:
+            with pytest.raises(NumericFailure, match="scan step"):
+                u_functional(m, alpha, beta, "whole-sum")
 
 
 class TestMinimizeBeta:
