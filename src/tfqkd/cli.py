@@ -275,12 +275,19 @@ def cmd_keyrate(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; only ``command``'s flags are added when it names one."""
     parser = argparse.ArgumentParser(
         prog="tfqkd",
         description="Time-frequency QKD model: capacity surfaces, width optimization, validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in ("surface", "optimize", "sweep", "validate", "keyrate")
+
+    def add(name, help_text, fn):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        return p if every or name == command else None
 
     def common(p, m_type=int, eps_type=float):
         p.add_argument("--config", help="key = value lines, each parsed as its --key=value flag")
@@ -290,13 +297,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=m_type, required=True)
         p.add_argument("--eps", type=eps_type, required=True)
 
-    p = sub.add_parser("surface", help="capacity over an (alpha, beta) grid")
-    common(p)
-    for axis in ("--alpha", "--beta"):
-        p.add_argument(axis, type=_checked(parse_range), default="0.05:1.5:0.05",
-                       help="grid as lo:hi:step (endpoints included)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=cmd_surface)
+    if p := add("surface", "capacity over an (alpha, beta) grid", cmd_surface):
+        common(p)
+        for axis in ("--alpha", "--beta"):
+            p.add_argument(axis, type=_checked(parse_range), default="0.05:1.5:0.05",
+                           help="grid as lo:hi:step (endpoints included)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     def optimizer_flags(p):
         d = OptimizerConfig
@@ -307,30 +313,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--u-variant", choices=("per-term", "whole-sum"), default=d.u_variant)
         p.add_argument("--scheme", choices=("staged", "nested"), default=d.scheme)
 
-    p = sub.add_parser("optimize", help="optimal widths for one (m, eps) point")
-    common(p)
-    optimizer_flags(p)
-    p.set_defaults(fn=cmd_optimize)
+    if p := add("optimize", "optimal widths for one (m, eps) point", cmd_optimize):
+        common(p)
+        optimizer_flags(p)
 
-    p = sub.add_parser("sweep", help="optimize over comma-separated lists of m and eps")
-    common(p, _list_of(_checked(int, lambda n: n >= 2, "an integer >= 2")),
-           _list_of(_checked(float, lambda e: 0.0 <= e <= 1.0, "in [0, 1]")))
-    optimizer_flags(p)
-    p.set_defaults(fn=cmd_sweep)
+    if p := add("sweep", "optimize over comma-separated lists of m and eps", cmd_sweep):
+        common(p, _list_of(_checked(int, lambda n: n >= 2, "an integer >= 2")),
+               _list_of(_checked(float, lambda e: 0.0 <= e <= 1.0, "in [0, 1]")))
+        optimizer_flags(p)
 
-    p = sub.add_parser("validate", help="Monte Carlo + spectrum oracle consistency check")
-    common(p)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--photons", type=int, default=1_000_000)
-    p.add_argument("--seed", type=_seed, default=42)
-    p.set_defaults(fn=cmd_validate)
+    if p := add("validate", "Monte Carlo + spectrum oracle consistency check", cmd_validate):
+        common(p)
+        p.add_argument("--alpha", type=float, required=True)
+        p.add_argument("--beta", type=float, required=True)
+        p.add_argument("--photons", type=int, default=1_000_000)
+        p.add_argument("--seed", type=_seed, default=42)
 
-    p = sub.add_parser("keyrate", help="secret key rate at the optimal widths")
-    common(p)
-    p.add_argument("--rep-rate-hz", type=_rate, required=True)
-    optimizer_flags(p)
-    p.set_defaults(fn=cmd_keyrate)
+    if p := add("keyrate", "secret key rate at the optimal widths", cmd_keyrate):
+        common(p)
+        p.add_argument("--rep-rate-hz", type=_rate, required=True)
+        optimizer_flags(p)
 
     return parser
 
@@ -338,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(_with_config(argv))
+        args = _build_parser(argv[0] if argv else None).parse_args(_with_config(argv))
         return args.fn(args)
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return int(exc.code or 0)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import erf
 
 from .channel import ProtocolParams, make_layout
-from .errors import DomainError, NumericFailure, _check_positive
+from .errors import DomainError, NumericFailure, _check_count, _check_positive
 from .infotheory import CapacityReport, _capacity_grid, capacity
 from .pulse_math import DEFAULT_ACCURACY, _check_beta_m
 
@@ -140,65 +140,43 @@ def c_surface(m, epsilon, alpha_axis, beta_axis, accuracy: float = DEFAULT_ACCUR
 # Overlap functional
 # ---------------------------------------------------------------------------
 
-def _term_crossings(centers: np.ndarray, w_sym: float, w_con: float) -> tuple[np.ndarray, np.ndarray]:
-    """Crossings of each shifted symbol density with the centered conjugate one, as :func:`_piecewise_l1`
-    cuts (a row per center ``c``).  With ``u = c/w_con``, ``r = w_sym/w_con`` and ``s = 1 + r``, the offsets
-    ``d = (t - c)/w_sym`` are the roots ``q/A``, ``C/q`` of ``A d**2 + 2B d + C``: ``A = 1 - r``, ``B = -u r/s``,
-    ``C = (log r - u**2)/s``, ``q = -(B + sign(B) sqrt((u/s)**2 - (A/s) log r))``, the discriminant's terms
-    never negative and ``A`` 0 just where ``log r`` is (``q/A`` is then a crossing at infinity)."""
-    u, r = centers / w_con, w_sym / w_con
+def _term_overlaps(centers: np.ndarray, w_sym: np.float64, w_con: np.ndarray) -> np.ndarray:
+    """Per-term U at each conjugate width of ``w_con``.  Both densities have unit mass, so a term is twice the
+    mass difference between its crossings: ``|(erf(d2) - erf(d1)) - (erf(e2) - erf(e1))|``, unsorted, ``erf`` +-1
+    at a crossing at infinity.  With ``u = c/w_con``, ``r = w_sym/w_con`` and ``s = 1 + r``, the offsets
+    ``d = (t - c)/w_sym`` from a center ``c`` (``e = u + r d`` in conjugate widths) are the roots ``q/A``, ``C/q``
+    of ``A d**2 + 2B d + C``: ``A = 1 - r``, ``B = -u r/s``, ``C = (log r - u**2)/s``,
+    ``q = -(B + sign(B) sqrt((u/s)**2 - (A/s) log r))``, the discriminant's terms never negative and ``A`` 0
+    just where ``log r`` is (``q/A`` is then a crossing at infinity)."""
+    u, r = centers / w_con[:, None], (w_sym / w_con)[:, None]
     a, s, log_r = 1.0 - r, 1.0 + r, np.log(r)
     half_b, const = -u * (r / s), (log_r - u * u) / s
     q = -(half_b + np.copysign(np.sqrt((u / s) ** 2 - a / s * log_r), half_b))
     q[(q == 0.0) & (const == 0.0)] = 1.0  # coinciding densities (c = 0, equal widths): cuts 0 and +inf
-    d = np.sort(np.column_stack([q / a, const / q]), axis=1)
-    if np.isnan(d).any() or not np.isfinite(1.0 / (w_sym * w_sym)):  # as documented, also below 7.5e-155
-        raise DomainError(f"overlap crossings leave the float range at widths {w_sym} and {w_con}")
-    return d[..., None], u[:, None] + r * d
+    d = np.stack([q / a, const / q])
+    bad = np.isnan(d).any(axis=(0, 2))
+    if bad.any() or not np.isfinite(1.0 / (w_sym * w_sym)):  # as documented, also below 7.5e-155
+        raise DomainError(f"overlap crossings leave the float range at widths {w_sym} and {w_con[bad.argmax()]}")
+    p = erf(np.stack([d, u + r * d]))
+    return np.abs((p[0, 1] - p[0, 0]) - (p[1, 1] - p[1, 0])).sum(axis=-1)
 
 
 def _piecewise_l1(sym: np.ndarray, con: np.ndarray) -> float:
-    """Sum of |comb mass - n * conjugate mass| over the pieces between sorted
-    cuts, given as offsets from the ``n`` symbol centers in symbol widths (``sym``,
-    last axis) and from the conjugate center 0 in conjugate widths (``con``).  The
-    difference keeps one sign per piece, so each is an exact difference of cumulative
-    masses: one erf per (cut, center) and per cut of the conjugate, +-1 at infinite cuts."""
+    """Whole-sum U: sum of |comb mass - n * conjugate mass| over the pieces between sorted cuts,
+    given as offsets from the ``n`` symbol centers in symbol widths (``sym``, a row per cut) and
+    from the conjugate center in conjugate widths (``con``).  The difference keeps one sign per
+    piece, so each is an exact difference of cumulative masses: one erf per (cut, center) and per cut."""
     n = sym.shape[-1]
-    scaled = np.concatenate([sym, con[..., None]], axis=-1)
-    edge = np.ones(scaled.shape[:-2] + (1, n + 1))
-    mass = 0.5 * np.diff(np.concatenate([-edge, erf(scaled), edge], axis=-2), axis=-2)
-    total = np.abs(mass[..., :n].sum(axis=-1) - n * mass[..., n]).sum()
+    edge = np.ones((1, n + 1))
+    mass = 0.5 * np.diff(np.concatenate([-edge, erf(np.column_stack([sym, con])), edge]), axis=0)
+    total = np.abs(mass[:, :n].sum(axis=1) - n * mass[:, n]).sum()
     if not np.isfinite(total):
         raise NumericFailure("overlap functional produced a non-finite value")
     return float(total)
 
 
-@np.errstate(all="ignore")  # at extreme widths the arithmetic gives inf or NaN, refused as such
-def u_functional(
-    m: int,
-    alpha: float,
-    beta: float,
-    variant: str = "per-term",
-) -> float:
-    """Overlap deviation between the symbol-pulse comb and the conjugate pulse.
-
-    ``per-term`` (default) sums the L1 distance of each shifted symbol pulse
-    to the centered conjugate pulse; ``whole-sum`` takes the absolute value
-    outside the sum and is bounded above by the per-term value.  Both reduce
-    to error-function expressions between sign changes of the density
-    difference, summed by one shared evaluator: closed-form ``per-term`` crossings, ``whole-sum``
-    ones bisected to 1e-10 from a scan that raises :class:`NumericFailure` if its capped step can
-    miss them.  Widths whose arithmetic leaves the float range raise :class:`DomainError`.
-    """
-    params = ProtocolParams(m, alpha, beta)  # validates the inputs
-    _check_beta_m(m, beta)  # the filter bank's bounds on beta * m
-    centers = make_layout(m).centers
-    w_sym, w_con = np.float64(params.symbol_sigma), np.float64(params.conjugate_sigma)  # so x / 0 is inf
-    if variant == "per-term":
-        return _piecewise_l1(*_term_crossings(centers, w_sym, w_con))
-    if variant != "whole-sum":
-        raise DomainError(f"unknown u variant {variant!r}")
-
+def _whole_sum(m: int, centers: np.ndarray, w_sym: np.float64, w_con: np.float64) -> float:
+    """Whole-sum U at one conjugate width, as :func:`u_functional` describes."""
     sqrt_pi = math.sqrt(math.pi)
 
     def diff(t):
@@ -234,6 +212,43 @@ def u_functional(
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
     cuts = 0.5 * (lo + hi)
     return _piecewise_l1(np.subtract.outer(cuts, centers) / w_sym, cuts / w_con)
+
+
+def _overlap(m: int, alpha: float, variant: str):
+    """The ``variant`` overlap functional at ``(m, alpha)`` as a function of an array of betas, one
+    value each; ``m``, ``alpha`` and ``variant`` are checked once, each array of betas when passed."""
+    m = _check_count("m", m, 2)
+    _check_positive(("alpha", alpha))
+    if variant not in ("per-term", "whole-sum"):
+        raise DomainError(f"unknown u variant {variant!r}")
+    centers = make_layout(m).centers
+    w_sym = np.float64(0.5 * alpha)  # a numpy scalar, so x / 0 is inf
+    k = max(1, 2 ** 14 // (4 * m))  # betas per per-term call: at most 2**14 erf values keep peak memory flat
+
+    @np.errstate(all="ignore")  # at extreme widths the arithmetic gives inf or NaN, refused as such
+    def overlap(betas) -> np.ndarray:
+        w_con = 0.5 * _check_beta_m(m, betas).reshape(-1) * m
+        if variant == "whole-sum":
+            return np.array([_whole_sum(m, centers, w_sym, w) for w in w_con])
+        return np.concatenate([_term_overlaps(centers, w_sym, w_con[i:i + k]) for i in range(0, w_con.size, k)])
+
+    return overlap
+
+
+def u_functional(m: int, alpha: float, beta: float, variant: str = "per-term") -> float:
+    """Overlap deviation between the symbol-pulse comb and the conjugate pulse.
+
+    ``per-term`` (default) sums the L1 distance of each shifted symbol pulse
+    to the centered conjugate pulse, each in closed form as ``2 |dP - dQ|``
+    between its two crossings; ``whole-sum`` takes the absolute value outside
+    the sum and is bounded above by the per-term value, its crossings bisected
+    to 1e-10 from a scan that raises :class:`NumericFailure` if its capped step
+    can miss them.  This is the one-beta case of the evaluator that scans rows
+    for :func:`minimize_beta`.  Widths whose arithmetic leaves the float range
+    raise :class:`DomainError`.
+    """
+    ProtocolParams(m, alpha, beta)  # validates the inputs
+    return float(_overlap(m, alpha, variant)(beta)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +308,13 @@ def minimize_beta(m: int, alpha: float,
     """Conjugate width minimizing the overlap deviation at fixed ``alpha``.
 
     The ``config.u_variant`` functional is scanned over ``config.beta_box``
-    at ``config.coarse_step`` and refined by golden section to
-    ``config.tol``, the same search as stage 1's; exact ties break toward
-    the smaller width.
+    at ``config.coarse_step`` in one evaluation of the whole row and refined
+    by golden section to ``config.tol``, one beta per step, the same search
+    as stage 1's; exact ties break toward the smaller width.
     """
-    def u(beta: float) -> float:
-        return u_functional(m, alpha, beta, config.u_variant)
-
     axis = _axis(config.beta_box, config.coarse_step)
-    beta_opt, u_min = _refine_min(u, axis, np.array([u(b) for b in axis]), config.tol)
+    u = _overlap(m, alpha, config.u_variant)
+    beta_opt, u_min = _refine_min(lambda b: float(u(b)[0]), axis, u(axis), config.tol)
     return beta_opt, float(u_min)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tfqkd.cli import main, parse_box, parse_range
+from tfqkd.cli import _build_parser, main, parse_box, parse_range
 from tfqkd.errors import DomainError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -361,6 +361,29 @@ class TestConfigFile:
     def test_config_flag_without_path(self, capsys):
         assert run_cli("optimize", "--m", "4", "--eps", "0", "--config") == 2
         assert "--config" in assert_usage_error(capsys)
+
+
+class TestOneCommandParser:
+    # a representative argv per subcommand, flags of its own included
+    ARGV = {
+        "surface": ("--m", "4", "--eps", "0.5", "--alpha", "0.1:0.3:0.1", "--format", "json", "--out", "s.json"),
+        "optimize": ("--m", "4", "--eps", "0.5", "--beta-box", "0.2:0.9", "--u-variant", "whole-sum"),
+        "sweep": ("--m", "2,4", "--eps", "0,0.5", "--tol", "1e-4", "--scheme", "nested"),
+        "validate": ("--m", "4", "--eps", "0.5", "--alpha", "0.5", "--beta", "0.7", "--seed", "3"),
+        "keyrate": ("--m", "4", "--eps", "0", "--rep-rate-hz", "1e8", "--alpha-box", "0.1:1"),
+    }
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_help_and_namespace_equal_the_full_parser(self, command, capsys):
+        argv = [command, *self.ARGV[command]]
+        one, full = _build_parser(command), _build_parser()
+        assert repr(vars(one.parse_args(argv))) == repr(vars(full.parse_args(argv)))
+        helps = []
+        for parser in (one, full):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] and "--m M" in helps[0]
 
 
 class TestUsage:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import erf
 
 import tfqkd.channel as channel_module
 import tfqkd.optimizer as optimizer_module
@@ -80,6 +81,24 @@ def _u_per_term_scalar(m, alpha, beta):
     return sum(l1(c, w_sym, 0.0, w_con) for c in make_layout(m).centers)
 
 
+@np.errstate(all="ignore")  # a center at 0 with equal widths divides 0 by 0, as the evaluator does
+def _u_per_term_three_pieces(m, alpha, beta):
+    """The former per-term evaluator: sorted closed-form crossings, three pieces
+    per center, |symbol mass - conjugate mass| summed over all of them."""
+    centers = make_layout(m).centers
+    w_sym, w_con = np.float64(0.5 * alpha), np.float64(0.5 * beta * m)
+    u, r = centers / w_con, w_sym / w_con
+    a, s, log_r = 1.0 - r, 1.0 + r, np.log(r)
+    half_b, const = -u * (r / s), (log_r - u * u) / s
+    q = -(half_b + np.copysign(np.sqrt((u / s) ** 2 - a / s * log_r), half_b))
+    q[(q == 0.0) & (const == 0.0)] = 1.0
+    d = np.sort(np.column_stack([q / a, const / q]), axis=1)
+    scaled = np.concatenate([d[..., None], (u[:, None] + r * d)[..., None]], axis=-1)
+    edge = np.ones((m, 1, 2))
+    mass = 0.5 * np.diff(np.concatenate([-edge, erf(scaled), edge], axis=-2), axis=-2)
+    return float(np.abs(mass[..., 0] - mass[..., 1]).sum())
+
+
 def _u_whole_sum_scalar(m, alpha, beta, accuracy=1e-10):
     """Reference whole-sum algorithm: grid scan, one brentq per sign change,
     then a scalar sum of bin masses per piece between crossings."""
@@ -129,6 +148,16 @@ class TestUFunctional:
                     _u_per_term_scalar(m, alpha, beta), rel=0.0, abs=1e-12
                 )
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 16, 256])
+    def test_per_term_row_matches_the_three_piece_sum(self, m):
+        # 2 |dP - dQ| per center against the pieces' sum it replaces, over the default beta axis
+        axis = _axis(OptimizerConfig.beta_box, OptimizerConfig.coarse_step)
+        for alpha in np.linspace(0.05, 1.5, 10):
+            row = optimizer_module._overlap(m, alpha, "per-term")(axis)
+            reference = np.array([_u_per_term_three_pieces(m, alpha, b) for b in axis])
+            assert np.all(np.abs(row - reference) <= 1e-15 * reference)
+            assert np.array_equal(row, [u_functional(m, alpha, b) for b in axis])
+
     @pytest.mark.parametrize("m", [2, 5, 16])
     def test_per_term_continuous_across_equal_widths(self, m):
         # conjugate widths an ulp or two from the symbol width, where the
@@ -139,9 +168,9 @@ class TestUFunctional:
                 assert u_functional(m, alpha, beta) == pytest.approx(equal, rel=0.0, abs=1e-9)
 
     def test_non_finite_crossing_raises(self):
-        # the per-term shapes: two cuts per center, scaled by the symbol and the conjugate width
+        # the whole-sum shapes: two cuts, as offsets from four centers and from the conjugate center
         with pytest.raises(NumericFailure):
-            optimizer_module._piecewise_l1(np.full((4, 2, 1), np.nan), np.full((4, 2), np.nan))
+            optimizer_module._piecewise_l1(np.full((2, 4), np.nan), np.full(2, np.nan))
 
     @pytest.mark.parametrize("m,alpha,beta", [(4, 1e-12, 0.5), (4, 1e-20, 0.5), (4, 1e160, 2.5e299),
                                               (4, 2e160, 5e9), (3, 1e-149, 1e-12 / 3), (2, 1e-71, 2.5e11)])
@@ -259,6 +288,23 @@ class TestMinimizeBeta:
         assert beta_opt == pytest.approx(brute, abs=2e-3)
         assert u_min <= us.min() + 1e-9
 
+    def test_one_row_then_one_beta_per_golden_step(self, monkeypatch):
+        # the coarse row is one 30-beta call of the per-term kernel; each golden-section step one more
+        sizes = []
+        kernel = optimizer_module._term_overlaps
+
+        def spy(centers, w_sym, w_con):
+            sizes.append(w_con.size)
+            return kernel(centers, w_sym, w_con)
+        monkeypatch.setattr(optimizer_module, "_term_overlaps", spy)
+        minimize_beta(16, 0.5)
+        assert sizes[0] == 30 and set(sizes[1:]) == {1} and len(sizes) <= 13
+
+    def test_beta_m_below_the_bound_names_the_first_beta(self):
+        with pytest.raises(DomainError) as info:
+            minimize_beta(4, 0.5, OptimizerConfig(beta_box=(1e-310, 0.05)))
+        assert str(info.value) == "beta * m must be finite and at least 1e-12, got beta = 1e-310 at m = 4"
+
     @pytest.mark.parametrize("m", [16, 32])
     def test_large_m_lands_near_typical_width(self, m):
         beta_opt, _ = minimize_beta(m, 0.5)
@@ -269,8 +315,8 @@ class TestMinimizeBeta:
     def test_whole_sum_same_beta_as_scalar_reference(self, m, alpha, monkeypatch):
         config = OptimizerConfig(u_variant="whole-sum")
         beta_opt, _ = minimize_beta(m, alpha, config)
-        monkeypatch.setattr(optimizer_module, "u_functional",
-                            lambda m, alpha, beta, variant: _u_whole_sum_scalar(m, alpha, beta))
+        monkeypatch.setattr(optimizer_module, "_overlap", lambda m, alpha, variant: lambda betas: np.array(
+            [_u_whole_sum_scalar(m, alpha, b) for b in np.atleast_1d(betas)]))
         assert minimize_beta(m, alpha, config)[0] == beta_opt
 
     def test_deterministic(self):
