@@ -155,7 +155,7 @@ def _term_overlaps(centers: np.ndarray, w_sym: np.float64, w_con: np.ndarray) ->
     q[(q == 0.0) & (const == 0.0)] = 1.0  # coinciding densities (c = 0, equal widths): cuts 0 and +inf
     d = np.stack([q / a, const / q])
     bad = np.isnan(d).any(axis=(0, 2))
-    if bad.any() or not np.isfinite(1.0 / (w_sym * w_sym)):  # as documented, also below 7.5e-155
+    if bad.any():
         raise DomainError(f"overlap crossings leave the float range at widths {w_sym} and {w_con[bad.argmax()]}")
     p = erf(np.stack([d, u + r * d]))
     return np.abs((p[0, 1] - p[0, 0]) - (p[1, 1] - p[1, 0])).sum(axis=-1)
@@ -177,36 +177,33 @@ def _piecewise_l1(sym: np.ndarray, con: np.ndarray) -> float:
 
 def _whole_sum(m: int, centers: np.ndarray, w_sym: np.float64, w_con: np.float64) -> float:
     """Whole-sum U at one conjugate width, as :func:`u_functional` describes."""
-    sqrt_pi = math.sqrt(math.pi)
+    sqrt_pi, reach = math.sqrt(math.pi), math.sqrt(746.0)
+    k = int(min(m, 2 * np.ceil(reach * w_sym) + 1))  # the k nearest centers hold all within reach widths of a point
 
     def diff(t):
-        # comb minus m times the conjugate density at each point of t; exp is
-        # slow where it underflows to 0 (below about -745.1), so terms below
-        # -746 are skipped, as are points beyond sqrt(746) widths of all centers
-        near = np.abs(t) < centers[-1] + math.sqrt(746.0) * w_sym
-        z = -((np.subtract.outer(t[near], centers) / w_sym) ** 2)
-        comb = np.zeros_like(t)
-        comb[near] = np.exp(z, out=np.zeros_like(z), where=z > -746.0).sum(axis=1)
+        # comb minus m times the conjugate density at each point of t, the comb summed over the k nearest
+        # centers; exp is slow where it underflows to 0 (below about -745.1), so terms below -746 are skipped
+        first = np.clip(np.rint(t - centers[0]) - k // 2, 0, m - k).astype(int)
+        z = -(((t[:, None] - centers[first[:, None] + np.arange(k)]) / w_sym) ** 2)
+        comb = np.exp(z, out=np.zeros_like(z), where=z > -746.0).sum(axis=1)
         return comb / (w_sym * sqrt_pi) - m * np.exp(-((t / w_con) ** 2)) / (w_con * sqrt_pi)
 
-    # locate every sign change of the difference on a grid whose step resolves the narrower width; a capped
-    # step wider than both the narrower density's width 2 w_n and the region where it tops the wider one's
-    # peak (one symbol against m conjugates, or m conjugates against at most m symbols) is refused
-    w_n, w_w = sorted((w_sym, w_con))
-    reach = 0.5 * m + 5.4 * w_w
-    n_pts = int(min(max(4001, 40.0 * reach / w_n), 400_001))
-    grid = np.linspace(-reach, reach, n_pts)
-    if not np.isfinite((grid[1] - grid[0]) / 1e-10):  # the bisection below counts its halvings
-        raise DomainError(f"overlap scan over +-{reach} leaves the float range")
-    region = 2.0 * w_n * np.sqrt(np.fmax(1.0, np.log(w_w) - np.log(w_n * (m if w_sym < w_con else 1))))
-    if n_pts == 400_001 and not grid[1] - grid[0] <= region:
-        raise NumericFailure(f"overlap scan step {grid[1] - grid[0]:.3g} can step over the narrower density")
+    # every sign change lies within reach widths of a center or, in conjugate widths, of 0, where one density is
+    # representable: local grids of 20 points per width there find them all (one grid where symbol windows overlap)
+    steps = np.arange(-math.ceil(20.0 * reach), math.ceil(20.0 * reach) + 1)
+    if 2.0 * reach * w_sym >= 1.0:
+        sym = centers[0] + w_sym / 20.0 * np.arange(steps[0], 20.0 * (m - 1) / w_sym + steps[-1] + 1)
+    else:
+        sym = np.add.outer(centers, w_sym / 20.0 * steps).ravel()
+    grid = np.unique(np.concatenate([sym, centers, w_con / 20.0 * steps]))
     negative = np.signbit(diff(grid))
     flips = np.nonzero(np.diff(negative))[0]
 
-    # bisect every bracket at once until it is narrower than 1e-10
     lo, hi = grid[flips], grid[flips + 1]
-    for _ in range(math.ceil(math.log2((grid[1] - grid[0]) / 1e-10))):
+    halvings = math.log2(np.max(hi - lo, initial=1e-10) / 1e-10)  # until every bracket is below 1e-10
+    if not (np.isfinite(grid[[0, -1]]).all() and math.isfinite(halvings)):
+        raise DomainError(f"overlap scan leaves the float range at widths {w_sym} and {w_con}")
+    for _ in range(math.ceil(halvings)):
         mid = 0.5 * (lo + hi)
         left = np.signbit(diff(mid)) == negative[flips]
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
@@ -228,6 +225,8 @@ def _overlap(m: int, alpha: float, variant: str):
     @np.errstate(all="ignore")  # at extreme widths the arithmetic gives inf or NaN, refused as such
     def overlap(betas) -> np.ndarray:
         w_con = 0.5 * _check_beta_m(m, betas).reshape(-1) * m
+        if not np.isfinite(1.0 / (w_sym * w_sym)):  # as documented: both variants, below about 7.5e-155
+            raise DomainError(f"overlap arithmetic leaves the float range at symbol width {w_sym}")
         if variant == "whole-sum":
             return np.array([_whole_sum(m, centers, w_sym, w) for w in w_con])
         return np.concatenate([_term_overlaps(centers, w_sym, w_con[i:i + k]) for i in range(0, w_con.size, k)])
@@ -242,10 +241,11 @@ def u_functional(m: int, alpha: float, beta: float, variant: str = "per-term") -
     to the centered conjugate pulse, each in closed form as ``2 |dP - dQ|``
     between its two crossings; ``whole-sum`` takes the absolute value outside
     the sum and is bounded above by the per-term value, its crossings bisected
-    to 1e-10 from a scan that raises :class:`NumericFailure` if its capped step
-    can miss them.  This is the one-beta case of the evaluator that scans rows
-    for :func:`minimize_beta`.  Widths whose arithmetic leaves the float range
-    raise :class:`DomainError`.
+    to 1e-10 from a scan of 20 points per width within sqrt(746) widths of
+    each center and, in conjugate widths, of 0.  This is the one-beta case of
+    the evaluator that scans rows for :func:`minimize_beta`.  Widths whose
+    arithmetic leaves the float range, symbol widths below about 7.5e-155
+    among them, raise :class:`DomainError`.
     """
     ProtocolParams(m, alpha, beta)  # validates the inputs
     return float(_overlap(m, alpha, variant)(beta)[0])

@@ -455,25 +455,21 @@ class TestUsage:
     @pytest.mark.parametrize("argv,reason", [
         (("--alpha-box", "1e-200:0.05", "--step", "0.01"), "float range"),
         (("--beta-box", "1e-310:0.05"), "beta * m must be finite"),
+        (("--alpha-box", "1e-200:0.05", "--step", "0.01", "--u-variant", "whole-sum"), "float range"),
         (("--beta-box", "1e-310:0.05", "--u-variant", "whole-sum"), "beta * m must be finite"),
-    ], ids=["alpha-past-float-range", "beta-m-below-bound", "beta-m-below-bound-whole-sum"])
+    ], ids=["alpha-past-float-range", "beta-m-below-bound", "alpha-float-range-whole-sum",
+            "beta-m-below-bound-whole-sum"])
     def test_overlap_widths_past_float_range_exit_2(self, argv, reason, capsys):
         # at eps = 0 only stage 2's overlap functional reads these widths
         assert run_cli("optimize", "--m", "4", "--eps", "0", *argv) == 2
         assert reason in assert_usage_error(capsys)
 
     def test_narrow_symbol_overlap_reaches_its_limit(self, capsys):
-        # stage 2 runs at the box's lower end alpha = 1e-12, where the overlap is 2m
-        assert run_cli("optimize", "--m", "4", "--eps", "0", "--alpha-box", "1e-12:0.05",
-                       "--step", "0.01") == 0
-        assert json.loads(capsys.readouterr().out)["u_min"] == 8.0
-
-    def test_whole_sum_scan_coarser_than_the_narrow_region_exits_3(self, capsys):
-        assert run_cli("optimize", "--m", "4", "--eps", "0", "--alpha-box", "1e-200:0.05",
-                       "--step", "0.01", "--u-variant", "whole-sum") == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "scan step" in json.loads(captured.err)["detail"]
+        # stage 2 runs at the box's lower end alpha = 1e-12, where either overlap is 2m
+        for variant in ("per-term", "whole-sum"):
+            assert run_cli("optimize", "--m", "4", "--eps", "0", "--alpha-box", "1e-12:0.05",
+                           "--step", "0.01", "--u-variant", variant) == 0
+            assert json.loads(capsys.readouterr().out)["u_min"] == 8.0
 
     def test_subnormal_alpha_surface_gives_the_limit(self, capsys):
         assert run_cli("surface", "--m", "4", "--eps", "0.5", "--alpha", "1e-310:1e-310:1",

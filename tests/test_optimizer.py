@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -129,6 +130,34 @@ def _u_whole_sum_scalar(m, alpha, beta, accuracy=1e-10):
     return total
 
 
+def _u_whole_sum_fine(m, alpha, beta, per_width):
+    """Reference whole-sum on grids of ``per_width`` points per width over 28 widths: around each
+    center in symbol widths (across the comb where those windows overlap) and around 0 in conjugate
+    widths.  The comb is summed in chunks of the grid over the centers in reach of the chunk, each
+    sign change refined by brentq, and U summed from the cumulative mass difference at the crossings."""
+    w_sym, w_con = 0.5 * alpha, 0.5 * beta * m
+    centers = make_layout(m).centers
+    sqrt_pi, reach = math.sqrt(math.pi), 28.0
+    steps = np.arange(-reach * per_width, reach * per_width + 1) / per_width
+    if 2.0 * reach * w_sym >= 1.0:
+        sym = np.arange(centers[0] - reach * w_sym, centers[-1] + reach * w_sym, w_sym / per_width)
+    else:
+        sym = np.add.outer(centers, w_sym * steps).ravel()
+    grid = np.unique(np.concatenate([sym, centers, w_con * steps]))
+
+    def diff(t):
+        near = centers[(centers > t[0] - reach * w_sym) & (centers < t[-1] + reach * w_sym)]
+        comb = np.exp(-((np.subtract.outer(t, near) / w_sym) ** 2)).sum(axis=1) / (w_sym * sqrt_pi)
+        return comb - m * np.exp(-((t / w_con) ** 2)) / (w_con * sqrt_pi)
+
+    values = np.concatenate([diff(grid[i:i + 4096]) for i in range(0, grid.size, 4096)])
+    flips = np.nonzero(np.diff(np.signbit(values)))[0]
+    cuts = np.array([brentq(lambda x: diff(np.array([x]))[0], grid[i], grid[i + 1], xtol=1e-12)
+                     for i in flips])
+    excess = 0.5 * (erf(np.subtract.outer(cuts, centers) / w_sym).sum(axis=1) - m * erf(cuts / w_con))
+    return float(np.abs(np.diff(np.concatenate([[0.0], excess, [0.0]]))).sum())
+
+
 class TestUFunctional:
     # (4, 0.5, 0.125) has equal widths; at (2, 0.3, 0.05 + 0.1) the widths
     # differ by one rounding, where textbook roots lose the near crossing
@@ -188,12 +217,29 @@ class TestUFunctional:
         assert u_functional(m, 2.0 * scale, scale / (10 * m)) == pytest.approx(expected, rel=0.0,
                                                                                  abs=1e-12)
 
-    @pytest.mark.parametrize("alpha", [1e-6, 1e-5, 1e-200])
-    def test_whole_sum_refuses_a_scan_coarser_than_the_narrow_region(self, alpha):
-        # the capped scan steps over the narrow symbol densities (values 0.0 and
-        # 3.99996 at 1e-6 and 1e-5, where the overlap is about 8)
-        with pytest.raises(NumericFailure, match="scan step"):
-            u_functional(4, alpha, 0.5, "whole-sum")
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-5])
+    def test_whole_sum_at_narrow_symbols_matches_a_fine_grid(self, alpha):
+        # symbols a millionth of the conjugate's width, where a uniform scan at a twentieth
+        # of the symbol width would need over 1e8 points; the overlap is just below 2m = 8
+        whole = u_functional(4, alpha, 0.5, "whole-sum")
+        assert whole == pytest.approx(_u_whole_sum_fine(4, alpha, 0.5, 320), rel=1e-12, abs=0.0)
+        assert whole <= u_functional(4, alpha, 0.5, "per-term")
+
+    def test_whole_sum_finds_the_thin_crossing_pairs_at_large_m(self):
+        # near the middle of the layout a symbol barely tops 1024 conjugates: a thin
+        # crossing pair, which a capped uniform scan steps over (reading 2.24e-5 low)
+        whole = u_functional(1024, 0.05, 0.05, "whole-sum")
+        assert whole == pytest.approx(_u_whole_sum_fine(1024, 0.05, 0.05, 80), rel=1e-12, abs=0.0)
+
+    def test_whole_sum_memory_does_not_grow_with_points_times_m(self):
+        # the comb is a banded sum over the nearest centers, not a (points x m) array
+        tracemalloc.start()
+        try:
+            u_functional(1024, 0.05, 0.05, "whole-sum")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6
 
     def test_whole_sum_scan_finer_than_the_narrower_width_gives_a_value(self):
         # no symbol tops 16 conjugates (beta < alpha), but the capped step is a
@@ -252,31 +298,19 @@ class TestUFunctional:
 
     EXTREMES = [5e-324, 1e-310, 1e-200, 1e-20, 0.5, 1e100, 1e300, sys.float_info.max / 64,
                 sys.float_info.max]
-    # (alpha, beta) of EXTREMES whose whole-sum scan is capped too coarse for the narrower density
-    SCAN_REFUSED = {(a, b) for a in (5e-324, 1e-310, 1e-200, 1e-20) for b in (0.5, 1e100, 1e300)} | {
-        (0.5, 1e100), (0.5, 1e300), (1e100, 0.5), (1e100, 1e300), (1e300, 0.5), (1e300, 1e100)}
 
     @pytest.mark.parametrize("variant", ["per-term", "whole-sum"])
     @pytest.mark.parametrize("m", [2, 4, 16])
     def test_every_accepted_width_gives_a_value_or_domain_error(self, m, variant):
         # warnings are errors in this suite, so no call may warn either; at
-        # alpha = 1e-20 and beta = max / 64 the width ratio underflows to 0;
-        # the listed whole-sum scans are refused (next test)
+        # alpha = 1e-20 and beta = max / 64 the width ratio underflows to 0
         for alpha in self.EXTREMES:
             for beta in self.EXTREMES:
-                if variant == "whole-sum" and (alpha, beta) in self.SCAN_REFUSED:
-                    continue
                 try:
                     u = u_functional(m, alpha, beta, variant)
                 except DomainError:
                     continue
                 assert math.isfinite(u) and 0.0 <= u <= 2.0 * m + 1e-9
-
-    @pytest.mark.parametrize("m", [2, 4, 16])
-    def test_whole_sum_refuses_the_listed_extreme_scans(self, m):
-        for alpha, beta in self.SCAN_REFUSED:
-            with pytest.raises(NumericFailure, match="scan step"):
-                u_functional(m, alpha, beta, "whole-sum")
 
 
 class TestMinimizeBeta:

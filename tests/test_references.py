@@ -30,6 +30,8 @@ REFERENCES = {
                         "tests/data/optimize-m16-eps0.5-nested.json"),
     "optimize-whole-sum": ("optimize --m 16 --eps 0.5 --u-variant whole-sum",
                            "tests/data/optimize-m16-eps0.5-whole-sum.json"),
+    "optimize-m1024-whole-sum": ("optimize --m 1024 --eps 0 --u-variant whole-sum",
+                                 "tests/data/optimize-m1024-eps0-whole-sum.json"),
 }
 
 
