@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import erf
 
 from . import pulse_math
-from .errors import DomainError, _check_count, _check_positive
+from .errors import DomainError, _check_count, _check_widths
 from .pulse_math import DEFAULT_ACCURACY
 
 __all__ = [
@@ -41,8 +41,9 @@ class ProtocolParams:
     ``alpha`` is the normalized symbol-pulse width and ``beta`` the
     normalized conjugate-pulse width; both are in units of the bin pitch,
     so the symbol pulse density has 1/e half-width ``alpha/2`` and the
-    conjugate pulse ``beta*m/2``.  ``epsilon`` is the fraction of photons
-    the eavesdropper intercepts.
+    conjugate pulse ``beta*m/2``; ``alpha`` and ``beta*m`` lie in [1e-12,
+    1e12] (else :class:`DomainError`).  ``epsilon`` is the fraction of
+    photons the eavesdropper intercepts.
     """
 
     m: int
@@ -52,7 +53,8 @@ class ProtocolParams:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _check_count("m", self.m, 2))
-        _check_positive(("alpha", self.alpha), ("beta", self.beta))
+        _check_widths(self.alpha)
+        _check_widths(self.beta, self.m)
         if not 0.0 <= self.epsilon <= 1.0:
             raise DomainError(f"epsilon must lie in [0, 1], got {self.epsilon}")
 
@@ -149,9 +151,7 @@ def _correct_windows(cdf: np.ndarray, width: int):
 
 def _correct_lattice(m: int, alphas) -> np.ndarray:
     """Symbol-pulse cumulative ``erf / 2`` on the lattice at each of ``alphas``: (k, 2m)."""
-    sigma = 0.5 * np.asarray(alphas, dtype=float)[:, None]
-    with np.errstate(over="ignore", divide="ignore"):  # sigma near 0: erf(+-inf) = +-1 is the limit
-        return 0.5 * erf((np.arange(-m, m) + 0.5) / sigma)
+    return 0.5 * erf((np.arange(-m, m) + 0.5) / (0.5 * np.asarray(alphas, dtype=float)[:, None]))
 
 
 def p_correct(params: ProtocolParams) -> np.ndarray:
@@ -184,8 +184,7 @@ def _second_lattice(m: int, alphas, tables) -> np.ndarray:
     """Second-stage cumulative H on the lattice at each of ``alphas`` per summed
     spectrum table, one stacked query: (nb, k, 2m).  The points pair up as +-w
     and H(-w) = total - H(w), so the m points w > 0 answer all 2m."""
-    with np.errstate(over="ignore"):  # alpha near 0: H(inf) = total is the limit
-        w = (2.0 / np.asarray(alphas, dtype=float))[:, None] * (np.arange(m) + 0.5)
+    w = (2.0 / np.asarray(alphas, dtype=float))[:, None] * (np.arange(m) + 0.5)
     upper = pulse_math._stacked_cumulative(tables, np.broadcast_to(w, (len(tables),) + w.shape))
     total = np.array([table.total_mass for table in tables])[:, None, None]
     return np.concatenate([total - upper[..., ::-1], upper], axis=-1)

@@ -3,6 +3,8 @@
 import math
 import numbers
 
+import numpy as np
+
 __all__ = ["DomainError", "NumericFailure"]
 
 
@@ -38,3 +40,16 @@ def _check_count(name: str, value, least: int) -> int:
             and value >= least):
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _check_widths(values, m: int | None = None) -> np.ndarray:
+    """``values`` as a float array of alphas or, given ``m``, of betas; :class:`DomainError` unless
+    each alpha and each ``beta * m`` lies in [1e-12, 1e12] (NaN does not), the one width domain,
+    over which every path is exact and raises no floating-point warning."""
+    values = np.asarray(values, dtype=float)
+    widths = values if m is None else np.minimum(values, 1e12) * m  # capped, so the product can't overflow
+    ok = (widths >= 1e-12) & (widths <= 1e12)
+    if not ok.all():
+        raise DomainError(f"alpha must lie in [1e-12, 1e12], got {values[~ok][0]}" if m is None else
+                          f"beta * m must lie in [1e-12, 1e12], got beta = {values[~ok][0]} at m = {m}")
+    return values

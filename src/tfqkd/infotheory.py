@@ -14,7 +14,7 @@ import numpy as np
 
 from . import channel, pulse_math
 from .channel import ProtocolParams
-from .errors import DomainError, _check_positive
+from .errors import DomainError, _check_positive, _check_widths
 from .pulse_math import DEFAULT_ACCURACY
 
 _ZERO_CLAMP = 1e-300
@@ -160,6 +160,7 @@ def _capacity_grid(m, epsilon, alphas, betas, accuracy: float):
     group of betas the mixed blocks' windows (:func:`_window_stats`; no m x m array unless the
     width is m) and, in tiles of its own, one stacked query of all the betas' spectrum tables."""
     m = ProtocolParams(m, alphas[0], betas[0], epsilon).m  # validates m and epsilon
+    alphas, betas = _check_widths(alphas), _check_widths(betas, m)  # the whole axes
     _check_positive(("accuracy", accuracy))
     shape = (len(alphas), len(betas))
     ab, ae, qs, info_pc = np.empty(shape), np.zeros(shape), np.empty(shape), np.empty(len(alphas))

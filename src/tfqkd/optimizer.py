@@ -19,9 +19,9 @@ import numpy as np
 from scipy.special import erf
 
 from .channel import ProtocolParams, make_layout
-from .errors import DomainError, NumericFailure, _check_count, _check_positive
+from .errors import DomainError, NumericFailure, _check_count, _check_positive, _check_widths
 from .infotheory import CapacityReport, _capacity_grid, capacity
-from .pulse_math import DEFAULT_ACCURACY, _check_beta_m
+from .pulse_math import DEFAULT_ACCURACY
 
 __all__ = [
     "OptimizerConfig",
@@ -43,8 +43,10 @@ class OptimizerConfig:
     """Settings of both optimization stages, read by :func:`optimize_point`
     and :func:`minimize_beta` alike.
 
-    ``alpha_box`` (stage 1) is the alpha range; ``beta_box`` (both stages)
-    the beta range of the capacity rows and of the overlap scan;
+    ``alpha_box`` (stage 1) is the alpha range, inside [1e-12, 1e12];
+    ``beta_box`` (both stages) the beta range of the capacity rows and of
+    the overlap scan, its ``beta*m`` checked against the same interval once
+    m is known;
     ``coarse_step`` and ``tol`` (both stages) the grid step of every axis and
     the bracket width at which golden-section refinement stops; ``accuracy``
     (stage 1, the nested stage 2 and the final report) the spectrum
@@ -72,6 +74,7 @@ class OptimizerConfig:
             lo, hi = getattr(self, name)
             if not 0.0 < lo < hi < math.inf:
                 raise DomainError(f"{name} must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
+        _check_widths(self.alpha_box)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +124,8 @@ class SweepEntry:
 # ---------------------------------------------------------------------------
 
 def _check_axis(name: str, axis: np.ndarray):
-    if (axis.size == 0 or not np.all(np.isfinite(axis)) or axis[0] <= 0.0
-            or np.any(np.diff(axis) <= 0.0)):
-        raise DomainError(f"{name} must be finite, strictly increasing and positive")
+    if axis.size == 0 or not np.all(np.diff(axis) > 0.0):  # NaN is not ordered
+        raise DomainError(f"{name} must be non-empty and strictly increasing")
 
 
 def c_surface(m, epsilon, alpha_axis, beta_axis, accuracy: float = DEFAULT_ACCURACY) -> SurfaceGrid:
@@ -140,7 +142,7 @@ def c_surface(m, epsilon, alpha_axis, beta_axis, accuracy: float = DEFAULT_ACCUR
 # Overlap functional
 # ---------------------------------------------------------------------------
 
-def _term_overlaps(centers: np.ndarray, w_sym: np.float64, w_con: np.ndarray) -> np.ndarray:
+def _term_overlaps(centers: np.ndarray, w_sym: float, w_con: np.ndarray) -> np.ndarray:
     """Per-term U at each conjugate width of ``w_con``.  Both densities have unit mass, so a term is twice the
     mass difference between its crossings: ``|(erf(d2) - erf(d1)) - (erf(e2) - erf(e1))|``, unsorted, ``erf`` +-1
     at a crossing at infinity.  With ``u = c/w_con``, ``r = w_sym/w_con`` and ``s = 1 + r``, the offsets
@@ -153,10 +155,8 @@ def _term_overlaps(centers: np.ndarray, w_sym: np.float64, w_con: np.ndarray) ->
     half_b, const = -u * (r / s), (log_r - u * u) / s
     q = -(half_b + np.copysign(np.sqrt((u / s) ** 2 - a / s * log_r), half_b))
     q[(q == 0.0) & (const == 0.0)] = 1.0  # coinciding densities (c = 0, equal widths): cuts 0 and +inf
-    d = np.stack([q / a, const / q])
-    bad = np.isnan(d).any(axis=(0, 2))
-    if bad.any():
-        raise DomainError(f"overlap crossings leave the float range at widths {w_sym} and {w_con[bad.argmax()]}")
+    with np.errstate(divide="ignore"):  # equal widths: q / 0 is the crossing at infinity
+        d = np.stack([q / a, const / q])
     p = erf(np.stack([d, u + r * d]))
     return np.abs((p[0, 1] - p[0, 0]) - (p[1, 1] - p[1, 0])).sum(axis=-1)
 
@@ -175,7 +175,7 @@ def _piecewise_l1(sym: np.ndarray, con: np.ndarray) -> float:
     return float(total)
 
 
-def _whole_sum(m: int, centers: np.ndarray, w_sym: np.float64, w_con: np.float64) -> float:
+def _whole_sum(m: int, centers: np.ndarray, w_sym: float, w_con: float) -> float:
     """Whole-sum U at one conjugate width, as :func:`u_functional` describes."""
     sqrt_pi, reach = math.sqrt(math.pi), math.sqrt(746.0)
     k = int(min(m, 2 * np.ceil(reach * w_sym) + 1))  # the k nearest centers hold all within reach widths of a point
@@ -200,10 +200,8 @@ def _whole_sum(m: int, centers: np.ndarray, w_sym: np.float64, w_con: np.float64
     flips = np.nonzero(np.diff(negative))[0]
 
     lo, hi = grid[flips], grid[flips + 1]
-    halvings = math.log2(np.max(hi - lo, initial=1e-10) / 1e-10)  # until every bracket is below 1e-10
-    if not (np.isfinite(grid[[0, -1]]).all() and math.isfinite(halvings)):
-        raise DomainError(f"overlap scan leaves the float range at widths {w_sym} and {w_con}")
-    for _ in range(math.ceil(halvings)):
+    tol = min(1e-10, 1e-8 * min(w_sym, w_con))  # below 1e-8 of a width, where 1e-10 is coarser than that
+    for _ in range(math.ceil(math.log2(np.max(hi - lo, initial=tol) / tol))):
         mid = 0.5 * (lo + hi)
         left = np.signbit(diff(mid)) == negative[flips]
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
@@ -215,18 +213,15 @@ def _overlap(m: int, alpha: float, variant: str):
     """The ``variant`` overlap functional at ``(m, alpha)`` as a function of an array of betas, one
     value each; ``m``, ``alpha`` and ``variant`` are checked once, each array of betas when passed."""
     m = _check_count("m", m, 2)
-    _check_positive(("alpha", alpha))
+    _check_widths(alpha)
     if variant not in ("per-term", "whole-sum"):
         raise DomainError(f"unknown u variant {variant!r}")
     centers = make_layout(m).centers
-    w_sym = np.float64(0.5 * alpha)  # a numpy scalar, so x / 0 is inf
+    w_sym = 0.5 * alpha
     k = max(1, 2 ** 14 // (4 * m))  # betas per per-term call: at most 2**14 erf values keep peak memory flat
 
-    @np.errstate(all="ignore")  # at extreme widths the arithmetic gives inf or NaN, refused as such
     def overlap(betas) -> np.ndarray:
-        w_con = 0.5 * _check_beta_m(m, betas).reshape(-1) * m
-        if not np.isfinite(1.0 / (w_sym * w_sym)):  # as documented: both variants, below about 7.5e-155
-            raise DomainError(f"overlap arithmetic leaves the float range at symbol width {w_sym}")
+        w_con = 0.5 * _check_widths(betas, m).reshape(-1) * m
         if variant == "whole-sum":
             return np.array([_whole_sum(m, centers, w_sym, w) for w in w_con])
         return np.concatenate([_term_overlaps(centers, w_sym, w_con[i:i + k]) for i in range(0, w_con.size, k)])
@@ -241,11 +236,11 @@ def u_functional(m: int, alpha: float, beta: float, variant: str = "per-term") -
     to the centered conjugate pulse, each in closed form as ``2 |dP - dQ|``
     between its two crossings; ``whole-sum`` takes the absolute value outside
     the sum and is bounded above by the per-term value, its crossings bisected
-    to 1e-10 from a scan of 20 points per width within sqrt(746) widths of
-    each center and, in conjugate widths, of 0.  This is the one-beta case of
-    the evaluator that scans rows for :func:`minimize_beta`.  Widths whose
-    arithmetic leaves the float range, symbol widths below about 7.5e-155
-    among them, raise :class:`DomainError`.
+    to min(1e-10, 1e-8 of the narrower width) from a scan of 20 points per
+    width within sqrt(746) widths of each center and, in conjugate widths, of
+    0.  This is the one-beta case of the evaluator that scans rows for
+    :func:`minimize_beta`.  Both variants take ``alpha`` and ``beta*m`` in
+    [1e-12, 1e12] and raise :class:`DomainError` outside it.
     """
     ProtocolParams(m, alpha, beta)  # validates the inputs
     return float(_overlap(m, alpha, variant)(beta)[0])

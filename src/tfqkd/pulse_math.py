@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erf, factorial, sici, wofz
 
-from .errors import DomainError, NumericFailure, _check_count, _check_positive
+from .errors import DomainError, NumericFailure, _check_count, _check_positive, _check_widths
 
 __all__ = [
     "DEFAULT_ACCURACY",
@@ -380,22 +380,12 @@ def _clip_within(values: np.ndarray, upper, accuracy: float) -> np.ndarray:
     return np.clip(values, 0.0, upper)
 
 
-def _check_beta_m(m: int, beta) -> np.ndarray:
-    """``beta`` as an array; :class:`DomainError` unless each ``beta * m`` is finite and at least
-    1e-12, as the filter-bank cut spacing 2/(beta*m) and the tail series' powers of it need."""
-    beta = np.asarray(beta, dtype=float)
-    with np.errstate(over="ignore"):
-        ok = (beta * m >= 1e-12) & (beta * m < np.inf)  # NaN fails both
-    if not ok.all():
-        raise DomainError(f"beta * m must be finite and at least 1e-12, got beta = {beta[~ok][0]} at m = {m}")
-    return beta
-
-
 def _filter_cuts(m: int, beta: float) -> np.ndarray:
     """Sorted cuts of the filter bank in normalized amplitude coordinates
     (2*b/(beta*m)): -inf, the m - 1 inner bin bounds, +inf.  Filter ``f``
-    is the window ``cuts[f-1:f+1]``.  An array of betas gives one row each."""
-    inner = (np.arange(1, m) - 0.5 * m) / (0.5 * _check_beta_m(m, beta)[..., None] * m)
+    is the window ``cuts[f-1:f+1]``.  An array of betas gives one row each;
+    :class:`DomainError` unless each ``beta * m`` lies in [1e-12, 1e12]."""
+    inner = (np.arange(1, m) - 0.5 * m) / (0.5 * _check_widths(beta, m)[..., None] * m)
     edge = np.full(inner.shape[:-1] + (1,), np.inf)
     return np.concatenate([-edge, inner, edge], axis=-1)
 
@@ -407,7 +397,7 @@ def _seed_edges(length: float) -> np.ndarray:
     # below 1e-34 and it is seeded as untruncated.
     h = 1.0
     if length <= 17.5:
-        h = min(1.0, 2.0 * np.pi / max(length, 1e-9) / 4.0)
+        h = min(1.0, 2.0 * np.pi / length / 4.0)
     right = [*np.arange(0.0, 10.0, h), 10.0]
     while right[-1] < _TAIL_W_MIN:
         right.append(min(right[-1] * 1.4, _TAIL_W_MIN))
@@ -432,7 +422,6 @@ def build_spectrum(f: int | None, m: int, beta: float) -> TruncatedSpectrum:
     m = _check_count("m", m, 2)
     if f is not None and f not in range(1, m + 1):
         raise DomainError(f"filter index {f} outside 1..{m}")
-    _check_positive(("beta", beta))
     cuts = _filter_cuts(m, beta)
     if f is not None:
         cuts = cuts[f - 1:f + 1]

@@ -444,7 +444,7 @@ class TestUsage:
         ("surface", "--alpha", "0:1e308:1e-300"),
         ("surface", "--alpha", "0:1:1e-15"),
         ("optimize", "--step", "1e-300"),
-        ("optimize", "--alpha-box", "0.05:1e308"),
+        ("optimize", "--alpha-box", "1e-12:1e12", "--step", "1e-300"),
     ], ids=["range-overflow", "range-too-large-to-allocate", "step-beyond-numpy-size",
             "alpha-box-overflow"])
     def test_grid_with_too_many_points_exits_2(self, argv, capsys):
@@ -453,14 +453,21 @@ class TestUsage:
         assert "too many points" in assert_usage_error(capsys)
 
     @pytest.mark.parametrize("argv,reason", [
-        (("--alpha-box", "1e-200:0.05", "--step", "0.01"), "float range"),
-        (("--beta-box", "1e-310:0.05"), "beta * m must be finite"),
-        (("--alpha-box", "1e-200:0.05", "--step", "0.01", "--u-variant", "whole-sum"), "float range"),
-        (("--beta-box", "1e-310:0.05", "--u-variant", "whole-sum"), "beta * m must be finite"),
+        (("--alpha-box", "1e-200:0.05", "--step", "0.01"), "alpha must lie in [1e-12, 1e12]"),
+        (("--beta-box", "1e-310:0.05"), "beta * m must lie in [1e-12, 1e12]"),
+        (("--alpha-box", "1e-200:0.05", "--step", "0.01", "--u-variant", "whole-sum"),
+         "alpha must lie in [1e-12, 1e12]"),
+        (("--beta-box", "1e-310:0.05", "--u-variant", "whole-sum"), "beta * m must lie in [1e-12, 1e12]"),
+        (("--alpha-box", "0.05:1e308"), "alpha must lie in [1e-12, 1e12]"),
+        (("--alpha-box", "9.999999999999998e-13:0.05"), "alpha must lie in [1e-12, 1e12]"),
+        (("--alpha-box", "0.05:1000000000000.0001"), "alpha must lie in [1e-12, 1e12]"),
+        (("--beta-box", "2.4999999999999994e-13:0.05"), "beta * m must lie in [1e-12, 1e12]"),
     ], ids=["alpha-past-float-range", "beta-m-below-bound", "alpha-float-range-whole-sum",
-            "beta-m-below-bound-whole-sum"])
+            "beta-m-below-bound-whole-sum", "alpha-box-past-the-interval", "alpha-an-ulp-below",
+            "alpha-an-ulp-above", "beta-m-an-ulp-below"])
     def test_overlap_widths_past_float_range_exit_2(self, argv, reason, capsys):
-        # at eps = 0 only stage 2's overlap functional reads these widths
+        # the alpha box is checked against [1e-12, 1e12] when the settings are read; the beta
+        # box at eps = 0 only where stage 2's overlap functional reads it
         assert run_cli("optimize", "--m", "4", "--eps", "0", *argv) == 2
         assert reason in assert_usage_error(capsys)
 
@@ -472,10 +479,15 @@ class TestUsage:
             assert json.loads(capsys.readouterr().out)["u_min"] == 8.0
 
     def test_subnormal_alpha_surface_gives_the_limit(self, capsys):
+        # a subnormal alpha is outside [1e-12, 1e12]; the interval's lower end already
+        # gives the alpha -> 0 limit to the printed digits
         assert run_cli("surface", "--m", "4", "--eps", "0.5", "--alpha", "1e-310:1e-310:1",
+                       "--beta", "0.5:0.5:1") == 2
+        assert "alpha must lie in [1e-12, 1e12], got 1e-310" in assert_usage_error(capsys)
+        assert run_cli("surface", "--m", "4", "--eps", "0.5", "--alpha", "1e-12:1e-12:1",
                        "--beta", "0.5:0.5:1") == 0
         captured = capsys.readouterr()
-        assert captured.out.splitlines()[1] == "1e-310,0.5,0.0567386819,1.05673868,1,0.1875"
+        assert captured.out.splitlines()[1] == "1e-12,0.5,0.0567386819,1.05673868,1,0.1875"
         assert captured.err == ""
 
     def test_sweep_with_too_many_points_records_failures(self, capsys):

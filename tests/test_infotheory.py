@@ -243,11 +243,13 @@ class TestCapacity:
             c_surface(4, eps, [0.5], [0.7], accuracy)
 
     def test_beta_m_near_the_largest_float(self):
-        # just below the filter bank's bound the value is stable; past it, DomainError
-        assert capacity(ProtocolParams(4, 0.5, 4e307, 0.5)).capacity == pytest.approx(
-            capacity(ProtocolParams(4, 0.5, 1e300, 0.5)).capacity, abs=1e-12)
-        with pytest.raises(DomainError, match="beta \\* m must be finite"):
-            capacity(ProtocolParams(16, 0.5, 4e307, 0.5))
+        # at the interval's upper end, beta * m = 1e12, the value is stable; far past it,
+        # near the largest float, DomainError
+        assert capacity(ProtocolParams(4, 0.5, 2.5e11, 0.5)).capacity == pytest.approx(
+            capacity(ProtocolParams(4, 0.5, 2.5e10, 0.5)).capacity, abs=1e-10)
+        for m, beta in ((4, 4e307), (4, 1e300), (16, 4e307)):
+            with pytest.raises(DomainError, match=r"beta \* m must lie in \[1e-12, 1e12\]"):
+                capacity(ProtocolParams(m, 0.5, beta, 0.5))
 
     @pytest.mark.parametrize("eps", [0.0, 0.25, 0.75])
     def test_bounds(self, eps):

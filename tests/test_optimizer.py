@@ -16,10 +16,10 @@ from scipy.special import erf
 
 import tfqkd.channel as channel_module
 import tfqkd.optimizer as optimizer_module
-from tfqkd.channel import ProtocolParams, make_layout
+from tfqkd.channel import ProtocolParams, make_layout, p_wrong
 from tfqkd.cli import parse_range
 from tfqkd.errors import DomainError, NumericFailure
-from tfqkd.infotheory import capacity
+from tfqkd.infotheory import capacity, mutual_info_single
 from tfqkd.optimizer import (
     _INVPHI,
     OptimizerConfig,
@@ -34,6 +34,21 @@ from tfqkd.optimizer import (
 from tfqkd.pulse_math import density_bin_mass
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _interval_ends(m):
+    """``(inside, outside)``: per end of [1e-12, 1e12], the width ``w`` nearest it whose ``w * m``
+    (in floats) lies inside, and the next float past it, whose product lies outside."""
+    inside, outside = [], []
+    for end, out in ((1e-12, 0.0), (1e12, math.inf)):
+        w = end / m
+        while not 1e-12 <= w * m <= 1e12:
+            w = np.nextafter(w, 1.0)
+        while 1e-12 <= np.nextafter(w, out) * m <= 1e12:
+            w = np.nextafter(w, out)
+        inside.append(float(w))
+        outside.append(float(np.nextafter(w, out)))
+    return inside, outside
 
 
 def _u_per_term_quadrature(m, alpha, beta):
@@ -134,7 +149,8 @@ def _u_whole_sum_fine(m, alpha, beta, per_width):
     """Reference whole-sum on grids of ``per_width`` points per width over 28 widths: around each
     center in symbol widths (across the comb where those windows overlap) and around 0 in conjugate
     widths.  The comb is summed in chunks of the grid over the centers in reach of the chunk, each
-    sign change refined by brentq, and U summed from the cumulative mass difference at the crossings."""
+    sign change refined by brentq to 1e-12 of the narrower width (or absolute, if wider than 1), and U summed
+    from the cumulative mass difference at the crossings."""
     w_sym, w_con = 0.5 * alpha, 0.5 * beta * m
     centers = make_layout(m).centers
     sqrt_pi, reach = math.sqrt(math.pi), 28.0
@@ -152,8 +168,8 @@ def _u_whole_sum_fine(m, alpha, beta, per_width):
 
     values = np.concatenate([diff(grid[i:i + 4096]) for i in range(0, grid.size, 4096)])
     flips = np.nonzero(np.diff(np.signbit(values)))[0]
-    cuts = np.array([brentq(lambda x: diff(np.array([x]))[0], grid[i], grid[i + 1], xtol=1e-12)
-                     for i in flips])
+    xtol = 1e-12 * min(1.0, w_sym, w_con)
+    cuts = np.array([brentq(lambda x: diff(np.array([x]))[0], grid[i], grid[i + 1], xtol=xtol) for i in flips])
     excess = 0.5 * (erf(np.subtract.outer(cuts, centers) / w_sym).sum(axis=1) - m * erf(cuts / w_con))
     return float(np.abs(np.diff(np.concatenate([[0.0], excess, [0.0]]))).sum())
 
@@ -201,21 +217,38 @@ class TestUFunctional:
         with pytest.raises(NumericFailure):
             optimizer_module._piecewise_l1(np.full((2, 4), np.nan), np.full(2, np.nan))
 
-    @pytest.mark.parametrize("m,alpha,beta", [(4, 1e-12, 0.5), (4, 1e-20, 0.5), (4, 1e160, 2.5e299),
-                                              (4, 2e160, 5e9), (3, 1e-149, 1e-12 / 3), (2, 1e-71, 2.5e11)])
+    @pytest.mark.parametrize("m,alpha,beta", [(4, 1e-12, 0.5), (4, 1e-12, 2.5e11), (3, 1e-12, 1e12 / 3),
+                                              (2, 1e12, 5e-13), (4, 1e12, 2.5e-13)])
     def test_per_term_widths_far_apart_reach_the_limit(self, m, alpha, beta):
-        # one density lies inside the much wider other, so the overlap tends to 2m;
-        # the discriminant cancels nowhere, and no width is squared, so widths whose
-        # squares (or product) leave the float range give it too
+        # one density lies inside the much wider other, so the overlap tends to 2m; the
+        # discriminant cancels nowhere, so the corners of the width interval give it too
+        # (the naive quadratic gave 5.04 at (4, 1e-12, 0.5))
         assert u_functional(m, alpha, beta) == pytest.approx(2.0 * m, rel=0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("scale", [1e160, 1e163, 1e300])
+    @pytest.mark.parametrize("m,alpha,beta", [(4, 1e-20, 0.5), (4, 1e160, 2.5e299), (4, 2e160, 5e9),
+                                              (3, 1e-149, 1e-12 / 3), (2, 1e-71, 2.5e11)])
+    def test_per_term_widths_outside_the_interval_are_refused(self, m, alpha, beta):
+        # widths far apart and past the ends of [1e-12, 1e12] in alpha or beta * m
+        with pytest.raises(DomainError, match=r"must lie in \[1e-12, 1e12\]"):
+            u_functional(m, alpha, beta)
+
+    @pytest.mark.parametrize("scale", [1e8, 1e10, 1e11])
     @pytest.mark.parametrize("m", [2, 3, 16])
     def test_per_term_depends_on_the_width_ratio_once_both_dwarf_the_centers(self, m, scale):
-        # symbol width 20 times the conjugate one, both far wider than the layout
-        expected = u_functional(m, 2e12, 1e12 / (10 * m))
+        # symbol width 20 times the conjugate one, both far wider than the layout; the
+        # expected value is at the interval's upper end, alpha = 1e12
+        expected = u_functional(m, 1e12, 5e11 / (10 * m))
         assert u_functional(m, 2.0 * scale, scale / (10 * m)) == pytest.approx(expected, rel=0.0,
                                                                                  abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-7, 1e-10])
+    def test_whole_sum_depends_on_the_width_ratio_once_the_center_at_0_stands_alone(self, scale):
+        # at m = 3 a symbol sits on the conjugate center; once the widths are far below the pitch
+        # U depends on their ratio only, so the crossings' bisection must stop at a fraction of
+        # a width: an absolute 1e-10 is coarser than these widths
+        expected = u_functional(3, 1e-2, 1e-4 / 3, "whole-sum")
+        assert u_functional(3, scale, scale / 300, "whole-sum") == pytest.approx(expected, rel=1e-14,
+                                                                                  abs=0.0)
 
     @pytest.mark.parametrize("alpha", [1e-6, 1e-5])
     def test_whole_sum_at_narrow_symbols_matches_a_fine_grid(self, alpha):
@@ -286,31 +319,38 @@ class TestUFunctional:
     @pytest.mark.parametrize("variant", ["per-term", "whole-sum"])
     @pytest.mark.parametrize("m,beta", [(4, 1e308), (4, 1e-310), (16, 4e307)])
     def test_beta_m_outside_the_filter_bank_bounds(self, m, beta, variant):
-        # the overlap shares the capacity path's beta * m bounds: overflowing or below 1e-12
-        with pytest.raises(DomainError, match="beta \\* m must be finite"):
+        # the overlap shares the capacity path's interval for beta * m
+        with pytest.raises(DomainError, match=r"beta \* m must lie in \[1e-12, 1e12\]"):
             u_functional(m, 0.5, beta, variant)
 
     @pytest.mark.parametrize("variant,alpha", [("per-term", 1e-200), ("per-term", 5e-324),
                                                ("whole-sum", 1e308), ("whole-sum", 1.7e308)])
     def test_width_past_float_range_is_a_domain_error(self, variant, alpha):
-        with pytest.raises(DomainError, match="float range"):
+        with pytest.raises(DomainError, match=r"alpha must lie in \[1e-12, 1e12\]"):
             u_functional(4, alpha, 0.5, variant)
 
-    EXTREMES = [5e-324, 1e-310, 1e-200, 1e-20, 0.5, 1e100, 1e300, sys.float_info.max / 64,
-                sys.float_info.max]
-
     @pytest.mark.parametrize("variant", ["per-term", "whole-sum"])
-    @pytest.mark.parametrize("m", [2, 4, 16])
+    @pytest.mark.parametrize("m", [2, 3, 4, 16])
     def test_every_accepted_width_gives_a_value_or_domain_error(self, m, variant):
-        # warnings are errors in this suite, so no call may warn either; at
-        # alpha = 1e-20 and beta = max / 64 the width ratio underflows to 0
-        for alpha in self.EXTREMES:
-            for beta in self.EXTREMES:
-                try:
-                    u = u_functional(m, alpha, beta, variant)
-                except DomainError:
-                    continue
-                assert math.isfinite(u) and 0.0 <= u <= 2.0 * m + 1e-9
+        # warnings are errors in this suite, so no call may warn either: the corners of the
+        # interval in alpha and beta * m and the equal-width diagonal give values in range, and
+        # the next float past each end raises
+        alphas, alphas_out = _interval_ends(1)
+        betas, betas_out = _interval_ends(m)
+        diagonal = [(w, w / m) for w in np.logspace(-8, 8, 5)]  # alpha = beta * m (to an ulp)
+        for alpha, beta in [(a, b) for a in alphas for b in betas] + diagonal:
+            assert 0.0 <= u_functional(m, alpha, beta, variant) <= 2.0 * m + 1e-9
+            for eps in (0.0, 0.5):
+                assert 0.0 <= capacity(ProtocolParams(m, alpha, beta, eps)).capacity <= math.log2(m)
+        for eps in (0.0, 0.5):
+            assert np.all(np.isfinite(c_surface(m, eps, alphas, betas).capacity))
+        outside = [(a, b) for a in alphas_out for b in betas] + [(a, b) for a in alphas for b in betas_out]
+        for alpha, beta in outside:
+            for call in (lambda: u_functional(m, alpha, beta, variant),
+                         lambda: capacity(ProtocolParams(m, alpha, beta, 0.5)),
+                         lambda: c_surface(m, 0.5, [alpha], [beta])):
+                with pytest.raises(DomainError, match=r"must lie in \[1e-12, 1e12\]"):
+                    call()
 
 
 class TestMinimizeBeta:
@@ -337,7 +377,7 @@ class TestMinimizeBeta:
     def test_beta_m_below_the_bound_names_the_first_beta(self):
         with pytest.raises(DomainError) as info:
             minimize_beta(4, 0.5, OptimizerConfig(beta_box=(1e-310, 0.05)))
-        assert str(info.value) == "beta * m must be finite and at least 1e-12, got beta = 1e-310 at m = 4"
+        assert str(info.value) == "beta * m must lie in [1e-12, 1e12], got beta = 1e-310 at m = 4"
 
     @pytest.mark.parametrize("m", [16, 32])
     def test_large_m_lands_near_typical_width(self, m):
@@ -451,7 +491,7 @@ class TestAxis:
             _axis(box, step)
 
     @pytest.mark.parametrize("config", [
-        OptimizerConfig(coarse_step=1e-300), OptimizerConfig(alpha_box=(0.05, 1e308)),
+        OptimizerConfig(coarse_step=1e-300), OptimizerConfig(alpha_box=(1e-12, 1e12)),
         OptimizerConfig(beta_box=(0.05, 1e308)),
     ], ids=["step", "alpha-box", "beta-box"])
     def test_optimizer_grid_with_too_many_points(self, config):
@@ -482,9 +522,10 @@ class TestCSurface:
             c_surface(4, 0.5, np.array([0.8, 0.4]), np.array([0.6]))
         with pytest.raises(DomainError):
             c_surface(4, 0.5, np.array([-0.1, 0.4]), np.array([0.6]))
-        for alphas in ([0.1, math.nan, 0.5], [0.1, math.inf]):
-            with pytest.raises(DomainError, match="alpha axis"):
-                c_surface(4, 0.0, alphas, [0.7])
+        with pytest.raises(DomainError, match="alpha axis"):
+            c_surface(4, 0.0, [0.1, math.nan, 0.5], [0.7])
+        with pytest.raises(DomainError, match=r"alpha must lie in \[1e-12, 1e12\], got inf"):
+            c_surface(4, 0.0, [0.1, math.inf], [0.7])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -504,13 +545,19 @@ class TestCSurface:
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
     def test_alpha_near_zero_gives_the_limit(self, eps):
-        # below ~1e-308 the lattice points overflow to inf, where the cumulatives
-        # take their limits: the value of any alpha small enough, with no warning
-        limit = capacity(ProtocolParams(4, 1e-300, 0.5, eps)).capacity
+        # as alpha -> 0 both of the eavesdropper's blocks tend to the identity, so the capacity
+        # tends to I(mixed) - eps log2 m, mixed = (1 - eps) I + eps (I + p_wrong) / 2; the
+        # interval's lower end is within 1e-10 of it, and narrower symbols are refused
+        mixed = (1.0 - eps) * np.eye(4) + eps * 0.5 * (np.eye(4) + p_wrong(ProtocolParams(4, 1.0, 0.5)))
+        limit = max(mutual_info_single(mixed, np.full(4, 0.25)) - 2.0 * eps, 0.0)
+        assert capacity(ProtocolParams(4, 1e-12, 0.5, eps)).capacity == pytest.approx(limit, rel=0.0,
+                                                                                      abs=1e-10)
+        assert np.all(np.abs(c_surface(4, eps, [1e-12, 1e-11], [0.5]).capacity - limit) <= 1e-10)
         for alpha in (1e-310, 5e-324):
-            assert capacity(ProtocolParams(4, alpha, 0.5, eps)).capacity == limit
-        grid = c_surface(4, eps, [5e-324, 1e-310, 1e-300], [0.5, 0.7]).capacity
-        assert np.all(grid == grid[2])
+            with pytest.raises(DomainError, match=r"alpha must lie in \[1e-12, 1e12\]"):
+                capacity(ProtocolParams(4, alpha, 0.5, eps))
+            with pytest.raises(DomainError, match=r"alpha must lie in \[1e-12, 1e12\]"):
+                c_surface(4, eps, [alpha, 1e-12], [0.5, 0.7])
 
     def test_alpha_dependence_dwarfs_beta_dependence(self):
         grid = c_surface(4, 0.5, np.arange(0.1, 1.5001, 0.1), np.arange(0.5, 1.0001, 0.1))

@@ -230,7 +230,7 @@ class TestBuildSpectrum:
 
     @pytest.mark.parametrize("beta", [1e-310, 1e-300])
     def test_beta_too_small_for_the_cuts_raises(self, beta):
-        # 1e-310 overflowed the cuts, 1e-300 the Gaussian derivatives at them
+        # below the interval: 1e-310 overflowed the cuts, 1e-300 the Gaussian derivatives at them
         start = time.perf_counter()
         with pytest.raises(DomainError, match="beta \\* m"):
             build_spectrum(None, 4, beta)
@@ -245,10 +245,10 @@ class TestBuildSpectrum:
     def test_filter_bank_rejects_every_impossible_beta(self, m, beta):
         # summed_spectra checks no beta of its own: the filter bank rejects a NaN,
         # non-positive, infinite or overflowing beta * m (max / 3 rounds up, so 3
-        # times it overflows), with no overflow warning
+        # times it overflows) as outside the interval, with no overflow warning
         with pytest.raises(DomainError):
             build_spectrum(None, m, beta)
-        with pytest.raises(DomainError, match="beta \\* m must be finite and at least 1e-12"):
+        with pytest.raises(DomainError, match=r"beta \* m must lie in \[1e-12, 1e12\]"):
             pulse_math.summed_spectra(m, [0.7, beta], DEFAULT_ACCURACY)
 
     def test_long_windows_are_seeded_as_untruncated(self):
