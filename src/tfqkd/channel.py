@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import erf
 
 from . import pulse_math
-from .errors import DomainError, _check_count, _check_widths
+from .errors import _check_count, _check_epsilon, _check_widths
 from .pulse_math import DEFAULT_ACCURACY
 
 __all__ = [
@@ -55,8 +55,7 @@ class ProtocolParams:
         object.__setattr__(self, "m", _check_count("m", self.m, 2))
         _check_widths(self.alpha)
         _check_widths(self.beta, self.m)
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise DomainError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        _check_epsilon(self.epsilon)
 
     @property
     def symbol_sigma(self) -> float:

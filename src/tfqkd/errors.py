@@ -33,6 +33,12 @@ def _check_positive(*named) -> None:
             raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
+def _check_epsilon(epsilon) -> None:
+    """:class:`DomainError` unless the intercepted fraction lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise DomainError(f"epsilon must lie in [0, 1], got {epsilon}")
+
+
 def _check_count(name: str, value, least: int) -> int:
     """``value`` as an int, or :class:`DomainError` unless it is an integer >= ``least``
     (2.0 counts as 2; NaN, infinities, None and strings do not)."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import channel, pulse_math
 from .channel import ProtocolParams
-from .errors import DomainError, _check_positive, _check_widths
+from .errors import DomainError, _check_positive
 from .pulse_math import DEFAULT_ACCURACY
 
 _ZERO_CLAMP = 1e-300
@@ -148,26 +148,20 @@ def _window_stats(counts, diagonal, pc, pc2, pw, eps: float) -> tuple[np.ndarray
     return _mutual_info(mixed, 1.0 / m, received, counts), 1.0 - trace / m
 
 
-# A tile of alphas x betas stacks at most this many entries: m * min(W + 1, m) per pair
-# in the mixed blocks' windows, 4m per alpha in the lattice terms, about 8 per point
-# of the second stage's query (m points per pair); so memory stays flat for any m.
-_CHUNK_ENTRIES = 1 << 14
-
-
-def _capacity_grid(m, epsilon, alphas, betas, accuracy: float):
+def _capacity_grid(m: int, epsilon: float, alphas, betas, accuracy: float):
     """``(capacity, i_ab, i_ae, qser)`` arrays over ``alphas x betas``, a tile at a time: per chunk
     of alphas the lattice terms; at ``epsilon > 0``, per tile of alphas of one window width and
     group of betas the mixed blocks' windows (:func:`_window_stats`; no m x m array unless the
-    width is m) and, in tiles of its own, one stacked query of all the betas' spectrum tables."""
-    m = ProtocolParams(m, alphas[0], betas[0], epsilon).m  # validates m and epsilon
-    alphas, betas = _check_widths(alphas), _check_widths(betas, m)  # the whole axes
-    _check_positive(("accuracy", accuracy))
+    width is m) and, in tiles of its own, one stacked query of all the betas' spectrum tables.
+    A tile stacks at most ``pulse_math._STACK_ENTRIES`` entries (m * min(W + 1, m) per pair in the
+    windows, 4m per alpha in the lattice terms, about 8 per query point); ``i_ab`` and ``i_ae``
+    are clipped to [0, log2 m] within ``accuracy``.  The public callers check the inputs."""
     shape = (len(alphas), len(betas))
     ab, ae, qs, info_pc = np.empty(shape), np.zeros(shape), np.empty(shape), np.empty(len(alphas))
 
     def tile(n_alphas: int, per_pair: int) -> tuple[int, int]:  # (alphas, betas) per tile
-        step = min(n_alphas, max(1, _CHUNK_ENTRIES // per_pair))
-        return step, max(1, _CHUNK_ENTRIES // per_pair // step)
+        step = min(n_alphas, max(1, pulse_math._STACK_ENTRIES // per_pair))
+        return step, max(1, pulse_math._STACK_ENTRIES // per_pair // step)
 
     cdf = channel._correct_lattice(m, alphas)
     step = tile(len(alphas), 4 * m)[0]
@@ -193,11 +187,13 @@ def _capacity_grid(m, epsilon, alphas, betas, accuracy: float):
             second = channel._second_lattice(m, alphas[rows], tables[j:j + group])
             info_second = _lattice_stats(second, 0.0, 1.0, accuracy)[0].T
             ae[rows, j:j + group] = epsilon * 0.5 * (info_pc[rows, None] + info_second)
+    ab, ae = (pulse_math._clip_within(x, np.log2(m), accuracy) for x in (ab, ae))
     return np.maximum(ab - ae, 0.0), ab, ae, qs
 
 
 def capacity(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> CapacityReport:
     """Secret bits per photon, clamped at zero, with the full balance."""
+    _check_positive(("accuracy", accuracy))
     grid = _capacity_grid(params.m, params.epsilon, [params.alpha], [params.beta], accuracy)
     cap, ab, ae, qs = (float(a[0, 0]) for a in grid)
     return CapacityReport(i_ab=ab, i_ae=ae, capacity=cap, qser=qs)

@@ -18,10 +18,10 @@ from functools import cache
 import numpy as np
 from scipy.special import erf
 
+from . import pulse_math
 from .channel import ProtocolParams, make_layout
-from .errors import DomainError, NumericFailure, _check_count, _check_positive, _check_widths
+from .errors import DomainError, NumericFailure, _check_count, _check_epsilon, _check_positive, _check_widths
 from .infotheory import CapacityReport, _capacity_grid, capacity
-from .pulse_math import DEFAULT_ACCURACY
 
 __all__ = [
     "OptimizerConfig",
@@ -60,7 +60,7 @@ class OptimizerConfig:
     beta_box: tuple[float, float] = (0.05, 1.5)
     coarse_step: float = 0.05
     tol: float = 1e-3
-    accuracy: float = DEFAULT_ACCURACY
+    accuracy: float = pulse_math.DEFAULT_ACCURACY
     u_variant: str = "per-term"
     scheme: str = "staged"
 
@@ -123,17 +123,16 @@ class SweepEntry:
 # Capacity surface
 # ---------------------------------------------------------------------------
 
-def _check_axis(name: str, axis: np.ndarray):
-    if axis.size == 0 or not np.all(np.diff(axis) > 0.0):  # NaN is not ordered
-        raise DomainError(f"{name} must be non-empty and strictly increasing")
-
-
-def c_surface(m, epsilon, alpha_axis, beta_axis, accuracy: float = DEFAULT_ACCURACY) -> SurfaceGrid:
+def c_surface(m, epsilon, alpha_axis, beta_axis, accuracy: float = pulse_math.DEFAULT_ACCURACY) -> SurfaceGrid:
     """Evaluate the capacity report on the outer product of the two axes."""
-    alpha_axis = np.asarray(alpha_axis, dtype=float)
-    beta_axis = np.asarray(beta_axis, dtype=float)
-    _check_axis("alpha axis", alpha_axis)
-    _check_axis("beta axis", beta_axis)
+    alpha_axis, beta_axis = np.asarray(alpha_axis, dtype=float), np.asarray(beta_axis, dtype=float)
+    for name, axis in (("alpha axis", alpha_axis), ("beta axis", beta_axis)):
+        if axis.size == 0 or not np.all(np.diff(axis) > 0.0):  # NaN is not ordered
+            raise DomainError(f"{name} must be non-empty and strictly increasing")
+    m = _check_count("m", m, 2)
+    _check_epsilon(epsilon)
+    _check_widths(alpha_axis), _check_widths(beta_axis, m)
+    _check_positive(("accuracy", accuracy))
     grid = _capacity_grid(m, epsilon, alpha_axis, beta_axis, accuracy)
     return SurfaceGrid(alpha_axis, beta_axis, *grid)
 
@@ -211,17 +210,17 @@ def _whole_sum(m: int, centers: np.ndarray, w_sym: float, w_con: float) -> float
 
 def _overlap(m: int, alpha: float, variant: str):
     """The ``variant`` overlap functional at ``(m, alpha)`` as a function of an array of betas, one
-    value each; ``m``, ``alpha`` and ``variant`` are checked once, each array of betas when passed."""
-    m = _check_count("m", m, 2)
+    value each; ``m``, ``alpha`` and ``variant`` are checked here, the betas by the caller."""
+    layout = make_layout(m)  # checks m
+    m, centers = layout.m, layout.centers
     _check_widths(alpha)
     if variant not in ("per-term", "whole-sum"):
         raise DomainError(f"unknown u variant {variant!r}")
-    centers = make_layout(m).centers
     w_sym = 0.5 * alpha
-    k = max(1, 2 ** 14 // (4 * m))  # betas per per-term call: at most 2**14 erf values keep peak memory flat
+    k = max(1, pulse_math._STACK_ENTRIES // (4 * m))  # betas per per-term call: flat peak memory
 
     def overlap(betas) -> np.ndarray:
-        w_con = 0.5 * _check_widths(betas, m).reshape(-1) * m
+        w_con = 0.5 * np.asarray(betas, dtype=float).reshape(-1) * m
         if variant == "whole-sum":
             return np.array([_whole_sum(m, centers, w_sym, w) for w in w_con])
         return np.concatenate([_term_overlaps(centers, w_sym, w_con[i:i + k]) for i in range(0, w_con.size, k)])
@@ -242,8 +241,7 @@ def u_functional(m: int, alpha: float, beta: float, variant: str = "per-term") -
     :func:`minimize_beta`.  Both variants take ``alpha`` and ``beta*m`` in
     [1e-12, 1e12] and raise :class:`DomainError` outside it.
     """
-    ProtocolParams(m, alpha, beta)  # validates the inputs
-    return float(_overlap(m, alpha, variant)(beta)[0])
+    return float(_overlap(m, alpha, variant)(_check_widths(beta, int(m)))[0])  # _overlap checks m first
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +306,8 @@ def minimize_beta(m: int, alpha: float,
     as stage 1's; exact ties break toward the smaller width.
     """
     axis = _axis(config.beta_box, config.coarse_step)
-    u = _overlap(m, alpha, config.u_variant)
+    u = _overlap(m, alpha, config.u_variant)  # checks m and alpha
+    _check_widths(axis, int(m))  # the betas of the row and, inside it, of every golden step
     beta_opt, u_min = _refine_min(lambda b: float(u(b)[0]), axis, u(axis), config.tol)
     return beta_opt, float(u_min)
 
@@ -332,18 +331,19 @@ def optimize_point(
     alpha_axis = _axis(config.alpha_box, config.coarse_step)
     beta_axis = _axis(config.beta_box, config.coarse_step)
     coarse = dict(zip(alpha_axis, c_surface(m, epsilon, alpha_axis, beta_axis, config.accuracy).capacity))
+    m = int(m)  # c_surface checked m, epsilon and both axes, so the rows and steps inside them check nothing
 
     def row(alpha: float) -> np.ndarray:
         # capacity over the beta grid at this alpha, off the coarse grid if it is on it
         if alpha in coarse:
             return coarse[alpha]
-        return c_surface(m, epsilon, [alpha], beta_axis, config.accuracy).capacity[0]
+        return _capacity_grid(m, epsilon, [alpha], beta_axis, config.accuracy)[0][0]
 
     @cache
     def best_beta(alpha: float) -> tuple[float, float]:
         # capacity-maximizing beta at this alpha, and its capacity
         beta, neg_best = _refine_min(
-            lambda b: -capacity(ProtocolParams(m, alpha, b, epsilon), config.accuracy).capacity,
+            lambda b: -_capacity_grid(m, epsilon, [alpha], [b], config.accuracy)[0][0, 0],
             beta_axis, -row(alpha), config.tol)
         return beta, -neg_best
 

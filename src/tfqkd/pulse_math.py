@@ -48,6 +48,10 @@ _FACTORIAL = factorial(np.arange(2 * _TAIL_ORDER))  # k! for k < 2 * order
 # i + j: summing a.T @ b over it adds up the convolutions of the rows of a and b
 _ANTIDIAGONAL = np.add.outer(np.arange(_TAIL_ORDER), np.arange(_TAIL_ORDER))
 
+# The one memory budget, read at call time: a stacked temporary (a pass of tail series, a tile
+# of the capacity grid, a chunk of per-term overlaps) holds at most this many entries for any m.
+_STACK_ENTRIES = 1 << 14
+
 
 # ---------------------------------------------------------------------------
 # Gaussian densities and exact bin masses
@@ -141,8 +145,8 @@ def _tail_coefficients(cuts: np.ndarray):
     exact recurrence ``I_n = (exp(i*lag*w) * w**(1-n) + i*lag*I_{n-1}) / (n-1)``
     is unrolled here into ``first * I_1 + exp(i*lag*w) * (powers of 1/w)``.
     The series is linear in these terms, so a sum of spectra adds them up;
-    its cross terms must share one lag (all interior filters have the same
-    length).
+    its cross terms must share one lag, which the interior filters of
+    :func:`_filter_cuts` do: they all have the same length.
 
     Returns ``(coef, first, lag)`` with the leading shape of ``cuts``;
     ``coef[..., k, :]`` multiplies ``w**-(k+1)`` in three columns (lag 0, real
@@ -162,8 +166,6 @@ def _tail_coefficients(cuts: np.ndarray):
     np.add.at(lag0, (..., _ANTIDIAGONAL), ((c_t * windows_bounded[finite]) @ np.conj(c)).real)
     coef = lag0 / (n - 1) / SQRTPI
     lags = np.diff(cuts[..., finite], axis=-1)
-    if not np.allclose(lags, lags[..., :1], rtol=1e-12, atol=0.0):
-        raise DomainError(f"windows of lengths {lags.min()} and {lags.max()} share no tail series")
     lag = lags[..., 0] if lags.shape[-1] else np.ones(cuts.shape[:-1])
     il = 1j * lag[..., None, None]
     cross = np.zeros(cuts.shape[:-1] + n.shape, dtype=complex)
@@ -312,9 +314,12 @@ class TruncatedSpectrum:
 
     def cumulative(self, w):
         """G(w): spectral mass below ``w``, absolute error <= ``accuracy``;
-        raises :class:`NumericFailure` if it leaves ``[0, total_mass]`` by more.
-        The one-table case of :func:`_stacked_cumulative`."""
-        out = _stacked_cumulative((self,), np.asarray(w, dtype=float)[None])[0]
+        raises :class:`NumericFailure` if it leaves ``[0, total_mass]`` by more,
+        :class:`DomainError` at NaN.  The one-table case of :func:`_stacked_cumulative`."""
+        w = np.asarray(w, dtype=float)
+        if np.isnan(w).any():
+            raise DomainError("spectrum queried at NaN")
+        out = _stacked_cumulative((self,), w[None])[0]
         return out if out.ndim else float(out)
 
     def bin_mass(self, w_lo, w_hi):
@@ -347,12 +352,9 @@ def _stacked_index(tables: tuple) -> tuple:
 
 
 def _stacked_cumulative(tables, w) -> np.ndarray:
-    """G of ``tables[i]`` at every point of ``w[i]``, clipped to each table's
-    ``[0, total_mass]`` as :meth:`TruncatedSpectrum.cumulative`: one panel
+    """G of ``tables[i]`` at every point of the float array ``w[i]`` (no NaN), clipped to
+    each table's ``[0, total_mass]`` as :meth:`TruncatedSpectrum.cumulative`: one panel
     lookup and, beyond 30, one :func:`_tail_mass` call for all tables."""
-    w = np.asarray(w, dtype=float)
-    if np.isnan(w).any():
-        raise DomainError("spectrum queried at NaN")
     keys, edges, coef, series, total, accuracy = _stacked_index(tuple(tables))
     flat = w.reshape(len(tables), -1)
     mag = np.abs(flat)
@@ -384,8 +386,8 @@ def _filter_cuts(m: int, beta: float) -> np.ndarray:
     """Sorted cuts of the filter bank in normalized amplitude coordinates
     (2*b/(beta*m)): -inf, the m - 1 inner bin bounds, +inf.  Filter ``f``
     is the window ``cuts[f-1:f+1]``.  An array of betas gives one row each;
-    :class:`DomainError` unless each ``beta * m`` lies in [1e-12, 1e12]."""
-    inner = (np.arange(1, m) - 0.5 * m) / (0.5 * _check_widths(beta, m)[..., None] * m)
+    the caller has checked that each ``beta * m`` lies in [1e-12, 1e12]."""
+    inner = (np.arange(1, m) - 0.5 * m) / (0.5 * np.asarray(beta, dtype=float)[..., None] * m)
     edge = np.full(inner.shape[:-1] + (1,), np.inf)
     return np.concatenate([-edge, inner, edge], axis=-1)
 
@@ -422,23 +424,19 @@ def build_spectrum(f: int | None, m: int, beta: float) -> TruncatedSpectrum:
     m = _check_count("m", m, 2)
     if f is not None and f not in range(1, m + 1):
         raise DomainError(f"filter index {f} outside 1..{m}")
-    cuts = _filter_cuts(m, beta)
+    cuts = _filter_cuts(m, _check_widths(beta, m))
     if f is not None:
         cuts = cuts[f - 1:f + 1]
     return _build_tables(cuts[None], m, [beta], DEFAULT_ACCURACY)[0]
 
 
-# A group's tail series are computed in passes of at most this many (table,
-# finite cut, order) entries: a few hundred kB of stacks for any m and group.
-_TAIL_PASS_ENTRIES = 1 << 14
-
-
 def _build_tables(cuts: np.ndarray, m: int, betas, accuracy: float) -> list[TruncatedSpectrum]:
     """One table per row of ``cuts`` (n, k), rows alike in which cuts are finite:
     the panel quadrature table by table, the tail series in passes over
-    groups of rows, every exact total from one ``erf`` call and the tail
-    beyond 30 of every numeric total from one :func:`_tail_mass` call."""
-    rows = max(1, _TAIL_PASS_ENTRIES // (cuts.shape[1] * _TAIL_ORDER))
+    groups of rows (``_STACK_ENTRIES`` (table, finite cut, order) entries a pass), every exact
+    total from one ``erf`` call and the tail beyond 30 of every numeric total from one
+    :func:`_tail_mass` call."""
+    rows = max(1, _STACK_ENTRIES // (cuts.shape[1] * _TAIL_ORDER))
     passes = [_tail_coefficients(cuts[i:i + rows]) for i in range(0, len(cuts), rows)]
     series = [np.concatenate(part) for part in zip(*passes)]
     totals = np.cumsum(0.5 * np.diff(erf(cuts)), axis=1)[:, -1]  # added in window order
@@ -471,7 +469,7 @@ def summed_spectra(m: int, betas, accuracy: float) -> list[TruncatedSpectrum]:
     the eavesdropper's second stage queries.  One cache keeps the 1024 tables
     used last; the betas it misses are built in one :func:`_build_tables`
     call.  Spectra are immutable, so sharing is safe.  Callers pass a checked
-    ``m`` and ``accuracy``; :func:`_filter_cuts` rejects the betas."""
+    ``m``, ``betas`` and ``accuracy``."""
     keys = [(m, float(beta), accuracy) for beta in betas]
     missing = list(dict.fromkeys(key for key in keys if key not in _TABLES))
     if missing:

@@ -276,7 +276,7 @@ class TestCapacityGrid:
         # 3m / (W + 1) pairs (two at W = m), a chunk of lattice terms 3m / 4
         # alphas and a second-stage query 3m / 8 pairs, so the 7 x 3 grid
         # spans several tiles of each kind, some of them partial
-        monkeypatch.setattr(infotheory_module, "_CHUNK_ENTRIES", 3 * m * m)
+        monkeypatch.setattr(pulse_math, "_STACK_ENTRIES", 3 * m * m)
         alphas, betas = np.linspace(0.15, 1.35, 7), np.array([0.3, 0.7, 1.2])
         grid = infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8)
         for i, alpha in enumerate(alphas):
@@ -299,7 +299,7 @@ class TestCapacityGrid:
         batched = infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8)
         runs = []
         for entries in (64 * m, 1):
-            monkeypatch.setattr(infotheory_module, "_CHUNK_ENTRIES", entries)
+            monkeypatch.setattr(pulse_math, "_STACK_ENTRIES", entries)
             runs.append(infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8))
         for grid in runs:
             for a, b in zip(batched, grid):
@@ -307,7 +307,7 @@ class TestCapacityGrid:
 
     @pytest.mark.parametrize("m,limit_mb", [(16, 2.0), (32, 2.0), (256, 4.0)])
     def test_peak_memory_is_bounded(self, m, limit_mb):
-        # every stack of a tile is capped by _CHUNK_ENTRIES, so a 30 x 30 grid
+        # every stack of a tile is capped by _STACK_ENTRIES, so a 30 x 30 grid
         # on warm tables allocates a few MB at most, whatever m is
         alphas, betas = np.linspace(0.05, 1.5, 30), np.linspace(0.05, 1.5, 30)
         infotheory_module._capacity_grid(m, 0.5, alphas, betas, 1e-8)  # warms the tables
@@ -399,6 +399,32 @@ class TestCapacityGrid:
             with pytest.raises(NumericFailure) as info:
                 infotheory_module._capacity_grid(4, 0.5, alphas, [0.5, 0.7], 1e-8)
             assert info.value.achieved == pytest.approx(1e-6, rel=1e-9), name
+
+    def test_information_never_below_zero(self):
+        # nearly uniform channels, whose x log2 x sums used to round to an i_ab
+        # of about -1e-16 bits at these four alphas
+        alphas = [1e11, 4e11, 8e11, 9e11]
+        grid = c_surface(4, 0.0, alphas, [2.5e-13])
+        assert np.all(grid.i_ab >= 0.0) and np.all(grid.i_ae >= 0.0)
+        for alpha in alphas:
+            assert capacity(ProtocolParams(4, alpha, 2.5e-13, 0.0)).i_ab >= 0.0
+
+    @pytest.mark.parametrize("eps,column", [(0.0, 1), (1.0, 2)], ids=["i_ab", "i_ae"])
+    def test_information_leaving_its_bounds_raises(self, monkeypatch, eps, column):
+        # i_ab (eps = 0: the lattice information) and i_ae (eps = 1: the mean
+        # of two lattice informations) are clipped to [0, log2 m] within
+        # accuracy, and past it the grid raises instead of repairing them
+        real = infotheory_module._lattice_stats
+        for value, excursion in [(-1e-10, None), (2.0 + 1e-10, None), (-1e-6, 1e-6), (2.0 + 1e-6, 1e-6)]:
+            monkeypatch.setattr(infotheory_module, "_lattice_stats", lambda *args: (
+                np.full_like(real(*args)[0], value), real(*args)[1]))
+            if excursion is None:
+                grid = infotheory_module._capacity_grid(4, eps, np.array([0.5]), np.array([0.7]), 1e-8)
+                assert grid[column][0, 0] == min(max(value, 0.0), 2.0)
+            else:
+                with pytest.raises(NumericFailure) as info:
+                    infotheory_module._capacity_grid(4, eps, np.array([0.5]), np.array([0.7]), 1e-8)
+                assert info.value.achieved == pytest.approx(excursion, rel=1e-6)
 
 
 class TestLatticeStats:

@@ -527,6 +527,14 @@ class TestCSurface:
         with pytest.raises(DomainError, match=r"alpha must lie in \[1e-12, 1e12\], got inf"):
             c_surface(4, 0.0, [0.1, math.inf], [0.7])
 
+    def test_large_m_filter_bank(self):
+        # at m = 16384 the interior windows of the filter bank differ in length
+        # by 1.27e-12 relative from rounding; their tail series takes the
+        # bank's one window length as given instead of refusing it
+        grid = c_surface(16384, 0.5, [0.5], [0.7])
+        assert np.isfinite([grid.capacity, grid.i_ab, grid.i_ae, grid.qser]).all()
+        assert 0.0 <= grid.capacity[0, 0] <= math.log2(16384)
+
     @settings(max_examples=25, deadline=None)
     @given(
         m=st.integers(2, 12),
@@ -705,21 +713,21 @@ class TestOptimizePoint:
         from tfqkd import pulse_math
 
         builds, rows = [], []
-        real_build, real_surface = pulse_math._build_tables, optimizer_module.c_surface
+        real_build, real_grid = pulse_math._build_tables, optimizer_module._capacity_grid
 
         def build(cuts, *args):
             builds.append(len(cuts))
             return real_build(cuts, *args)
 
-        def surface(m, eps, alphas, betas, *args):
+        def grid(m, eps, alphas, betas, *args):
             rows.append(len(alphas))
-            return real_surface(m, eps, alphas, betas, *args)
+            return real_grid(m, eps, alphas, betas, *args)
 
         index = lru_cache(maxsize=64)(pulse_math._stacked_index.__wrapped__)
         monkeypatch.setattr(pulse_math, "_TABLES", OrderedDict())
         monkeypatch.setattr(pulse_math, "_build_tables", build)
         monkeypatch.setattr(pulse_math, "_stacked_index", index)
-        monkeypatch.setattr(optimizer_module, "c_surface", surface)
+        monkeypatch.setattr(optimizer_module, "_capacity_grid", grid)
         optimize_point(16, 0.5)
         assert builds == [30, 1]
         assert rows[0] == 30 and rows.count(1) == len(rows) - 1 >= 5

@@ -13,6 +13,7 @@ from scipy.special import erf, factorial
 from tfqkd import pulse_math
 from tfqkd.channel import ProtocolParams, p_second_correct
 from tfqkd.errors import DomainError, NumericFailure
+from tfqkd.optimizer import c_surface
 from tfqkd.pulse_math import (
     DEFAULT_ACCURACY,
     TruncatedSpectrum,
@@ -234,8 +235,6 @@ class TestBuildSpectrum:
         start = time.perf_counter()
         with pytest.raises(DomainError, match="beta \\* m"):
             build_spectrum(None, 4, beta)
-        with pytest.raises(DomainError, match="beta \\* m"):
-            pulse_math.summed_spectra(4, [beta], DEFAULT_ACCURACY)
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("m,beta", [
@@ -243,13 +242,11 @@ class TestBuildSpectrum:
         (3, sys.float_info.max / 3),
     ], ids=["nan", "negative", "zero", "inf", "overflow-m4", "overflow-m16", "overflow-by-rounding"])
     def test_filter_bank_rejects_every_impossible_beta(self, m, beta):
-        # summed_spectra checks no beta of its own: the filter bank rejects a NaN,
-        # non-positive, infinite or overflowing beta * m (max / 3 rounds up, so 3
-        # times it overflows) as outside the interval, with no overflow warning
+        # build_spectrum rejects a NaN, non-positive, infinite or overflowing
+        # beta * m (max / 3 rounds up, so 3 times it overflows) as outside the
+        # interval, with no overflow warning
         with pytest.raises(DomainError):
             build_spectrum(None, m, beta)
-        with pytest.raises(DomainError, match=r"beta \* m must lie in \[1e-12, 1e12\]"):
-            pulse_math.summed_spectra(m, [0.7, beta], DEFAULT_ACCURACY)
 
     def test_long_windows_are_seeded_as_untruncated(self):
         # at m = 16, beta = 1e-6 the interior windows are 1.25e5 long; seeded at
@@ -602,30 +599,22 @@ class TestTailSeries:
                                rtol=1e-13, atol=0.0)
 
     def test_cross_terms_need_one_lag(self):
-        # summed cross terms share one I_1, so windows of different lengths
-        # cannot be summed; half-line windows have no cross terms, so their
+        # summed cross terms share one I_1 (the filter bank's interior windows
+        # have one length); half-line windows have no cross terms, so their
         # series has the same three columns with the cross ones zero
-        with pytest.raises(DomainError):
-            _tail_coefficients(np.array([-1.0, 0.0, 2.0]))
         for cuts in ([-np.inf, 0.0, np.inf], [-np.inf, 0.7], [-0.7, np.inf]):
             coef, first, lag = _tail_coefficients(np.array(cuts))
             assert coef.shape == (19, 3) and np.any(coef[:, 0] != 0.0)
             assert np.all(coef[:, 1:] == 0.0) and first == 0.0 and np.isfinite(lag)
 
     def test_rows_of_a_group_need_one_lag_each(self):
-        # each row is one table: rows may differ in lag, but a row whose
-        # windows disagree raises, wherever it sits in the group
+        # each row is one table: rows may differ in lag
         rows = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.5, 0.0, 1.5]])
         coef, first, lag = _tail_coefficients(rows)
         assert coef.shape == (3, 19, 3) and list(lag) == [1.0, 2.0, 1.5]
         for i, row in enumerate(rows):
             one = _tail_coefficients(row)
             assert np.array_equal(coef[i], one[0]) and first[i] == one[1] and lag[i] == one[2]
-        for position in range(3):
-            bad = rows.copy()
-            bad[position, 2] = 2.5
-            with pytest.raises(DomainError, match="share no tail series"):
-                _tail_coefficients(bad)
 
 
 class TestGroupBuild:
@@ -669,7 +658,7 @@ class TestGroupBuild:
             assert table.error_bound == alone.error_bound
 
     def test_tail_series_run_in_capped_passes(self, monkeypatch):
-        # a pass stacks at most _TAIL_PASS_ENTRIES (table, cut, order)
+        # a pass stacks at most _STACK_ENTRIES (table, cut, order)
         # entries, so one table a pass at m = 1024, and the passes leave
         # every table bitwise unchanged
         passes, real = [], pulse_math._tail_coefficients
@@ -679,7 +668,7 @@ class TestGroupBuild:
         whole = pulse_math._build_tables(_filter_cuts(32, betas), 32, betas, 1e-8)
         pulse_math._build_tables(_filter_cuts(1024, betas[:3]), 1024, betas[:3], 1e-8)
         assert passes == [(7, 33)] + [(1, 1025)] * 3
-        monkeypatch.setattr(pulse_math, "_TAIL_PASS_ENTRIES", 1)
+        monkeypatch.setattr(pulse_math, "_STACK_ENTRIES", 1)
         one_per_pass = pulse_math._build_tables(_filter_cuts(32, betas), 32, betas, 1e-8)
         assert passes[4:] == [(1, 33)] * 7
         for a, b in zip(whole, one_per_pass):
@@ -689,12 +678,13 @@ class TestGroupBuild:
 
     @pytest.mark.parametrize("bad", [np.nan, 0.0, np.inf])
     def test_bad_beta_anywhere_raises_before_building(self, bad, monkeypatch):
+        # summed_spectra trusts its betas; the public surface checks them first
         builds = self._counting_builds(monkeypatch)
         for position in range(3):
             betas = [0.4, 0.8, 1.3]
             betas[position] = bad
             with pytest.raises(DomainError):
-                pulse_math.summed_spectra(16, betas, 1e-8)
+                c_surface(16, 0.5, [0.5], betas)
         assert builds == [] and not pulse_math._TABLES
 
     def test_cache_keeps_the_last_1024_tables(self, monkeypatch):

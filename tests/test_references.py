@@ -1,6 +1,13 @@
-"""The CLI's stdout, byte for byte, against the reference files that CI
-``cmp``s it with (one case per CI step), so a local test run sees a drift."""
+"""The CLI's stdout, byte for byte, against its reference files.
 
+``REFERENCES`` is the one list of reference commands.  pytest runs each in
+process, so a local test run sees a drift; run as a script
+(``PYTHONPATH=src python tests/test_references.py``), this file runs each
+through ``python -m tfqkd.cli`` in a fresh process and exits 1 unless every
+stdout matches, as CI does."""
+
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,9 +41,27 @@ REFERENCES = {
                                  "tests/data/optimize-m1024-eps0-whole-sum.json"),
 }
 
+TIMEOUT_S = {"optimize-m1024-whole-sum": 60}  # a fresh process may take no longer
+
 
 @pytest.mark.parametrize("name", sorted(REFERENCES))
 def test_stdout_matches_reference(name, capsys):
     argv, reference = REFERENCES[name]
     assert main(argv.split()) == 0
     assert capsys.readouterr().out.encode() == (ROOT / reference).read_bytes()
+
+
+def run_all() -> int:
+    """Each reference command in a fresh process; 0 if every stdout matches, else 1."""
+    all_same = True
+    for name, (argv, reference) in REFERENCES.items():
+        run = subprocess.run([sys.executable, "-m", "tfqkd.cli", *argv.split()],
+                             capture_output=True, timeout=TIMEOUT_S.get(name))
+        same = run.returncode == 0 and run.stdout == (ROOT / reference).read_bytes()
+        print(f"{'ok' if same else 'DIFFERS'} {name}: tfqkd {argv}", flush=True)
+        all_same &= same
+    return 0 if all_same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(run_all())
