@@ -160,30 +160,20 @@ def _term_overlaps(centers: np.ndarray, w_sym: float, w_con: np.ndarray) -> np.n
     return np.abs((p[0, 1] - p[0, 0]) - (p[1, 1] - p[1, 0])).sum(axis=-1)
 
 
-def _piecewise_l1(sym: np.ndarray, con: np.ndarray) -> float:
-    """Whole-sum U: sum of |comb mass - n * conjugate mass| over the pieces between sorted cuts,
-    given as offsets from the ``n`` symbol centers in symbol widths (``sym``, a row per cut) and
-    from the conjugate center in conjugate widths (``con``).  The difference keeps one sign per
-    piece, so each is an exact difference of cumulative masses: one erf per (cut, center) and per cut."""
-    n = sym.shape[-1]
-    edge = np.ones((1, n + 1))
-    mass = 0.5 * np.diff(np.concatenate([-edge, erf(np.column_stack([sym, con])), edge]), axis=0)
-    total = np.abs(mass[:, :n].sum(axis=1) - n * mass[:, n]).sum()
-    if not np.isfinite(total):
-        raise NumericFailure("overlap functional produced a non-finite value")
-    return float(total)
-
-
 def _whole_sum(m: int, centers: np.ndarray, w_sym: float, w_con: float) -> float:
     """Whole-sum U at one conjugate width, as :func:`u_functional` describes."""
     sqrt_pi, reach = math.sqrt(math.pi), math.sqrt(746.0)
     k = int(min(m, 2 * np.ceil(reach * w_sym) + 1))  # the k nearest centers hold all within reach widths of a point
 
+    def near(t):
+        # offsets of each point of t from its k nearest centers, in symbol widths, and the first one's index
+        first = np.clip(np.rint(t - centers[0]) - k // 2, 0, m - k).astype(int)
+        return (t[:, None] - centers[first[:, None] + np.arange(k)]) / w_sym, first
+
     def diff(t):
         # comb minus m times the conjugate density at each point of t, the comb summed over the k nearest
         # centers; exp is slow where it underflows to 0 (below about -745.1), so terms below -746 are skipped
-        first = np.clip(np.rint(t - centers[0]) - k // 2, 0, m - k).astype(int)
-        z = -(((t[:, None] - centers[first[:, None] + np.arange(k)]) / w_sym) ** 2)
+        z = -(near(t)[0] ** 2)
         comb = np.exp(z, out=np.zeros_like(z), where=z > -746.0).sum(axis=1)
         return comb / (w_sym * sqrt_pi) - m * np.exp(-((t / w_con) ** 2)) / (w_con * sqrt_pi)
 
@@ -205,7 +195,14 @@ def _whole_sum(m: int, centers: np.ndarray, w_sym: float, w_con: float) -> float
         left = np.signbit(diff(mid)) == negative[flips]
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
     cuts = 0.5 * (lo + hi)
-    return _piecewise_l1(np.subtract.outer(cuts, centers) / w_sym, cuts / w_con)
+    # twice the comb's mass below each cut less m conjugates': the k nearest centers each paired with a conjugate
+    # (near masses cancel before the sum), the rest, over reach widths away where erf is +-1 in float, counted
+    (x, first), con = near(cuts), erf(cuts / w_con)
+    mass = (erf(x) - con[:, None]).sum(axis=1) + (2 * first + k - m) - (m - k) * con
+    total = 0.5 * np.abs(np.diff(mass, prepend=0.0, append=0.0)).sum()  # one sign between cuts: U sums the steps
+    if not np.isfinite(total):
+        raise NumericFailure("overlap functional produced a non-finite value")
+    return float(total)
 
 
 def _overlap(m: int, alpha: float, variant: str):
@@ -237,9 +234,10 @@ def u_functional(m: int, alpha: float, beta: float, variant: str = "per-term") -
     the sum and is bounded above by the per-term value, its crossings bisected
     to min(1e-10, 1e-8 of the narrower width) from a scan of 20 points per
     width within sqrt(746) widths of each center and, in conjugate widths, of
-    0.  This is the one-beta case of the evaluator that scans rows for
-    :func:`minimize_beta`.  Both variants take ``alpha`` and ``beta*m`` in
-    [1e-12, 1e12] and raise :class:`DomainError` outside it.
+    0, and U half the absolute steps of the cumulative mass difference over
+    the sorted crossings.  This is the one-beta case of the evaluator that
+    scans rows for :func:`minimize_beta`.  Both variants take ``alpha`` and
+    ``beta*m`` in [1e-12, 1e12] and raise :class:`DomainError` outside it.
     """
     return float(_overlap(m, alpha, variant)(_check_widths(beta, int(m)))[0])  # _overlap checks m first
 

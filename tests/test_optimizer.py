@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import erf
+from scipy.optimize import brentq, minimize_scalar
+from scipy.special import erf, erfc
 
 import tfqkd.channel as channel_module
 import tfqkd.optimizer as optimizer_module
@@ -174,6 +174,43 @@ def _u_whole_sum_fine(m, alpha, beta, per_width):
     return float(np.abs(np.diff(np.concatenate([[0.0], excess, [0.0]]))).sum())
 
 
+def _u_whole_sum_limit(alpha, beta):
+    """Whole-sum U / m as m -> infinity, with no m-sized array.  In x = t/m the m conjugates are the
+    unit Gaussian g(x) of width beta/2, and by Poisson summation the comb inside |x| < 1/2 is the
+    ripple theta(phi) = 1 + 2 sum_n q**(n*n) cos(2 pi n phi), q = exp(-(pi alpha/2)**2), of period
+    1/m; outside it the comb vanishes.  So U / m -> int_{|x|<1/2} <|theta - g(x)|> dx + erfc(1/beta),
+    <.> the mean over one period.  theta falls on [0, 1/2], so it tops c on [0, phi*) only and
+    <|theta - c|> = c - 1 + 4 (Theta(phi*) - c phi*), Theta its antiderivative from 0; x is
+    integrated by 32-node Gauss-Legendre on 8 panels between each pair of points where g crosses
+    theta's extremes."""
+    n = np.arange(1, 61)[:, None]
+    weight = np.exp(-((math.pi * alpha / 2.0) ** 2) * n * n)
+
+    def theta(phi):
+        return 1.0 + 2.0 * (weight * np.cos(2.0 * math.pi * n * phi)).sum(axis=0)
+
+    def mean_abs(c):
+        lo, hi = np.zeros_like(c), np.full_like(c, 0.5)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            above = theta(mid) > c
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        phi = 0.5 * (lo + hi)
+        area = phi + (weight / (math.pi * n) * np.sin(2.0 * math.pi * n * phi)).sum(axis=0)
+        return c - 1.0 + 4.0 * (area - c * phi)
+
+    peak = 2.0 / (beta * math.sqrt(math.pi))
+    crossings = [0.5 * beta * math.sqrt(math.log(peak / level)) for level in theta(np.array([0.0, 0.5]))
+                 if level < peak]
+    ends = np.unique([0.0, 0.5] + [x for x in crossings if x < 0.5])
+    edges = np.append(np.concatenate([np.linspace(a, b, 9)[:-1] for a, b in zip(ends[:-1], ends[1:])]), 0.5)
+    s, w = np.polynomial.legendre.leggauss(32)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * s).ravel()
+    g = peak * np.exp(-((2.0 * x / beta) ** 2))
+    return 2.0 * float(((half * w).ravel() * mean_abs(g)).sum()) + float(erfc(1.0 / beta))
+
+
 class TestUFunctional:
     # (4, 0.5, 0.125) has equal widths; at (2, 0.3, 0.05 + 0.1) the widths
     # differ by one rounding, where textbook roots lose the near crossing
@@ -212,10 +249,11 @@ class TestUFunctional:
             for beta in (np.nextafter(alpha / m, 0.0), np.nextafter(alpha / m, 1.0)):
                 assert u_functional(m, alpha, beta) == pytest.approx(equal, rel=0.0, abs=1e-9)
 
-    def test_non_finite_crossing_raises(self):
-        # the whole-sum shapes: two cuts, as offsets from four centers and from the conjugate center
+    def test_non_finite_crossing_raises(self, monkeypatch):
+        # the whole-sum masses at the cuts are erf values: a NaN there ends in NumericFailure
+        monkeypatch.setattr(optimizer_module, "erf", lambda x: np.full_like(x, np.nan))
         with pytest.raises(NumericFailure):
-            optimizer_module._piecewise_l1(np.full((2, 4), np.nan), np.full(2, np.nan))
+            u_functional(4, 0.5, 0.7, "whole-sum")
 
     @pytest.mark.parametrize("m,alpha,beta", [(4, 1e-12, 0.5), (4, 1e-12, 2.5e11), (3, 1e-12, 1e12 / 3),
                                               (2, 1e12, 5e-13), (4, 1e12, 2.5e-13)])
@@ -265,14 +303,16 @@ class TestUFunctional:
         assert whole == pytest.approx(_u_whole_sum_fine(1024, 0.05, 0.05, 80), rel=1e-12, abs=0.0)
 
     def test_whole_sum_memory_does_not_grow_with_points_times_m(self):
-        # the comb is a banded sum over the nearest centers, not a (points x m) array
-        tracemalloc.start()
-        try:
-            u_functional(1024, 0.05, 0.05, "whole-sum")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 150e6
+        # the comb and the masses at the cuts are banded sums over the nearest centers, with no
+        # (points x m) or (cuts x m) array; a cuts x m one peaked at 812 MB at m = 4096
+        for m, alpha, beta in [(1024, 0.05, 0.05), (4096, 0.5, 0.72)]:
+            tracemalloc.start()
+            try:
+                u_functional(m, alpha, beta, "whole-sum")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 150e6
 
     def test_whole_sum_scan_finer_than_the_narrower_width_gives_a_value(self):
         # no symbol tops 16 conjugates (beta < alpha), but the capped step is a
@@ -407,6 +447,30 @@ class TestMinimizeBeta:
                 return scale * u_functional(4, 0.5, b)
             return _refine_min(fn, axis, np.array([fn(b) for b in axis]), 1e-4)[0]
         assert argmin(7.3) == pytest.approx(argmin(1.0), abs=1e-4)
+
+
+class TestLargeMLimit:
+    # (alpha, beta, c): the measured |U / m - U_inf| * m is 2.8e-4 and 7.0e-5 at m = 256 and 1024
+    # for the first point, 1.3e-3 and 9.9e-4 for the second and 0.268 at both m for the third
+    POINTS = [(0.2, 0.6, 1e-3), (0.5, 0.72, 3e-3), (1.0, 0.72, 0.3)]
+
+    def test_limit_matches_a_phase_grid(self):
+        # the same limit from 4096 phases x 4001 Gauss-Legendre nodes, to its 8 digits
+        for (alpha, beta, _), expected in zip(self.POINTS, [1.3880114, 0.7983981, 0.4552316]):
+            assert _u_whole_sum_limit(alpha, beta) == pytest.approx(expected, rel=0.0, abs=1e-7)
+
+    @pytest.mark.parametrize("alpha,beta,c", POINTS)
+    def test_whole_sum_per_symbol_tends_to_the_limit(self, alpha, beta, c):
+        limit = _u_whole_sum_limit(alpha, beta)
+        for m in (256, 1024):
+            assert abs(u_functional(m, alpha, beta, "whole-sum") / m - limit) <= c / m
+
+    def test_whole_sum_beta_at_m_1024_lands_on_the_limits_minimizer(self):
+        # beta_inf is about 0.72126; the measured gap to the m = 1024 search is 6.1e-5
+        beta_inf = minimize_scalar(lambda b: _u_whole_sum_limit(0.5, b), bounds=(0.6, 0.85),
+                                   method="bounded", options={"xatol": 1e-7}).x
+        config = OptimizerConfig(u_variant="whole-sum")
+        assert abs(minimize_beta(1024, 0.5, config)[0] - beta_inf) <= config.tol + 1.1e-4
 
 
 class TestRefineMin:
