@@ -17,7 +17,6 @@ from scipy.special import erf
 
 from . import pulse_math
 from .errors import _check_count, _check_epsilon, _check_widths
-from .pulse_math import DEFAULT_ACCURACY
 
 __all__ = [
     "ProtocolParams",
@@ -200,9 +199,9 @@ def p_second_correct(params: ProtocolParams) -> np.ndarray:
     spectrum coordinates as ``w = 2*(b - c(a))/alpha``.  The spectrum is
     built to ``DEFAULT_ACCURACY``, and entries are clipped to [0, 1] within it.
     """
-    table = pulse_math.cached_spectrum(params.m, params.beta, DEFAULT_ACCURACY)
+    table = pulse_math.cached_spectrum(params.m, params.beta)
     values = _second_lattice(params.m, [params.alpha], [table])[0]
-    return pulse_math._clip_within(_lattice_block(values, 0.0, 1.0)[0], 1.0, DEFAULT_ACCURACY)
+    return pulse_math._clip_within(_lattice_block(values, 0.0, 1.0)[0], 1.0)
 
 
 # ---------------------------------------------------------------------------

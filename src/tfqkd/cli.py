@@ -31,7 +31,6 @@ from .errors import DomainError, NumericFailure
 from .infotheory import key_rate
 from .optimizer import OptimizerConfig, _axis, c_surface, optimize_point, sweep
 from .oracle import McConfig, compare_empirical, dft_spectrum_oracle, run_mc
-from .pulse_math import DEFAULT_ACCURACY
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -108,7 +107,6 @@ def _list_of(cast):
     return parse
 
 
-_accuracy = _checked(float, lambda x: 0.0 < x < math.inf, "finite and positive")
 _rate = _checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")
 _seed = _checked(int, lambda n: n >= 0, ">= 0")
 
@@ -140,7 +138,7 @@ def _with_config(argv: list[str]) -> list[str]:
 
 def _optimizer_config(args) -> OptimizerConfig:
     return OptimizerConfig(alpha_box=args.alpha_box, beta_box=args.beta_box,
-                           coarse_step=args.step, tol=args.tol, accuracy=args.accuracy,
+                           coarse_step=args.step, tol=args.tol,
                            u_variant=args.u_variant, scheme=args.scheme)
 
 
@@ -149,7 +147,7 @@ def _optimizer_config(args) -> OptimizerConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_surface(args) -> int:
-    grid = c_surface(args.m, args.eps, args.alpha, args.beta, args.accuracy)
+    grid = c_surface(args.m, args.eps, args.alpha, args.beta)
     names = ("alpha", "beta", "capacity", "i_ab", "i_ae", "qser")
     rows = np.stack([*np.meshgrid(grid.alpha_axis, grid.beta_axis, indexing="ij"),
                      *(getattr(grid, name) for name in names[2:])], -1).reshape(-1, 6).tolist()
@@ -200,7 +198,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _spectrum_oracle_deviation(params: ProtocolParams, accuracy: float):
+def _spectrum_oracle_deviation(params: ProtocolParams):
     """Worst inner-bin disagreement between the filter-summed spectrum that
     ``p_second_correct`` queries and the sum of the per-filter DFT oracles at
     this operating point, with the counts of inner bins skipped (they reach
@@ -209,7 +207,7 @@ def _spectrum_oracle_deviation(params: ProtocolParams, accuracy: float):
     scale = 2.0 / params.alpha
     reach = np.max(np.abs(layout.upper[:-1, None] - layout.centers[None, :]))
     span = min(scale * reach * 1.02 + 1.0, 60.0)
-    spec = pulse_math.cached_spectrum(params.m, params.beta, accuracy)
+    spec = pulse_math.cached_spectrum(params.m, params.beta)
     oracles = [dft_spectrum_oracle(f, params.m, params.beta, grid_step=0.02, grid_span=span)
                for f in range(1, params.m + 1)]
     lo = scale * (layout.lower[1:-1, None] - layout.centers[None, :])  # inner bins only
@@ -225,7 +223,7 @@ def cmd_validate(args) -> int:
     analytic = mixed_bob_matrix(params)
     empirical = run_mc(McConfig(photons=args.photons, seed=args.seed, params=params))
     verdict = compare_empirical(empirical, analytic)
-    spectrum_dev, skipped, compared = _spectrum_oracle_deviation(params, args.accuracy)
+    spectrum_dev, skipped, compared = _spectrum_oracle_deviation(params)
     spectrum_ok = spectrum_dev <= 1e-6
 
     pvalues = [None if not np.isfinite(p) else _round9(p) for p in verdict.chi2_pvalues]
@@ -292,8 +290,6 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     def common(p, m_type=int, eps_type=float):
         p.add_argument("--config", help="key = value lines, each parsed as its --key=value flag")
         p.add_argument("--out", help="output file (atomic write); stdout when omitted")
-        p.add_argument("--accuracy", type=_accuracy, default=DEFAULT_ACCURACY,
-                       help="absolute tolerance for spectral bin masses")
         p.add_argument("--m", type=m_type, required=True)
         p.add_argument("--eps", type=eps_type, required=True)
 

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import channel, pulse_math
 from .channel import ProtocolParams
-from .errors import DomainError, _check_positive
-from .pulse_math import DEFAULT_ACCURACY
+from .errors import DomainError
 
 _ZERO_CLAMP = 1e-300
 
@@ -115,8 +114,7 @@ def _lattice_weights(m: int) -> np.ndarray:
     return weights
 
 
-def _lattice_stats(values: np.ndarray, at_neg_inf: float, at_pos_inf: float,
-                   accuracy: float) -> tuple[np.ndarray, np.ndarray]:
+def _lattice_stats(values: np.ndarray, at_neg_inf: float, at_pos_inf: float) -> tuple[np.ndarray, np.ndarray]:
     """Information and QSER of each block ``channel._lattice_block(values, at_neg_inf,
     at_pos_inf)`` of a (k, 2m) stack, without forming it: rows 1..m-2 are Toeplitz in
     ``r - a`` and rows 0, m-1 take F(-inf), F(inf), so 4m - 3 distinct entries, clipped
@@ -126,7 +124,7 @@ def _lattice_stats(values: np.ndarray, at_neg_inf: float, at_pos_inf: float,
         values[..., 2:-1] - values[..., 1:-2],          # interior, s = 2-m..m-2
         values[..., m:0:-1] - at_neg_inf,               # row 0, a = 0..m-1
         at_pos_inf - values[..., 2 * m - 2:m - 2:-1],   # row m-1, a = 0..m-1
-    ], axis=-1), 1.0, accuracy)
+    ], axis=-1), 1.0)
     interior, row0, last = np.split(entries, [2 * m - 3, 3 * m - 3], axis=-1)
     running = np.concatenate([np.zeros(interior.shape[:-1] + (1,)), interior], axis=-1).cumsum(-1)
     received = np.concatenate([row0.sum(-1, keepdims=True), last.sum(-1, keepdims=True),
@@ -148,14 +146,14 @@ def _window_stats(counts, diagonal, pc, pc2, pw, eps: float) -> tuple[np.ndarray
     return _mutual_info(mixed, 1.0 / m, received, counts), 1.0 - trace / m
 
 
-def _capacity_grid(m: int, epsilon: float, alphas, betas, accuracy: float):
+def _capacity_grid(m: int, epsilon: float, alphas, betas):
     """``(capacity, i_ab, i_ae, qser)`` arrays over ``alphas x betas``, a tile at a time: per chunk
     of alphas the lattice terms; at ``epsilon > 0``, per tile of alphas of one window width and
     group of betas the mixed blocks' windows (:func:`_window_stats`; no m x m array unless the
     width is m) and, in tiles of its own, one stacked query of all the betas' spectrum tables.
     A tile stacks at most ``pulse_math._STACK_ENTRIES`` entries (m * min(W + 1, m) per pair in the
     windows, 4m per alpha in the lattice terms, about 8 per query point); ``i_ab`` and ``i_ae``
-    are clipped to [0, log2 m] within ``accuracy``.  The public callers check the inputs."""
+    are clipped to [0, log2 m] within ``DEFAULT_ACCURACY``.  The public callers check the inputs."""
     shape = (len(alphas), len(betas))
     ab, ae, qs, info_pc = np.empty(shape), np.zeros(shape), np.empty(shape), np.empty(len(alphas))
 
@@ -167,7 +165,7 @@ def _capacity_grid(m: int, epsilon: float, alphas, betas, accuracy: float):
     step = tile(len(alphas), 4 * m)[0]
     for lo in range(0, len(alphas), step):
         rows = slice(lo, lo + step)
-        info_pc[rows], qser_pc = _lattice_stats(cdf[rows], -0.5, 0.5, accuracy)
+        info_pc[rows], qser_pc = _lattice_stats(cdf[rows], -0.5, 0.5)
         ab[rows], qs[rows] = info_pc[rows, None], qser_pc[:, None]
     if epsilon:
         widths, pw = channel._window_widths(cdf), channel._wrong_columns(m, betas)
@@ -179,22 +177,22 @@ def _capacity_grid(m: int, epsilon: float, alphas, betas, accuracy: float):
             for j in range(0, len(betas), group):
                 ab[rows, j:j + group], qs[rows, j:j + group] = _window_stats(
                     *windows, pw[j:j + group], epsilon)
-    tables = pulse_math.summed_spectra(m, betas, accuracy) if epsilon else []
+    tables = pulse_math.summed_spectra(m, betas) if epsilon else []
     step, group = tile(len(alphas), 8 * m)
     for lo in range(0, len(alphas), step) if tables else ():
         rows = slice(lo, lo + step)
         for j in range(0, len(betas), group):
             second = channel._second_lattice(m, alphas[rows], tables[j:j + group])
-            info_second = _lattice_stats(second, 0.0, 1.0, accuracy)[0].T
+            info_second = _lattice_stats(second, 0.0, 1.0)[0].T
             ae[rows, j:j + group] = epsilon * 0.5 * (info_pc[rows, None] + info_second)
-    ab, ae = (pulse_math._clip_within(x, np.log2(m), accuracy) for x in (ab, ae))
+    ab, ae = (pulse_math._clip_within(x, np.log2(m)) for x in (ab, ae))
     return np.maximum(ab - ae, 0.0), ab, ae, qs
 
 
-def capacity(params: ProtocolParams, accuracy: float = DEFAULT_ACCURACY) -> CapacityReport:
-    """Secret bits per photon, clamped at zero, with the full balance."""
-    _check_positive(("accuracy", accuracy))
-    grid = _capacity_grid(params.m, params.epsilon, [params.alpha], [params.beta], accuracy)
+def capacity(params: ProtocolParams) -> CapacityReport:
+    """Secret bits per photon, clamped at zero, with the full balance, to
+    ``DEFAULT_ACCURACY``."""
+    grid = _capacity_grid(params.m, params.epsilon, [params.alpha], [params.beta])
     cap, ab, ae, qs = (float(a[0, 0]) for a in grid)
     return CapacityReport(i_ab=ab, i_ae=ae, capacity=cap, qser=qs)
 
@@ -203,4 +201,6 @@ def key_rate(sifted_rate: float, capacity_bits: float) -> float:
     """Secret key rate in bits/second from the sifted symbol rate."""
     if not 0.0 <= sifted_rate < np.inf:
         raise DomainError(f"sifted rate must be finite and >= 0, got {sifted_rate}")
+    if not 0.0 <= capacity_bits < np.inf:
+        raise DomainError(f"capacity must be finite and >= 0, got {capacity_bits}")
     return sifted_rate * capacity_bits

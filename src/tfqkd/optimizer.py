@@ -48,19 +48,17 @@ class OptimizerConfig:
     the overlap scan, its ``beta*m`` checked against the same interval once
     m is known;
     ``coarse_step`` and ``tol`` (both stages) the grid step of every axis and
-    the bracket width at which golden-section refinement stops; ``accuracy``
-    (stage 1, the nested stage 2 and the final report) the spectrum
-    tolerance of every capacity evaluation; ``u_variant`` (stage 2) the
-    overlap functional the staged scheme minimizes and both report as
-    ``u_min``; ``scheme`` (stage 2) picks beta by overlap (``staged``) or by
-    capacity (``nested``).
+    the bracket width at which golden-section refinement stops; ``u_variant``
+    (stage 2) the overlap functional the staged scheme minimizes and both
+    report as ``u_min``; ``scheme`` (stage 2) picks beta by overlap
+    (``staged``) or by capacity (``nested``).  Every capacity evaluation is
+    to ``DEFAULT_ACCURACY``.
     """
 
     alpha_box: tuple[float, float] = (0.05, 1.5)
     beta_box: tuple[float, float] = (0.05, 1.5)
     coarse_step: float = 0.05
     tol: float = 1e-3
-    accuracy: float = pulse_math.DEFAULT_ACCURACY
     u_variant: str = "per-term"
     scheme: str = "staged"
 
@@ -69,7 +67,7 @@ class OptimizerConfig:
             raise DomainError(f"unknown scheme {self.scheme!r}")
         if self.u_variant not in ("per-term", "whole-sum"):
             raise DomainError(f"unknown u variant {self.u_variant!r}")
-        _check_positive(("tol", self.tol), ("coarse_step", self.coarse_step), ("accuracy", self.accuracy))
+        _check_positive(("tol", self.tol), ("coarse_step", self.coarse_step))
         for name in ("alpha_box", "beta_box"):
             lo, hi = getattr(self, name)
             if not 0.0 < lo < hi < math.inf:
@@ -123,17 +121,17 @@ class SweepEntry:
 # Capacity surface
 # ---------------------------------------------------------------------------
 
-def c_surface(m, epsilon, alpha_axis, beta_axis, accuracy: float = pulse_math.DEFAULT_ACCURACY) -> SurfaceGrid:
-    """Evaluate the capacity report on the outer product of the two axes."""
+def c_surface(m, epsilon, alpha_axis, beta_axis) -> SurfaceGrid:
+    """Evaluate the capacity report on the outer product of the two axes, each 1-D, non-empty
+    and strictly increasing, to ``DEFAULT_ACCURACY``."""
     alpha_axis, beta_axis = np.asarray(alpha_axis, dtype=float), np.asarray(beta_axis, dtype=float)
     for name, axis in (("alpha axis", alpha_axis), ("beta axis", beta_axis)):
-        if axis.size == 0 or not np.all(np.diff(axis) > 0.0):  # NaN is not ordered
+        if axis.ndim != 1 or axis.size == 0 or not np.all(np.diff(axis) > 0.0):  # NaN is not ordered
             raise DomainError(f"{name} must be non-empty and strictly increasing")
     m = _check_count("m", m, 2)
     _check_epsilon(epsilon)
     _check_widths(alpha_axis), _check_widths(beta_axis, m)
-    _check_positive(("accuracy", accuracy))
-    grid = _capacity_grid(m, epsilon, alpha_axis, beta_axis, accuracy)
+    grid = _capacity_grid(m, epsilon, alpha_axis, beta_axis)
     return SurfaceGrid(alpha_axis, beta_axis, *grid)
 
 
@@ -207,10 +205,11 @@ def _whole_sum(m: int, centers: np.ndarray, w_sym: float, w_con: float) -> float
 
 def _overlap(m: int, alpha: float, variant: str):
     """The ``variant`` overlap functional at ``(m, alpha)`` as a function of an array of betas, one
-    value each; ``m``, ``alpha`` and ``variant`` are checked here, the betas by the caller."""
+    value each; ``m``, ``alpha`` (a scalar) and ``variant`` are checked here, the betas by the caller."""
     layout = make_layout(m)  # checks m
     m, centers = layout.m, layout.centers
-    _check_widths(alpha)
+    if np.ndim(_check_widths(alpha)):
+        raise DomainError(f"alpha must be a scalar, got {alpha!r}")
     if variant not in ("per-term", "whole-sum"):
         raise DomainError(f"unknown u variant {variant!r}")
     w_sym = 0.5 * alpha
@@ -237,9 +236,13 @@ def u_functional(m: int, alpha: float, beta: float, variant: str = "per-term") -
     0, and U half the absolute steps of the cumulative mass difference over
     the sorted crossings.  This is the one-beta case of the evaluator that
     scans rows for :func:`minimize_beta`.  Both variants take ``alpha`` and
-    ``beta*m`` in [1e-12, 1e12] and raise :class:`DomainError` outside it.
+    ``beta*m`` in [1e-12, 1e12] and raise :class:`DomainError` outside it, or
+    at a ``beta`` that is not a scalar (:func:`minimize_beta` scans rows).
     """
-    return float(_overlap(m, alpha, variant)(_check_widths(beta, int(m)))[0])  # _overlap checks m first
+    overlap = _overlap(m, alpha, variant)  # checks m first
+    if np.ndim(beta):
+        raise DomainError(f"beta must be a scalar, got {beta!r}")
+    return float(overlap(_check_widths(beta, int(m)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +331,20 @@ def optimize_point(
     """
     alpha_axis = _axis(config.alpha_box, config.coarse_step)
     beta_axis = _axis(config.beta_box, config.coarse_step)
-    coarse = dict(zip(alpha_axis, c_surface(m, epsilon, alpha_axis, beta_axis, config.accuracy).capacity))
+    coarse = dict(zip(alpha_axis, c_surface(m, epsilon, alpha_axis, beta_axis).capacity))
     m = int(m)  # c_surface checked m, epsilon and both axes, so the rows and steps inside them check nothing
 
     def row(alpha: float) -> np.ndarray:
         # capacity over the beta grid at this alpha, off the coarse grid if it is on it
         if alpha in coarse:
             return coarse[alpha]
-        return _capacity_grid(m, epsilon, [alpha], beta_axis, config.accuracy)[0][0]
+        return _capacity_grid(m, epsilon, [alpha], beta_axis)[0][0]
 
     @cache
     def best_beta(alpha: float) -> tuple[float, float]:
         # capacity-maximizing beta at this alpha, and its capacity
         beta, neg_best = _refine_min(
-            lambda b: -_capacity_grid(m, epsilon, [alpha], [b], config.accuracy)[0][0, 0],
+            lambda b: -_capacity_grid(m, epsilon, [alpha], [b])[0][0, 0],
             beta_axis, -row(alpha), config.tol)
         return beta, -neg_best
 
@@ -367,7 +370,7 @@ def optimize_point(
         beta_opt = best_beta(alpha_opt)[0]
         u_min = u_functional(m, alpha_opt, beta_opt, config.u_variant)
 
-    report = capacity(ProtocolParams(m, alpha_opt, beta_opt, epsilon), config.accuracy)
+    report = capacity(ProtocolParams(m, alpha_opt, beta_opt, epsilon))
     return OptimizationResult(
         m=int(m),
         epsilon=float(epsilon),

@@ -37,7 +37,7 @@ __all__ = [
 SQRT2 = np.sqrt(2.0)
 SQRTPI = np.sqrt(np.pi)
 
-#: default absolute tolerance for one spectral bin mass
+#: the one absolute tolerance of every spectrum table, clip and information bound
 DEFAULT_ACCURACY = 1e-8
 
 # The asymptotic tail series below is trusted only beyond this point, so the
@@ -288,18 +288,17 @@ class TruncatedSpectrum:
     it by Parseval); ``total_mass_numeric`` is the same value recovered from
     the panel table plus the asymptotic tails, kept as a self-check of the
     quadrature; ``error_bound`` is the summed K15-G7 gauge of its
-    ``n_panels`` panels.  The spectrum of a real pulse is even, so the table
-    covers ``[0, 30]`` only and ``G(-w) = total_mass - G(w)``; the bound thus
-    holds for G everywhere.  Per panel the table holds G as a polynomial:
-    ``total_mass / 2`` plus the mass between 0 and the panel plus the
-    antiderivative of the K15 interpolant.  Beyond 30 the tail series
-    answers.
+    ``n_panels`` panels, built to ``DEFAULT_ACCURACY``.  The spectrum of a
+    real pulse is even, so the table covers ``[0, 30]`` only and
+    ``G(-w) = total_mass - G(w)``; the bound thus holds for G everywhere.
+    Per panel the table holds G as a polynomial: ``total_mass / 2`` plus the
+    mass between 0 and the panel plus the antiderivative of the K15
+    interpolant.  Beyond 30 the tail series answers.
     """
 
     cuts: np.ndarray
     m: int
     beta: float
-    accuracy: float
     total_mass: float
     total_mass_numeric: float
     error_bound: float
@@ -313,7 +312,7 @@ class TruncatedSpectrum:
         return _summed_density(self.cuts, w)
 
     def cumulative(self, w):
-        """G(w): spectral mass below ``w``, absolute error <= ``accuracy``;
+        """G(w): spectral mass below ``w``, absolute error <= ``DEFAULT_ACCURACY``;
         raises :class:`NumericFailure` if it leaves ``[0, total_mass]`` by more,
         :class:`DomainError` at NaN.  The one-table case of :func:`_stacked_cumulative`."""
         w = np.asarray(w, dtype=float)
@@ -326,12 +325,12 @@ class TruncatedSpectrum:
         """Spectral mass on each ``[w_lo, w_hi]`` (arrays broadcast; a float
         for scalar bounds); unbounded sides use the remainder against
         ``total_mass`` rather than direct integration.  Raises
-        :class:`NumericFailure` if it is negative by more than ``accuracy``."""
+        :class:`NumericFailure` if it is negative by more than ``DEFAULT_ACCURACY``."""
         if np.any(np.asarray(w_lo) > np.asarray(w_hi)):
             raise DomainError(f"empty interval: w_lo={w_lo} > w_hi={w_hi}")
         # cumulative is exactly 0 at -inf and total_mass at +inf
         mass = np.asarray(self.cumulative(w_hi) - self.cumulative(w_lo))
-        mass = _clip_within(mass, self.total_mass, self.accuracy)
+        mass = _clip_within(mass, self.total_mass)
         return mass if mass.ndim else float(mass)
 
 
@@ -348,14 +347,14 @@ def _stacked_index(tables: tuple) -> tuple:
     total = np.array([s.total_mass for s in tables])[:, None]
     for table in (keys, edges, coef, total, *series):
         table.setflags(write=False)
-    return keys, edges, coef, series, total, min(s.accuracy for s in tables)
+    return keys, edges, coef, series, total
 
 
 def _stacked_cumulative(tables, w) -> np.ndarray:
     """G of ``tables[i]`` at every point of the float array ``w[i]`` (no NaN), clipped to
     each table's ``[0, total_mass]`` as :meth:`TruncatedSpectrum.cumulative`: one panel
     lookup and, beyond 30, one :func:`_tail_mass` call for all tables."""
-    keys, edges, coef, series, total, accuracy = _stacked_index(tuple(tables))
+    keys, edges, coef, series, total = _stacked_index(tuple(tables))
     flat = w.reshape(len(tables), -1)
     mag = np.abs(flat)
     g = np.repeat(total, flat.shape[1], axis=1)  # G(|w|) at |w| = inf
@@ -369,16 +368,17 @@ def _stacked_cumulative(tables, w) -> np.ndarray:
     tail = ~inside & np.isfinite(mag)
     if tail.any():
         g[tail] -= _tail_mass(series, np.where(tail, mag, _TAIL_W_MIN))[tail]
-    return _clip_within(np.where(flat < 0.0, total - g, g), total, accuracy).reshape(w.shape)
+    return _clip_within(np.where(flat < 0.0, total - g, g), total).reshape(w.shape)
 
 
-def _clip_within(values: np.ndarray, upper, accuracy: float) -> np.ndarray:
+def _clip_within(values: np.ndarray, upper) -> np.ndarray:
     """Clip ``values`` to ``[0, upper]`` (``upper`` broadcasts against them) when
-    they leave it by at most ``accuracy``; raise :class:`NumericFailure` beyond that."""
+    they leave it by at most ``DEFAULT_ACCURACY``; raise :class:`NumericFailure` beyond that."""
     excursion = max(-values.min(initial=0.0), (values - upper).max(initial=0.0))
-    if excursion > accuracy:
+    if excursion > DEFAULT_ACCURACY:
         raise NumericFailure(f"values leave [0, {np.max(upper):.17g}] by {excursion:.3e} "
-                             f"(tolerance {accuracy:.3e})", achieved=excursion, target=accuracy)
+                             f"(tolerance {DEFAULT_ACCURACY:.3e})",
+                             achieved=excursion, target=DEFAULT_ACCURACY)
     return np.clip(values, 0.0, upper)
 
 
@@ -427,10 +427,10 @@ def build_spectrum(f: int | None, m: int, beta: float) -> TruncatedSpectrum:
     cuts = _filter_cuts(m, _check_widths(beta, m))
     if f is not None:
         cuts = cuts[f - 1:f + 1]
-    return _build_tables(cuts[None], m, [beta], DEFAULT_ACCURACY)[0]
+    return _build_tables(cuts[None], m, [beta])[0]
 
 
-def _build_tables(cuts: np.ndarray, m: int, betas, accuracy: float) -> list[TruncatedSpectrum]:
+def _build_tables(cuts: np.ndarray, m: int, betas) -> list[TruncatedSpectrum]:
     """One table per row of ``cuts`` (n, k), rows alike in which cuts are finite:
     the panel quadrature table by table, the tail series in passes over
     groups of rows (``_STACK_ENTRIES`` (table, finite cut, order) entries a pass), every exact
@@ -444,9 +444,9 @@ def _build_tables(cuts: np.ndarray, m: int, betas, accuracy: float) -> list[Trun
     tables = []
     for row, beta, total, tail, *row_series in zip(cuts, betas, totals, tails, *series):
         # a bin across w = 0 carries the error of both halves, so each half
-        # gets accuracy / 4 and the bin stays within accuracy / 2
+        # gets DEFAULT_ACCURACY / 4 and the bin stays within DEFAULT_ACCURACY / 2
         edges, panels, nodes, error_bound = _integrate_adaptive(
-            lambda w: _summed_density(row, w), _seed_edges(np.diff(row).min()), 0.25 * accuracy)
+            lambda w: _summed_density(row, w), _seed_edges(np.diff(row).min()), 0.25 * DEFAULT_ACCURACY)
         cum = np.concatenate([[0.0], np.cumsum(panels)])
         # per panel: G(w) = polynomial in t, the constant term carrying the
         # mass below the panel (half the total below w = 0, by evenness)
@@ -455,26 +455,26 @@ def _build_tables(cuts: np.ndarray, m: int, betas, accuracy: float) -> list[Trun
         for table in (row, edges, coef):
             table.setflags(write=False)
         tables.append(TruncatedSpectrum(
-            cuts=row, m=m, beta=beta, accuracy=accuracy, total_mass=float(total),
+            cuts=row, m=m, beta=beta, total_mass=float(total),
             total_mass_numeric=2.0 * float(cum[-1] + tail), error_bound=error_bound,
             n_panels=edges.size - 1, _edges=edges, _coef=coef, _tail=tuple(row_series)))
     return tables
 
 
-_TABLES: OrderedDict = OrderedDict()  # (m, beta, accuracy) -> summed table, least recent first
+_TABLES: OrderedDict = OrderedDict()  # (m, beta) -> summed table, least recent first
 
 
-def summed_spectra(m: int, betas, accuracy: float) -> list[TruncatedSpectrum]:
+def summed_spectra(m: int, betas) -> list[TruncatedSpectrum]:
     """The spectrum summed over all ``m`` filters at each of ``betas``, the tables
     the eavesdropper's second stage queries.  One cache keeps the 1024 tables
     used last; the betas it misses are built in one :func:`_build_tables`
     call.  Spectra are immutable, so sharing is safe.  Callers pass a checked
-    ``m``, ``betas`` and ``accuracy``."""
-    keys = [(m, float(beta), accuracy) for beta in betas]
+    ``m`` and ``betas``."""
+    keys = [(m, float(beta)) for beta in betas]
     missing = list(dict.fromkeys(key for key in keys if key not in _TABLES))
     if missing:
         widths = [key[1] for key in missing]
-        _TABLES.update(zip(missing, _build_tables(_filter_cuts(m, widths), m, widths, accuracy)))
+        _TABLES.update(zip(missing, _build_tables(_filter_cuts(m, widths), m, widths)))
     tables = [_TABLES[key] for key in keys]
     for key in keys:
         _TABLES.move_to_end(key)
@@ -483,6 +483,6 @@ def summed_spectra(m: int, betas, accuracy: float) -> list[TruncatedSpectrum]:
     return tables
 
 
-def cached_spectrum(m: int, beta: float, accuracy: float) -> TruncatedSpectrum:
+def cached_spectrum(m: int, beta: float) -> TruncatedSpectrum:
     """The one-beta case of :func:`summed_spectra`."""
-    return summed_spectra(m, [beta], accuracy)[0]
+    return summed_spectra(m, [beta])[0]

@@ -34,17 +34,17 @@ def check_calls(monkeypatch):
 
 
 def test_optimize_point_checks(check_calls):
-    # c_surface: m, epsilon, both axes, accuracy; minimize_beta: m, alpha,
-    # the beta axis; the report: ProtocolParams and capacity's accuracy.
-    # The refined rows and the golden steps inside the axes check nothing.
+    # c_surface: m, epsilon, both axes; minimize_beta: m, alpha, the beta
+    # axis; the report: ProtocolParams.  The refined rows and the golden
+    # steps inside the axes check nothing.
     optimize_point(16, 0.5)
-    assert check_calls == {"_check_count": 3, "_check_epsilon": 2, "_check_positive": 2,
+    assert check_calls == {"_check_count": 3, "_check_epsilon": 2, "_check_positive": 0,
                            "_check_widths": 6}
 
 
 def test_capacity_checks(check_calls):
-    # ProtocolParams checks m, both widths and epsilon, capacity its accuracy
+    # ProtocolParams checks m, both widths and epsilon; capacity trusts it
     capacity(ProtocolParams(16, 0.5, 0.7, 0.5))
-    assert check_calls == {"_check_count": 1, "_check_epsilon": 1, "_check_positive": 1,
+    assert check_calls == {"_check_count": 1, "_check_epsilon": 1, "_check_positive": 0,
                            "_check_widths": 2}
 

@@ -233,15 +233,6 @@ class TestCapacity:
         assert rep.i_ab < rep.i_ae
         assert rep.capacity == 0.0
 
-    @pytest.mark.parametrize("eps", [0.0, 0.5])
-    @pytest.mark.parametrize("accuracy", [math.nan, 0.0, math.inf, -1.0])
-    def test_rejects_impossible_accuracy(self, eps, accuracy):
-        # the grid checks accuracy itself, also at eps = 0 where no table is read
-        with pytest.raises(DomainError, match="accuracy must be finite and positive"):
-            capacity(ProtocolParams(4, 0.5, 0.7, eps), accuracy)
-        with pytest.raises(DomainError, match="accuracy must be finite and positive"):
-            c_surface(4, eps, [0.5], [0.7], accuracy)
-
     def test_beta_m_near_the_largest_float(self):
         # at the interval's upper end, beta * m = 1e12, the value is stable; far past it,
         # near the largest float, DomainError
@@ -278,7 +269,7 @@ class TestCapacityGrid:
         # spans several tiles of each kind, some of them partial
         monkeypatch.setattr(pulse_math, "_STACK_ENTRIES", 3 * m * m)
         alphas, betas = np.linspace(0.15, 1.35, 7), np.array([0.3, 0.7, 1.2])
-        grid = infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8)
+        grid = infotheory_module._capacity_grid(m, eps, alphas, betas)
         for i, alpha in enumerate(alphas):
             for j, beta in enumerate(betas):
                 expected = self._per_point(m, eps, alpha, beta)
@@ -296,11 +287,11 @@ class TestCapacityGrid:
         # entries give window tiles of 64 / (W + 1) pairs, 8-pair second-stage
         # queries and 16-alpha chunks; one entry gives one pair per tile
         alphas, betas = np.linspace(0.1, 1.4, n_alphas), np.array([0.4, 0.9])
-        batched = infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8)
+        batched = infotheory_module._capacity_grid(m, eps, alphas, betas)
         runs = []
         for entries in (64 * m, 1):
             monkeypatch.setattr(pulse_math, "_STACK_ENTRIES", entries)
-            runs.append(infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8))
+            runs.append(infotheory_module._capacity_grid(m, eps, alphas, betas))
         for grid in runs:
             for a, b in zip(batched, grid):
                 assert np.array_equal(a, b)
@@ -310,10 +301,10 @@ class TestCapacityGrid:
         # every stack of a tile is capped by _STACK_ENTRIES, so a 30 x 30 grid
         # on warm tables allocates a few MB at most, whatever m is
         alphas, betas = np.linspace(0.05, 1.5, 30), np.linspace(0.05, 1.5, 30)
-        infotheory_module._capacity_grid(m, 0.5, alphas, betas, 1e-8)  # warms the tables
+        infotheory_module._capacity_grid(m, 0.5, alphas, betas)  # warms the tables
         tracemalloc.start()
         try:
-            infotheory_module._capacity_grid(m, 0.5, alphas, betas, 1e-8)
+            infotheory_module._capacity_grid(m, 0.5, alphas, betas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -323,11 +314,11 @@ class TestCapacityGrid:
         # at m = 1024 one m x m float block is 8 MiB; the windows of width
         # 4b + 1 hold (k, m, W) stacks, so a warm 3 x 3 grid stays below it
         alphas, betas = np.array([0.5, 1.5, 2.95]), np.array([0.1, 0.7, 1.4])
-        pulse_math.summed_spectra(1024, betas, 1e-8)
-        infotheory_module._capacity_grid(1024, 0.5, alphas, betas, 1e-8)  # warms the index
+        pulse_math.summed_spectra(1024, betas)
+        infotheory_module._capacity_grid(1024, 0.5, alphas, betas)  # warms the index
         tracemalloc.start()
         try:
-            infotheory_module._capacity_grid(1024, 0.5, alphas, betas, 1e-8)
+            infotheory_module._capacity_grid(1024, 0.5, alphas, betas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -344,7 +335,7 @@ class TestCapacityGrid:
         pw = channel_module._wrong_columns(m, betas)
         assert (pw[0] == 0.0).any() == (m >= 3)
         for eps in (0.25, 0.5, 1.0):
-            _, ab, _, qs = infotheory_module._capacity_grid(m, eps, alphas, betas, 1e-8)
+            _, ab, _, qs = infotheory_module._capacity_grid(m, eps, alphas, betas)
             for i, alpha in enumerate(alphas):
                 pc = p_correct(ProtocolParams(m, alpha, 0.5))
                 blocks = channel_module._mixed_block(pc, pc @ pc, pw[:, :, None], eps)
@@ -362,7 +353,7 @@ class TestCapacityGrid:
         monkeypatch.setattr(pulse_math, "_TABLES", OrderedDict())
         tracemalloc.start()
         try:
-            infotheory_module._capacity_grid(m, 0.5, alphas, betas, 1e-8)
+            infotheory_module._capacity_grid(m, 0.5, alphas, betas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -372,7 +363,7 @@ class TestCapacityGrid:
     def _piecewise_table(total, pieces):
         # a real table whose G is linear on each (a, b, G(a), G(b)) piece of
         # [0, 30] and equals total beyond 30 (zero tail series)
-        spec = pulse_math.cached_spectrum(4, 0.7, 1e-8)
+        spec = pulse_math.cached_spectrum(4, 0.7)
         coef = np.zeros((len(pieces), spec._coef.shape[1]))
         for row, (_, _, g_a, g_b) in zip(coef, pieces):
             row[:2] = 0.5 * (g_a + g_b), 0.5 * (g_b - g_a)
@@ -394,10 +385,10 @@ class TestCapacityGrid:
         alphas = np.array([0.3, 0.5, 0.9])
         for name, table in [("falling", falling), ("below_zero", below_zero),
                             ("above_one", above_one)]:
-            monkeypatch.setattr(pulse_math, "summed_spectra", lambda m, betas, acc: [
-                table if beta == 0.7 else real(m, [beta], acc)[0] for beta in betas])
+            monkeypatch.setattr(pulse_math, "summed_spectra", lambda m, betas: [
+                table if beta == 0.7 else real(m, [beta])[0] for beta in betas])
             with pytest.raises(NumericFailure) as info:
-                infotheory_module._capacity_grid(4, 0.5, alphas, [0.5, 0.7], 1e-8)
+                infotheory_module._capacity_grid(4, 0.5, alphas, [0.5, 0.7])
             assert info.value.achieved == pytest.approx(1e-6, rel=1e-9), name
 
     def test_information_never_below_zero(self):
@@ -419,11 +410,11 @@ class TestCapacityGrid:
             monkeypatch.setattr(infotheory_module, "_lattice_stats", lambda *args: (
                 np.full_like(real(*args)[0], value), real(*args)[1]))
             if excursion is None:
-                grid = infotheory_module._capacity_grid(4, eps, np.array([0.5]), np.array([0.7]), 1e-8)
+                grid = infotheory_module._capacity_grid(4, eps, np.array([0.5]), np.array([0.7]))
                 assert grid[column][0, 0] == min(max(value, 0.0), 2.0)
             else:
                 with pytest.raises(NumericFailure) as info:
-                    infotheory_module._capacity_grid(4, eps, np.array([0.5]), np.array([0.7]), 1e-8)
+                    infotheory_module._capacity_grid(4, eps, np.array([0.5]), np.array([0.7]))
                 assert info.value.achieved == pytest.approx(excursion, rel=1e-6)
 
 
@@ -433,10 +424,10 @@ class TestLatticeStats:
 
     @staticmethod
     def _assert_matches_dense(values, at_neg_inf, at_pos_inf):
-        info, qs = infotheory_module._lattice_stats(values, at_neg_inf, at_pos_inf, 1e-8)
+        info, qs = infotheory_module._lattice_stats(values, at_neg_inf, at_pos_inf)
         block = channel_module._lattice_block(values, at_neg_inf, at_pos_inf)
         ref_info, ref_qs = infotheory_module._block_stats(
-            pulse_math._clip_within(block, 1.0, 1e-8))
+            pulse_math._clip_within(block, 1.0))
         assert info == pytest.approx(ref_info, rel=0.0, abs=1e-12)
         assert qs == pytest.approx(ref_qs, rel=0.0, abs=1e-12)
 
@@ -448,14 +439,14 @@ class TestLatticeStats:
     @pytest.mark.parametrize("beta", [0.1, 0.6, 1.2])
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 16, 32, 256])
     def test_second_stage(self, m, beta):
-        tables = pulse_math.summed_spectra(m, [beta], 1e-8)
+        tables = pulse_math.summed_spectra(m, [beta])
         values = channel_module._second_lattice(m, [0.05, 0.5, 1.5], tables)[0]
         self._assert_matches_dense(values, 0.0, 1.0)
 
     def test_stack_of_alphas(self):
         alphas = np.linspace(0.05, 1.5, 30)
         self._assert_matches_dense(channel_module._correct_lattice(16, alphas), -0.5, 0.5)
-        tables = pulse_math.summed_spectra(16, [0.7], 1e-8)
+        tables = pulse_math.summed_spectra(16, [0.7])
         second = channel_module._second_lattice(16, alphas, tables)[0]
         self._assert_matches_dense(second, 0.0, 1.0)
 
@@ -492,7 +483,8 @@ class TestKeyRate:
         with pytest.raises(DomainError):
             key_rate(-1.0, 1.0)
 
-    @pytest.mark.parametrize("rate,bits", [(math.nan, 1.0), (math.inf, 0.0)])
+    @pytest.mark.parametrize("rate,bits", [(math.nan, 1.0), (math.inf, 0.0),
+                                           (1.0, math.nan), (1.0, math.inf), (1.0, -1.0)])
     def test_rejects_non_finite_rate(self, rate, bits):
         with pytest.raises(DomainError):
             key_rate(rate, bits)

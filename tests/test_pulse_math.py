@@ -34,7 +34,7 @@ ERF1 = 0.8427007929497148
 
 def _untruncated_spectrum():
     """The table of one window over the whole line: the spectrum ``exp(-w**2)/sqrt(pi)``."""
-    return pulse_math._build_tables(np.array([[-np.inf, np.inf]]), 2, [0.7], DEFAULT_ACCURACY)[0]
+    return pulse_math._build_tables(np.array([[-np.inf, np.inf]]), 2, [0.7])[0]
 
 
 def _spectral_density(x_lo, x_hi, w):
@@ -321,7 +321,7 @@ class TestPolynomialQueries:
     def test_table_is_even(self, m, beta):
         # the table covers w >= 0 and reads G(-w) as total - G(w), so the
         # evenness holds to rounding, in the panels and in the tails
-        spec = cached_spectrum(m, beta, 1e-8)
+        spec = cached_spectrum(m, beta)
         w = np.concatenate([np.geomspace(0.01, 150.0, 301), [29.999, 30.0, 30.001]])
         assert np.abs(spec.cumulative(w) + spec.cumulative(-w) - spec.total_mass).max() <= 1e-15
 
@@ -329,7 +329,7 @@ class TestPolynomialQueries:
     @pytest.mark.parametrize("beta", [0.1, 0.7, 1.2])
     def test_summed_matches_sum_of_filters(self, m, beta):
         w = np.concatenate([np.linspace(-29.0, 29.0, 59), [-30.5, -30.0, 30.0, 30.5, -75.0, 120.0]])
-        summed = cached_spectrum(m, beta, 1e-8)
+        summed = cached_spectrum(m, beta)
         assert np.array_equal(summed.cuts, _filter_cuts(m, beta))
         per_filter = [build_spectrum(f, m, beta) for f in range(1, m + 1)]
         assert all(np.array_equal(s.cuts, summed.cuts[f - 1:f + 1]) for f, s in enumerate(per_filter, 1))
@@ -386,7 +386,7 @@ class TestPolynomialQueries:
             with pytest.raises(NumericFailure) as info:
                 replace(spec, _coef=coef).cumulative(side)
             assert info.value.achieved == pytest.approx(1e-6, rel=1e-6)
-            assert info.value.target == spec.accuracy
+            assert info.value.target == DEFAULT_ACCURACY
         coef = spec._coef.copy()
         coef[:, 0] += 1e-10  # within accuracy: clipped on both sides, not raised
         shifted = replace(spec, _coef=coef)
@@ -398,8 +398,8 @@ class TestPolynomialQueries:
         # meets accuracy / 4
         spec = build_spectrum(2, 4, 0.7)
         assert spec.n_panels >= 1
-        assert 0.0 <= spec.error_bound <= 0.25 * spec.accuracy
-        assert abs(spec.total_mass_numeric - spec.total_mass) <= spec.accuracy
+        assert 0.0 <= spec.error_bound <= 0.25 * DEFAULT_ACCURACY
+        assert abs(spec.total_mass_numeric - spec.total_mass) <= DEFAULT_ACCURACY
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -411,10 +411,10 @@ class TestPolynomialQueries:
     def test_cumulative_monotone_and_columns_conserve_mass(self, m, alpha, beta, data):
         # the filter-summed table: monotone, even (H(w) + H(-w) = 1) and its
         # lattice block column stochastic
-        spec = cached_spectrum(m, beta, 1e-8)
+        spec = cached_spectrum(m, beta)
         w = np.sort(data.draw(st.lists(st.floats(-80.0, 80.0), min_size=2, max_size=40)))
         assert np.all(np.diff(spec.cumulative(w)) >= -1e-12)
-        assert np.all(np.abs(spec.cumulative(w) + spec.cumulative(-w) - 1.0) <= spec.accuracy)
+        assert np.all(np.abs(spec.cumulative(w) + spec.cumulative(-w) - 1.0) <= DEFAULT_ACCURACY)
         sums = p_second_correct(ProtocolParams(m, alpha, beta)).sum(axis=0)
         assert np.allclose(sums, 1.0, rtol=0.0, atol=1e-8)
 
@@ -429,7 +429,7 @@ class TestStackedQuery:
     def test_matches_per_table_cumulative(self, m):
         # m = 2 has a one-column tail series (no cross lag); each table gets
         # its own order of the points: negative, 0, inside 30, tail, +-inf
-        tables = [cached_spectrum(m, beta, 1e-8) for beta in (0.3, 0.7, 1.2)]
+        tables = [cached_spectrum(m, beta) for beta in (0.3, 0.7, 1.2)]
         rng = np.random.default_rng(m)
         w = np.stack([rng.permutation(self.POINTS) for _ in tables])
         got = pulse_math._stacked_cumulative(tables, w)
@@ -451,17 +451,17 @@ class TestStackedQuery:
     def test_values_do_not_depend_on_the_batch(self):
         # the tail series is summed point by point, so a point's value is the
         # same alone, in a batch and beside other tables
-        spec = cached_spectrum(16, 0.7, 1e-8)
+        spec = cached_spectrum(16, 0.7)
         w = np.concatenate([np.linspace(31.0, 300.0, 8), -np.geomspace(30.5, 500.0, 13)])
         alone = np.array([spec.cumulative(x) for x in w])
         assert np.array_equal(spec.cumulative(w), alone)
-        other = cached_spectrum(16, 1.1, 1e-8)
+        other = cached_spectrum(16, 1.1)
         stacked = pulse_math._stacked_cumulative([other, spec], np.stack([w[::-1], w]))
         assert np.array_equal(stacked[1], alone)
 
     def test_density_does_not_depend_on_the_batch(self):
         # the windows are added in one order for a single point as for many
-        spec = cached_spectrum(32, 0.7, 1e-8)
+        spec = cached_spectrum(32, 0.7)
         w = np.linspace(-20.0, 20.0, 401)
         batch = spec.density(w)
         assert np.array_equal([spec.density(x) for x in w], batch)
@@ -492,7 +492,7 @@ class TestSpectrumBinMass:
             spec.bin_mass(2.0, 1.0)
 
     def test_nan_bound_is_domain_error(self):
-        spec = cached_spectrum(4, 0.7, 1e-8)
+        spec = cached_spectrum(4, 0.7)
         with pytest.raises(DomainError):
             spec.cumulative(np.nan)
         with pytest.raises(DomainError):
@@ -501,7 +501,7 @@ class TestSpectrumBinMass:
             spec.bin_mass(np.nan, 1.0)
 
     def test_array_call_equals_scalar_calls(self):
-        spec = cached_spectrum(4, 0.7, 1e-8)
+        spec = cached_spectrum(4, 0.7)
         # repeated bins, lo == hi and unbounded sides, all inside the table
         w_lo = np.array([-1.0, -1.0, 0.5, -np.inf, 2.0, -np.inf, 3.0, np.inf, -np.inf])
         w_hi = np.array([2.0, 2.0, 0.5, -3.0, np.inf, np.inf, 3.0, np.inf, -np.inf])
@@ -516,7 +516,7 @@ class TestSpectrumBinMass:
     def test_array_call_in_the_tails(self):
         # beyond |w| = 30 the tail series is summed point by point, so the
         # batch and the scalar calls agree bit for bit there too
-        spec = cached_spectrum(16, 0.7, 1e-8)
+        spec = cached_spectrum(16, 0.7)
         w_lo = np.array([-58.0, -50.0, -38.0, 34.0, 40.0, 40.0])
         w_hi = np.array([-54.0, -42.0, -34.0, 38.0, 50.0, np.inf])
         expected = [spec.bin_mass(lo, hi) for lo, hi in zip(w_lo, w_hi)]
@@ -535,9 +535,9 @@ class TestSpectrumBinMass:
     def test_non_monotone_cumulative_raises(self, monkeypatch):
         spec = build_spectrum(2, 4, 0.7)
         # G falling by half the tolerance is clipped to 0, by twice it raises
-        monkeypatch.setattr(TruncatedSpectrum, "cumulative", lambda self, w: -0.5 * spec.accuracy * w)
+        monkeypatch.setattr(TruncatedSpectrum, "cumulative", lambda self, w: -0.5 * DEFAULT_ACCURACY * w)
         assert spec.bin_mass(1.0, 2.0) == 0.0
-        monkeypatch.setattr(TruncatedSpectrum, "cumulative", lambda self, w: -2.0 * spec.accuracy * w)
+        monkeypatch.setattr(TruncatedSpectrum, "cumulative", lambda self, w: -2.0 * DEFAULT_ACCURACY * w)
         with pytest.raises(NumericFailure):
             spec.bin_mass(1.0, 2.0)
 
@@ -639,9 +639,9 @@ class TestGroupBuild:
     @pytest.mark.parametrize("m", [2, 3, 16, 32, 256, 1024])
     def test_group_equals_one_build_per_beta(self, m, monkeypatch):
         builds = self._counting_builds(monkeypatch)
-        cached = pulse_math.summed_spectra(m, [0.7], 1e-8)[0]
+        cached = pulse_math.summed_spectra(m, [0.7])[0]
         betas = [0.3, 0.7, 1.2, 0.3, 0.05, 1.2]  # cached, missing and repeated betas
-        group = pulse_math.summed_spectra(m, betas, 1e-8)
+        group = pulse_math.summed_spectra(m, betas)
         assert builds == [1, 3]
         assert group[1] is cached and group[3] is group[0] and group[5] is group[2]
         for beta, table in zip(betas, group):
@@ -665,11 +665,11 @@ class TestGroupBuild:
         monkeypatch.setattr(pulse_math, "_tail_coefficients",
                             lambda cuts: passes.append(cuts.shape) or real(cuts))
         betas = np.linspace(0.05, 1.5, 7)
-        whole = pulse_math._build_tables(_filter_cuts(32, betas), 32, betas, 1e-8)
-        pulse_math._build_tables(_filter_cuts(1024, betas[:3]), 1024, betas[:3], 1e-8)
+        whole = pulse_math._build_tables(_filter_cuts(32, betas), 32, betas)
+        pulse_math._build_tables(_filter_cuts(1024, betas[:3]), 1024, betas[:3])
         assert passes == [(7, 33)] + [(1, 1025)] * 3
         monkeypatch.setattr(pulse_math, "_STACK_ENTRIES", 1)
-        one_per_pass = pulse_math._build_tables(_filter_cuts(32, betas), 32, betas, 1e-8)
+        one_per_pass = pulse_math._build_tables(_filter_cuts(32, betas), 32, betas)
         assert passes[4:] == [(1, 33)] * 7
         for a, b in zip(whole, one_per_pass):
             assert all(np.array_equal(x, y) for x, y in zip(a._tail, b._tail))
@@ -691,14 +691,14 @@ class TestGroupBuild:
         # stand-in tables: the cache only stores and returns them
         builds = []
         monkeypatch.setattr(pulse_math, "_TABLES", OrderedDict())
-        monkeypatch.setattr(pulse_math, "_build_tables", lambda cuts, m, betas, accuracy: (
+        monkeypatch.setattr(pulse_math, "_build_tables", lambda cuts, m, betas: (
             builds.append(len(cuts)) or [object() for _ in betas]))
-        first = pulse_math.summed_spectra(2, [0.5], 1e-8)[0]
-        pulse_math.summed_spectra(2, np.linspace(1.0, 2.0, 1023), 1e-8)
-        assert pulse_math.summed_spectra(2, [0.5], 1e-8)[0] is first  # refreshed as the latest
-        pulse_math.summed_spectra(2, [3.0], 1e-8)  # evicts the least recent: beta = 1.0
-        assert len(pulse_math._TABLES) == 1024 and (2, 1.0, 1e-8) not in pulse_math._TABLES
-        assert cached_spectrum(2, 0.5, 1e-8) is first
+        first = pulse_math.summed_spectra(2, [0.5])[0]
+        pulse_math.summed_spectra(2, np.linspace(1.0, 2.0, 1023))
+        assert pulse_math.summed_spectra(2, [0.5])[0] is first  # refreshed as the latest
+        pulse_math.summed_spectra(2, [3.0])  # evicts the least recent: beta = 1.0
+        assert len(pulse_math._TABLES) == 1024 and (2, 1.0) not in pulse_math._TABLES
+        assert cached_spectrum(2, 0.5) is first
         assert builds == [1, 1023, 1]
 
 
