@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import erf
 
 from . import pulse_math
-from .errors import _check_count, _check_epsilon, _check_widths
+from .errors import _check_count, _check_epsilon, _check_scalar, _check_widths
 
 __all__ = [
     "ProtocolParams",
@@ -40,9 +40,9 @@ class ProtocolParams:
     ``alpha`` is the normalized symbol-pulse width and ``beta`` the
     normalized conjugate-pulse width; both are in units of the bin pitch,
     so the symbol pulse density has 1/e half-width ``alpha/2`` and the
-    conjugate pulse ``beta*m/2``; ``alpha`` and ``beta*m`` lie in [1e-12,
-    1e12] (else :class:`DomainError`).  ``epsilon`` is the fraction of
-    photons the eavesdropper intercepts.
+    conjugate pulse ``beta*m/2``.  ``epsilon`` is the fraction of photons
+    the eavesdropper intercepts.  All three are scalars, ``alpha`` and
+    ``beta*m`` in [1e-12, 1e12] (else :class:`DomainError`).
     """
 
     m: int
@@ -52,9 +52,9 @@ class ProtocolParams:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _check_count("m", self.m, 2))
-        _check_widths(self.alpha)
-        _check_widths(self.beta, self.m)
-        _check_epsilon(self.epsilon)
+        _check_widths(_check_scalar("alpha", self.alpha))
+        _check_widths(_check_scalar("beta", self.beta), self.m)
+        _check_epsilon(_check_scalar("epsilon", self.epsilon))
 
     @property
     def symbol_sigma(self) -> float:

@@ -340,8 +340,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return int(exc.code or 0)
-    except (DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, OSError, MemoryError) as exc:  # MemoryError: an input too large to allocate for
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except NumericFailure as exc:
         diagnostic = {"error": "numeric failure", "detail": str(exc)}

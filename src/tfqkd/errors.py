@@ -48,6 +48,13 @@ def _check_count(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _check_scalar(name: str, value):
+    """``value``, or :class:`DomainError` if it is an array or a sequence, not one number."""
+    if np.ndim(value):
+        raise DomainError(f"{name} must be a scalar, got {value!r}")
+    return value
+
+
 def _check_widths(values, m: int | None = None) -> np.ndarray:
     """``values`` as a float array of alphas or, given ``m``, of betas; :class:`DomainError` unless
     each alpha and each ``beta * m`` lies in [1e-12, 1e12] (NaN does not), the one width domain,

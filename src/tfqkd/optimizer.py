@@ -20,7 +20,8 @@ from scipy.special import erf
 
 from . import pulse_math
 from .channel import ProtocolParams, make_layout
-from .errors import DomainError, NumericFailure, _check_count, _check_epsilon, _check_positive, _check_widths
+from .errors import (DomainError, NumericFailure, _check_count, _check_epsilon, _check_positive, _check_scalar,
+                     _check_widths)
 from .infotheory import CapacityReport, _capacity_grid, capacity
 
 __all__ = [
@@ -208,8 +209,7 @@ def _overlap(m: int, alpha: float, variant: str):
     value each; ``m``, ``alpha`` (a scalar) and ``variant`` are checked here, the betas by the caller."""
     layout = make_layout(m)  # checks m
     m, centers = layout.m, layout.centers
-    if np.ndim(_check_widths(alpha)):
-        raise DomainError(f"alpha must be a scalar, got {alpha!r}")
+    _check_widths(_check_scalar("alpha", alpha))
     if variant not in ("per-term", "whole-sum"):
         raise DomainError(f"unknown u variant {variant!r}")
     w_sym = 0.5 * alpha
@@ -240,9 +240,7 @@ def u_functional(m: int, alpha: float, beta: float, variant: str = "per-term") -
     at a ``beta`` that is not a scalar (:func:`minimize_beta` scans rows).
     """
     overlap = _overlap(m, alpha, variant)  # checks m first
-    if np.ndim(beta):
-        raise DomainError(f"beta must be a scalar, got {beta!r}")
-    return float(overlap(_check_widths(beta, int(m)))[0])
+    return float(overlap(_check_widths(_check_scalar("beta", beta), int(m)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -320,54 +318,36 @@ def optimize_point(
 ) -> OptimizationResult:
     """Optimal (alpha, beta) for one (m, epsilon) pair.
 
-    Stage 1 maximizes the capacity over alpha (objective: best capacity over
-    the beta grid), coarse grid plus golden-section refinement, ties toward
-    smaller alpha.  Stage 2 picks beta: from the overlap functional in the
-    ``staged`` scheme, from the capacity itself in the ``nested`` scheme.
-    So the staged ``c_opt`` may sit below ``stage1_capacity`` (e.g. 0.3794
-    vs 0.3896 at m = 4, epsilon = 0.5); the nested one equals it.
-    A capacity that is zero over the whole grid short-circuits to the
-    smallest alpha of the plateau.
+    Stage 1 maximizes the capacity over alpha, its one objective the best
+    capacity over the beta grid (over beta, refined, in the ``nested``
+    scheme): coarse grid plus golden-section refinement, exact ties, a zero
+    plateau included, toward the smaller alpha.  Stage 2 picks beta: from
+    the overlap functional in the ``staged`` scheme, from the capacity
+    itself in the ``nested`` scheme.  So the staged ``c_opt`` may sit below
+    ``stage1_capacity`` (e.g. 0.3794 vs 0.3896 at m = 4, epsilon = 0.5);
+    the nested one equals it.
     """
     alpha_axis = _axis(config.alpha_box, config.coarse_step)
     beta_axis = _axis(config.beta_box, config.coarse_step)
     coarse = dict(zip(alpha_axis, c_surface(m, epsilon, alpha_axis, beta_axis).capacity))
     m = int(m)  # c_surface checked m, epsilon and both axes, so the rows and steps inside them check nothing
 
-    def row(alpha: float) -> np.ndarray:
-        # capacity over the beta grid at this alpha, off the coarse grid if it is on it
-        if alpha in coarse:
-            return coarse[alpha]
-        return _capacity_grid(m, epsilon, [alpha], beta_axis)[0][0]
-
     @cache
-    def best_beta(alpha: float) -> tuple[float, float]:
-        # capacity-maximizing beta at this alpha, and its capacity
+    def stage1(alpha: float) -> tuple[float | None, float]:
+        # the best capacity at this alpha: over the beta grid's row or, nested, over beta refined (and that beta)
+        row = coarse[alpha] if alpha in coarse else _capacity_grid(m, epsilon, [alpha], beta_axis)[0][0]
+        if config.scheme == "staged":
+            return None, float(row.max())
         beta, neg_best = _refine_min(
-            lambda b: -_capacity_grid(m, epsilon, [alpha], [b])[0][0, 0],
-            beta_axis, -row(alpha), config.tol)
+            lambda b: -_capacity_grid(m, epsilon, [alpha], [b])[0][0, 0], beta_axis, -row, config.tol)
         return beta, -neg_best
 
-    def row_max(alpha: float) -> float:
-        if config.scheme == "nested":
-            return best_beta(alpha)[1]
-        return float(row(alpha).max())
-
-    grid_best = np.array([row_max(a) for a in alpha_axis])
-    grid_max = float(grid_best.max())
-
-    if grid_max <= 0.0:
-        # zero-capacity plateau: report its smallest alpha
-        alpha_opt = float(alpha_axis[0])
-        stage1_c = 0.0
-    else:
-        alpha_opt, neg_c = _refine_min(lambda a: -row_max(a), alpha_axis, -grid_best, config.tol)
-        stage1_c = -neg_c
-
+    alpha_opt, neg_c = _refine_min(lambda a: -stage1(a)[1], alpha_axis,
+                                   -np.array([stage1(a)[1] for a in alpha_axis]), config.tol)
     if config.scheme == "staged":
         beta_opt, u_min = minimize_beta(m, alpha_opt, config)
     else:
-        beta_opt = best_beta(alpha_opt)[0]
+        beta_opt = stage1(alpha_opt)[0]
         u_min = u_functional(m, alpha_opt, beta_opt, config.u_variant)
 
     report = capacity(ProtocolParams(m, alpha_opt, beta_opt, epsilon))
@@ -381,7 +361,7 @@ def optimize_point(
         report=report,
         scheme=config.scheme,
         u_variant=config.u_variant,
-        stage1_capacity=float(stage1_c),
+        stage1_capacity=float(-neg_c),
     )
 
 

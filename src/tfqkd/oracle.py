@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .channel import ProtocolParams, make_layout
-from .errors import DomainError, _check_count, _check_positive
+from .errors import DomainError, _check_count, _check_positive, _check_scalar, _check_widths
 
 __all__ = [
     "McConfig",
@@ -47,6 +47,7 @@ class McConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "photons", _check_count("photons", self.photons, 1))
+        object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,11 +316,12 @@ def dft_spectrum_oracle(
     ``min(grid_step, 0.3 / grid_span)``.
     """
     layout = make_layout(m)
-    if f not in range(1, layout.m + 1):
-        raise DomainError(f"filter index {f} outside 1..{m}")
-    _check_positive(("beta", beta), ("grid_step", grid_step), ("grid_span", grid_span))
-    scale = 0.5 * beta * m
-    b_lo, b_up = layout.lower[int(f) - 1], layout.upper[int(f) - 1]
+    if (f := _check_count("f", f, 1)) > layout.m:
+        raise DomainError(f"filter index {f} outside 1..{layout.m}")
+    _check_widths(_check_scalar("beta", beta), layout.m)
+    _check_positive(("grid_step", grid_step), ("grid_span", grid_span))
+    scale = 0.5 * beta * layout.m
+    b_lo, b_up = layout.lower[f - 1], layout.upper[f - 1]
     x_lo = -_X_SUPPORT if np.isneginf(b_lo) else max(b_lo / scale, -_X_SUPPORT)
     x_hi = _X_SUPPORT if np.isposinf(b_up) else min(b_up / scale, _X_SUPPORT)
     if x_lo >= x_hi:

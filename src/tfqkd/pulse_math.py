@@ -17,14 +17,15 @@ finite-interval integral, never by integrating out to infinity.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf, factorial, sici, wofz
+from scipy.special import erf, sici, wofz
 
-from .errors import DomainError, NumericFailure, _check_count, _check_positive, _check_widths
+from .errors import DomainError, NumericFailure, _check_count, _check_positive, _check_scalar, _check_widths
 
 __all__ = [
     "DEFAULT_ACCURACY",
@@ -44,7 +45,7 @@ DEFAULT_ACCURACY = 1e-8
 # panel tables cover exactly [0, _TAIL_W_MIN]; every spectrum is even.
 _TAIL_W_MIN = 30.0
 _TAIL_ORDER = 10
-_FACTORIAL = factorial(np.arange(2 * _TAIL_ORDER))  # k! for k < 2 * order
+_FACTORIAL = np.array([math.factorial(k) for k in range(2 * _TAIL_ORDER)], dtype=float)  # k! for k < 2 * order
 # i + j: summing a.T @ b over it adds up the convolutions of the rows of a and b
 _ANTIDIAGONAL = np.add.outer(np.arange(_TAIL_ORDER), np.arange(_TAIL_ORDER))
 
@@ -422,9 +423,9 @@ def build_spectrum(f: int | None, m: int, beta: float) -> TruncatedSpectrum:
         unit pitch; the pulse has 1/e half-width ``beta*m/2``).
     """
     m = _check_count("m", m, 2)
-    if f is not None and f not in range(1, m + 1):
+    if f is not None and (f := _check_count("f", f, 1)) > m:
         raise DomainError(f"filter index {f} outside 1..{m}")
-    cuts = _filter_cuts(m, _check_widths(beta, m))
+    cuts = _filter_cuts(m, _check_widths(_check_scalar("beta", beta), m))
     if f is not None:
         cuts = cuts[f - 1:f + 1]
     return _build_tables(cuts[None], m, [beta])[0]

@@ -47,6 +47,9 @@ class TestProtocolParams:
             dict(m=4, alpha=0.5, beta=math.inf),
             dict(m=4, alpha=0.5, beta=0.7, epsilon=1.5),
             dict(m=4, alpha=0.5, beta=0.7, epsilon=-0.1),
+            dict(m=4, alpha=np.array([0.5, 0.6]), beta=0.7),
+            dict(m=4, alpha=0.5, beta=[0.7], epsilon=0.5),
+            dict(m=4, alpha=0.5, beta=0.7, epsilon=np.array([0.5])),
         ],
     )
     def test_validation(self, kwargs):
@@ -70,6 +73,10 @@ def test_integral_float_m_counts_as_int():
     for m in (ProtocolParams(2.0, 0.5, 0.7).m, make_layout(np.float64(2.0)).m,
               build_spectrum(None, 2.0, 0.7).m, dft_spectrum_oracle(1, 2.0, 0.7).m):
         assert m == 2 and type(m) is int
+    # and a filter index, read by the same check
+    assert np.array_equal(build_spectrum(1.0, 2, 0.7).cuts, build_spectrum(1, 2, 0.7).cuts)
+    f = dft_spectrum_oracle(1.0, 2, 0.7).filter_index
+    assert f == 1 and type(f) is int
 
 
 @pytest.mark.parametrize("entry", [-1e-6, 1.0 + 1e-6])

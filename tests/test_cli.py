@@ -531,6 +531,22 @@ class TestUsage:
         assert "cannot replace" in assert_usage_error(capsys)
         assert list(tmp_path.iterdir()) == []  # neither the output nor a .tfqkd-* temp file
 
+    @pytest.mark.parametrize("exc,reason", [
+        (MemoryError("Unable to allocate 16.0 TiB for an array"), "error: Unable to allocate 16.0 TiB"),
+        (MemoryError(), "error: out of memory"),
+    ], ids=["numpy-message", "bare"])
+    def test_allocation_failure_exits_2(self, exc, reason, monkeypatch, capsys):
+        # an input too large to allocate for, such as surface --m 1099511627776, without allocating it
+        import tfqkd.cli as cli_module
+
+        def too_large(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli_module, "c_surface", too_large)
+        assert run_cli("surface", "--m", "1099511627776", "--eps", "0", "--alpha", "0.5:0.5:1",
+                       "--beta", "0.5:0.5:1") == 2
+        assert assert_usage_error(capsys).startswith(reason)
+
     def test_unwritable_output_path(self, tmp_path):
         out = tmp_path / "missing" / "deep" / "out.json"
         code = run_cli("optimize", "--m", "2", "--eps", "0", "--step", "0.25",

@@ -659,10 +659,14 @@ class TestOptimizePoint:
         assert res.c_opt >= 0.99 * 2.0
 
     def test_heavy_attack_plateau(self):
-        res = optimize_point(4, 0.9)
-        assert res.c_opt == 0.0
-        assert res.alpha_opt == pytest.approx(0.05)  # smallest point of the plateau
-        assert res.report.capacity == 0.0
+        # the capacity is 0 over the whole box: the alpha search's tie rule picks the plateau's smallest alpha
+        for scheme in ("staged", "nested"):
+            for variant in ("per-term", "whole-sum"):
+                res = optimize_point(4, 0.9, OptimizerConfig(scheme=scheme, u_variant=variant))
+                assert res.c_opt == 0.0
+                assert res.alpha_opt == pytest.approx(0.05)  # smallest point of the plateau
+                assert res.report.capacity == 0.0
+                assert res.stage1_capacity == 0.0
 
     def test_refinement_never_below_grid(self):
         config = OptimizerConfig(coarse_step=0.1)

@@ -64,6 +64,12 @@ class TestRunMc:
         with pytest.raises(DomainError, match="photons must be an integer >= 1"):
             McConfig(photons=photons, seed=1, params=ProtocolParams(2, 1.0, 0.7))
 
+    @pytest.mark.parametrize("seed", [1.5, np.nan, np.inf, -1, None])
+    def test_rejects_seeds_that_are_not_integers_from_zero(self, seed):
+        # the seed of the random stream is a whole number, at least zero
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            McConfig(photons=1, seed=seed, params=ProtocolParams(2, 1.0, 0.7))
+
     def test_integral_float_photon_count_counts_as_int(self):
         photons = McConfig(photons=2.0, seed=1, params=ProtocolParams(2, 1.0, 0.7)).photons
         assert photons == 2 and type(photons) is int
@@ -282,12 +288,16 @@ class TestDftSpectrumOracle:
         ((1, 4, 0.0), {}),
         ((1, 4, np.nan), {}),
         ((1, 4, np.inf), {}),
+        ((1, 4, 1e13), {}),
+        ((1, 4, 1e-300), {}),
+        ((1, 4, [0.7, 0.8]), {}),
         ((2, 4, 0.7), dict(grid_step=np.nan)),
         ((2, 4, 0.7), dict(grid_step=np.inf)),
         ((2, 4, 0.7), dict(grid_span=np.nan)),
         ((2, 4, 0.7), dict(grid_span=np.inf)),
     ], ids=["f-0", "f-above-m", "f-fraction", "f-none", "beta-negative", "beta-0", "beta-nan",
-            "beta-inf", "step-nan", "step-inf", "span-nan", "span-inf"])
+            "beta-inf", "beta-m-above-bound", "beta-m-below-bound", "beta-array", "step-nan", "step-inf",
+            "span-nan", "span-inf"])
     def test_rejects_impossible_arguments(self, args, kwargs):
         with pytest.raises(DomainError):
             dft_spectrum_oracle(*args, **kwargs)

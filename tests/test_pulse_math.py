@@ -223,8 +223,9 @@ class TestBuildSpectrum:
 
     @pytest.mark.parametrize("f,m,beta", [
         (None, 2.5, 0.7), (None, np.nan, 0.7), (None, 1, 0.7), (1.5, 4, 0.7),
-        (1, 4, np.inf), (1, 4, np.nan),
-    ], ids=["m-fraction", "m-nan", "m-1", "f-fraction", "beta-inf", "beta-nan"])
+        (1, 4, np.inf), (1, 4, np.nan), (None, 4, [0.7, 0.8]), (1, 4, [0.7]), (np.nan, 4, 0.7),
+    ], ids=["m-fraction", "m-nan", "m-1", "f-fraction", "beta-inf", "beta-nan", "beta-array",
+            "beta-one-element-list", "f-nan"])
     def test_rejects_impossible_arguments(self, f, m, beta):
         with pytest.raises(DomainError):
             build_spectrum(f, m, beta)
